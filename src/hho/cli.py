@@ -9,7 +9,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 

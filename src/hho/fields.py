@@ -41,12 +41,6 @@ class ScalarField:
             return lambda pts: fa(pts) - fb(pts)
         return ScalarField(factory, name=f"({self.name}-{other.name})")
 
-    def __add__(self, other):
-        def factory(ax, ay):
-            fa, fb = self.partial(ax, ay), other.partial(ax, ay)
-            return lambda pts: fa(pts) + fb(pts)
-        return ScalarField(factory, name=f"({self.name}+{other.name})")
-
     def __rmul__(self, c):
         def factory(ax, ay):
             f = self.partial(ax, ay)

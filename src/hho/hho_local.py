@@ -16,13 +16,12 @@ cached so nonlinear assembly loops touch only small dense products.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .polybasis import (CellBasis, FaceBasis, cell_basis, face_basis,
-                        l2_project, l2_project_face)
+from .law import power_weight
+from .polybasis import CellBasis, FaceBasis, cell_basis, face_basis, l2_project
 from .quadrature import QuadratureRule, cell_rule, face_rule
 
 
@@ -165,20 +164,9 @@ def interpolate_local(ops: LocalOperators, field) -> np.ndarray:
     u = np.zeros(ops.ndof)
     u[:ops.n_cell] = l2_project(ops.basis_k, field, ops.rule)
     for i, off in enumerate(ops.face_offsets):
-        u[off:off + ops.k + 1] = l2_project_face(ops.face_bases[i], field,
-                                                 ops.face_rules[i])
+        u[off:off + ops.k + 1] = l2_project(ops.face_bases[i], field,
+                                            ops.face_rules[i])
     return u
-
-
-def _stab_weight(d: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """|d|^{p-2} with the 0 * inf = 0 convention, optionally regularized."""
-    n2 = d * d + eps * eps
-    if p >= 2:
-        return n2 ** ((p - 2.0) / 2.0)
-    out = np.zeros_like(n2)
-    nz = n2 > 0
-    out[nz] = n2[nz] ** ((p - 2.0) / 2.0)
-    return out
 
 
 def stabilization(ops: LocalOperators, u: np.ndarray, v: np.ndarray, p: float,
@@ -189,8 +177,8 @@ def stabilization(ops: LocalOperators, u: np.ndarray, v: np.ndarray, p: float,
         du = ops.dval_q[i] @ u
         dv = du if v is u else ops.dval_q[i] @ v
         wq = ops.face_rules[i].weights
-        total += ops.face_lengths[i] ** (1.0 - p) * float(
-            wq @ (_stab_weight(du, p, eps) * du * dv))
+        sw = power_weight(du * du + eps * eps, (p - 2.0) / 2.0)
+        total += ops.face_lengths[i] ** (1.0 - p) * float(wq @ (sw * du * dv))
     return total
 
 

@@ -9,7 +9,7 @@ sample; reports carry the max relative violation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,8 +36,9 @@ class LerayLionsLaw:
         return self.p / (self.p - 1.0)
 
 
-def _plap_weight(n2: np.ndarray, expo: float) -> np.ndarray:
-    # n2 ** expo with the convention 0 ** negative = 0 (limit of w * xi forms)
+def power_weight(n2: np.ndarray, expo: float) -> np.ndarray:
+    """n2 ** expo with 0 ** negative = 0 (limit of w * xi forms): the
+    p-power weight of both the flux and the face stabilization."""
     if expo >= 0:
         return n2 ** expo
     out = np.zeros_like(n2)
@@ -54,14 +55,14 @@ def p_laplacian(p: float) -> LerayLionsLaw:
     def flux(x, xi, eps=0.0):
         xi = np.asarray(xi, dtype=float)
         n2 = xi[..., 0] ** 2 + xi[..., 1] ** 2 + eps * eps
-        w = _plap_weight(n2, (p - 2.0) / 2.0)
+        w = power_weight(n2, (p - 2.0) / 2.0)
         return w[..., None] * xi
 
     def flux_jacobian(x, xi, eps=0.0):
         xi = np.asarray(xi, dtype=float)
         n2 = xi[..., 0] ** 2 + xi[..., 1] ** 2 + eps * eps
-        w = _plap_weight(n2, (p - 2.0) / 2.0)
-        w4 = _plap_weight(n2, (p - 4.0) / 2.0)
+        w = power_weight(n2, (p - 2.0) / 2.0)
+        w4 = power_weight(n2, (p - 4.0) / 2.0)
         eye = np.eye(2)
         outer = xi[..., :, None] * xi[..., None, :]
         return w[..., None, None] * eye + (p - 2.0) * w4[..., None, None] * outer
@@ -162,7 +163,7 @@ def _gamma_ratio(law, xi, eta):
     num = np.hypot(*(law.flux(x, xi) - law.flux(x, eta)).T)
     nxi = np.hypot(*xi.T)
     neta = np.hypot(*eta.T)
-    wp = _plap_weight(nxi ** 2, (law.p - 2) / 2) + _plap_weight(neta ** 2, (law.p - 2) / 2)
+    wp = power_weight(nxi ** 2, (law.p - 2) / 2) + power_weight(neta ** 2, (law.p - 2) / 2)
     den = np.hypot(*(xi - eta).T) * wp
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
@@ -175,7 +176,7 @@ def _zeta_ratio(law, xi, eta):
     # mono / (|xi-eta|^2 (|xi|+|eta|)^{p-2})
     num = _mono(law, xi, eta)
     s = np.hypot(*xi.T) + np.hypot(*eta.T)
-    den = np.hypot(*(xi - eta).T) ** 2 * _plap_weight(s ** 2, (law.p - 2) / 2)
+    den = np.hypot(*(xi - eta).T) ** 2 * power_weight(s ** 2, (law.p - 2) / 2)
     ok = den > 0
     return num[ok] / den[ok]
 
@@ -230,7 +231,9 @@ def _scalar_sample(rng, n):
     return t[keep], r[keep]
 
 
-def _mon1d_ratio(law, t, r, lt2: bool):
+def _mon1d_sides(law, t, r, lt2: bool):
+    """|t - r|^p and the right-hand side of the 1-D inequality without its
+    constant, at every pair."""
     a_t = _scalar_flux(law, t)
     a_r = _scalar_flux(law, r)
     mono = np.maximum((a_t - a_r) * (t - r), 0.0)
@@ -240,24 +243,19 @@ def _mon1d_ratio(law, t, r, lt2: bool):
                                         + np.abs(r) ** law.p) ** ((2.0 - law.p) / 2.0)
     else:
         rest = mono
+    return lhs, rest
+
+
+def _mon1d_ratio(law, t, r, lt2: bool):
+    lhs, rest = _mon1d_sides(law, t, r, lt2)
     ok = rest > 0
     return lhs[ok] / rest[ok]
 
 
 def _calibrate_scalar_constant(law, rng, n, lt2) -> float:
     # scale invariance: fix t = 1, scan r in [-1, 1]; polish local maxima
-    # (computed inline rather than via _mon1d_ratio to keep grid alignment)
     qs = np.linspace(-1.0, 1.0, 20001)
-    t = np.ones_like(qs)
-    a_t = _scalar_flux(law, t)
-    a_r = _scalar_flux(law, qs)
-    mono = np.maximum((a_t - a_r) * (t - qs), 0.0)
-    lhs = np.abs(t - qs) ** law.p
-    if lt2:
-        rest = mono ** (law.p / 2.0) * (np.abs(t) ** law.p
-                                        + np.abs(qs) ** law.p) ** ((2.0 - law.p) / 2.0)
-    else:
-        rest = mono
+    lhs, rest = _mon1d_sides(law, np.ones_like(qs), qs, lt2)
     with np.errstate(divide="ignore", invalid="ignore"):
         full = np.where(rest > 0, lhs / np.where(rest > 0, rest, 1.0), 0.0)
     best = float(np.max(full))
@@ -329,16 +327,8 @@ def check_inequality(law: LerayLionsLaw, ineq_id: str, n: int = 100_000,
         lt2 = ineq_id == "mon1d_lt2"
         C = _calibrate_scalar_constant(law, rng_cal, n, lt2)
         constants = {"C": C}
-        t, r = _scalar_sample(rng_val, n)
-        a_t = _scalar_flux(law, t)
-        a_r = _scalar_flux(law, r)
-        mono = np.maximum((a_t - a_r) * (t - r), 0.0)
-        lhs = np.abs(t - r) ** p
-        if lt2:
-            rhs = C * mono ** (p / 2.0) * (np.abs(t) ** p
-                                           + np.abs(r) ** p) ** ((2.0 - p) / 2.0)
-        else:
-            rhs = C * mono
+        lhs, rest = _mon1d_sides(law, *_scalar_sample(rng_val, n), lt2)
+        rhs = C * rest
 
     viol = _rel_violation(lhs, rhs)
     return InequalityReport(law=law.name, p=p, ineq_id=ineq_id,

@@ -9,7 +9,7 @@ the coarse edge, so the face skeleton always matches between neighbours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

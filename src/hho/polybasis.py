@@ -16,7 +16,7 @@ from scipy.linalg import solve_triangular
 
 from .fields import ScalarField
 from .mesh import Element, PolytopalMesh, from_polygons
-from .quadrature import QuadratureRule, cell_rule, face_rule, segment_rule
+from .quadrature import QuadratureRule, cell_rule, segment_rule
 
 INF = math.inf
 
@@ -76,19 +76,15 @@ class CellBasis:
         return ScalarField(factory, name=f"P{self.degree}")
 
 
-def cell_basis(element: Element, degree: int, orthonormalize: bool | None = None,
-               rule: QuadratureRule | None = None) -> CellBasis:
+def cell_basis(element: Element, degree: int) -> CellBasis:
     """Monomial basis scaled by (centroid, diameter); orthonormalized against
     the element mass matrix for degree >= 2 (conditioning)."""
-    if orthonormalize is None:
-        orthonormalize = degree >= 2
-    if rule is None:
-        rule = cell_rule(element, 2 * degree)
+    rule = cell_rule(element, 2 * degree)
     basis = CellBasis(element=element, degree=degree, exponents=cell_exponents(degree),
                       transform=None, mass=np.empty(0), moments=np.empty(0))
     raw = basis._raw(rule.points)
     M = raw.T @ (raw * rule.weights[:, None])
-    if orthonormalize:
+    if degree >= 2:
         L = np.linalg.cholesky(M)
         C = solve_triangular(L, np.eye(len(M)), lower=True)
         basis.transform = C
@@ -139,16 +135,13 @@ class FaceBasis:
         return raw if self.transform is None else raw @ self.transform.T
 
 
-def face_basis_from_points(pa, pb, degree: int,
-                           orthonormalize: bool | None = None) -> FaceBasis:
-    if orthonormalize is None:
-        orthonormalize = degree >= 2
+def face_basis_from_points(pa, pb, degree: int) -> FaceBasis:
     basis = FaceBasis(pa=np.asarray(pa, dtype=float), pb=np.asarray(pb, dtype=float),
                       degree=degree, transform=None, mass=np.empty(0))
     rule = segment_rule(pa, pb, 2 * degree)
     raw = basis._raw(rule.points)
     M = raw.T @ (raw * rule.weights[:, None])
-    if orthonormalize:
+    if degree >= 2:
         L = np.linalg.cholesky(M)
         basis.transform = solve_triangular(L, np.eye(len(M)), lower=True)
         M = basis.transform @ M @ basis.transform.T
@@ -172,14 +165,9 @@ def _values(field, points) -> np.ndarray:
     return np.asarray(field(points), dtype=float)
 
 
-def l2_project(basis: CellBasis, field, rule: QuadratureRule) -> np.ndarray:
-    """Coefficients of the L2-orthogonal projection onto the basis span."""
-    vals = basis.eval(rule.points)
-    rhs = vals.T @ (rule.weights * _values(field, rule.points))
-    return np.linalg.solve(basis.mass, rhs)
-
-
-def l2_project_face(basis: FaceBasis, field, rule: QuadratureRule) -> np.ndarray:
+def l2_project(basis: CellBasis | FaceBasis, field,
+               rule: QuadratureRule) -> np.ndarray:
+    """Coefficients of the L2-orthogonal projection onto a cell or face basis."""
     vals = basis.eval(rule.points)
     rhs = vals.T @ (rule.weights * _values(field, rule.points))
     return np.linalg.solve(basis.mass, rhs)

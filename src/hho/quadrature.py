@@ -38,11 +38,19 @@ def _check_exactness(d: int):
 
 
 @lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
+    xg, wg = leggauss(n)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
+@lru_cache(maxsize=None)
 def reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on the unit reference triangle {x, y >= 0, x + y <= 1}."""
     _check_exactness(exactness)
     n = max(1, (exactness + 2) // 2)
-    xg, wg = leggauss(n)
+    xg, wg = _gauss_legendre(n)
     u = 0.5 * (xg + 1.0)
     wu = 0.5 * wg
     xj, wj = roots_jacobi(n, 1.0, 0.0)
@@ -61,15 +69,6 @@ def reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     ])
     wts = np.concatenate([w, w, w]) / 3.0
     return pts, wts
-
-
-def simplex_rule(tri: np.ndarray, exactness: int) -> QuadratureRule:
-    """Map the reference rule onto one positively oriented triangle (3, 2)."""
-    ref_pts, ref_w = reference_triangle_rule(exactness)
-    v0, v1, v2 = tri
-    jac = (v1[0] - v0[0]) * (v2[1] - v0[1]) - (v2[0] - v0[0]) * (v1[1] - v0[1])
-    pts = v0 + np.outer(ref_pts[:, 0], v1 - v0) + np.outer(ref_pts[:, 1], v2 - v0)
-    return QuadratureRule(points=pts, weights=ref_w * jac, exactness=exactness)
 
 
 def cell_rule(element, exactness: int) -> QuadratureRule:
@@ -92,7 +91,7 @@ def segment_rule(pa, pb, exactness: int) -> QuadratureRule:
     """Gauss-Legendre rule on the segment [pa, pb]; weights sum to its length."""
     _check_exactness(exactness)
     n = max(1, (exactness + 2) // 2)
-    xg, wg = leggauss(n)
+    xg, wg = _gauss_legendre(n)
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
     mid = 0.5 * (pa + pb)

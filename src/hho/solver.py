@@ -13,9 +13,8 @@ from the linear problem, and optional static condensation of the cell blocks.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,8 +22,8 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import spsolve
 
 from .hho_local import LocalOperators, build_local_operators, cell_dim
-from .law import LerayLionsLaw
-from .polybasis import l2_project, l2_project_face
+from .law import LerayLionsLaw, power_weight
+from .polybasis import l2_project
 
 
 class DofMap:
@@ -64,31 +63,34 @@ def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
             for ei in range(len(mesh.elements))]
 
 
+def _faces_once(packs):
+    """(face id, basis, rule) of every mesh face, at its first element."""
+    seen = set()
+    for ops in packs:
+        for fid, basis, rule in zip(ops.face_ids, ops.face_bases,
+                                    ops.face_rules):
+            if fid not in seen:
+                seen.add(fid)
+                yield fid, basis, rule
+
+
 def interpolate_global(dm: DofMap, packs, field) -> np.ndarray:
     """Cell and face projections of a field, each face computed once."""
     U = np.zeros(dm.ndofs)
-    seen = set()
     for ei, ops in enumerate(packs):
         U[dm.cell_dofs(ei)] = l2_project(ops.basis_k, field, ops.rule)
-        for i, fid in enumerate(ops.face_ids):
-            if fid not in seen:
-                seen.add(fid)
-                U[dm.face_dofs(fid)] = l2_project_face(
-                    ops.face_bases[i], field, ops.face_rules[i])
+    for fid, basis, rule in _faces_once(packs):
+        U[dm.face_dofs(fid)] = l2_project(basis, field, rule)
     return U
 
 
 def dirichlet_values(dm: DofMap, packs, g) -> tuple[np.ndarray, np.ndarray]:
     """Boundary dof indices and the face projections of the datum g."""
     idx, vals = [], []
-    seen = set()
-    for ei, ops in enumerate(packs):
-        for i, fid in enumerate(ops.face_ids):
-            if dm.mesh.faces[fid].is_boundary and fid not in seen:
-                seen.add(fid)
-                idx.append(dm.face_dofs(fid))
-                vals.append(l2_project_face(ops.face_bases[i], g,
-                                            ops.face_rules[i]))
+    for fid, basis, rule in _faces_once(packs):
+        if dm.mesh.faces[fid].is_boundary:
+            idx.append(dm.face_dofs(fid))
+            vals.append(l2_project(basis, g, rule))
     if not idx:
         return np.empty(0, dtype=int), np.empty(0)
     return np.concatenate(idx), np.concatenate(vals)
@@ -104,20 +106,6 @@ def compute_loads(packs, source) -> list[np.ndarray]:
             fv = source(ops.rule.points)
             loads.append(ops.cellval_q.T @ (ops.rule.weights * fv))
     return loads
-
-
-def _stab_weights(d: np.ndarray, p: float, eps: float):
-    """Residual weight |d|^{p-2} (regularized) and its derivative weight."""
-    n2 = d * d + eps * eps
-    if p == 2.0:
-        return np.ones_like(d), np.ones_like(d)
-    w = np.zeros_like(d)
-    w4 = np.zeros_like(d)
-    nz = n2 > 0
-    w[nz] = n2[nz] ** ((p - 2.0) / 2.0)
-    w4[nz] = n2[nz] ** ((p - 4.0) / 2.0)
-    jac = w4 * ((p - 1.0) * d * d + eps * eps)
-    return w, jac
 
 
 def _element_system(ops: LocalOperators, law: LerayLionsLaw, Ue: np.ndarray,
@@ -139,9 +127,12 @@ def _element_system(ops: LocalOperators, law: LerayLionsLaw, Ue: np.ndarray,
         du = dval @ Ue
         wq = ops.face_rules[i].weights
         hcoef = ops.face_lengths[i] ** (1.0 - p)
-        sw, jw = _stab_weights(du, p, eps)
+        n2 = du * du + eps * eps
+        sw = power_weight(n2, (p - 2.0) / 2.0)
         re += hcoef * (dval.T @ (wq * sw * du))
         if want_jac:
+            # d/du of sw * du, in the form of the flux Jacobian
+            jw = sw + (p - 2.0) * power_weight(n2, (p - 4.0) / 2.0) * du * du
             Je += hcoef * (dval.T * (wq * jw)) @ dval
     return re, Je
 
@@ -157,13 +148,30 @@ def assemble_residual(dm: DofMap, packs, law, U, loads,
     return r
 
 
-def assemble_system(dm: DofMap, packs, law, U, loads, eps: float = 0.0):
-    """Masked residual and Jacobian (identity rows/cols on boundary dofs)."""
-    r = np.zeros(dm.ndofs)
-    rows, cols, vals = [], [], []
+def _assemble(dm: DofMap, packs, law, U, loads, eps: float, condense: bool):
+    """Masked Newton system (identity rows/cols on boundary dofs).
+
+    With `condense`, each element's cell block is eliminated before the
+    scatter, so the system couples face unknowns only; the returned
+    per-element (X, y) recover the cell update as -y - X @ (face update).
+    """
+    nk = dm.n_cell
+    off = dm.cell_span if condense else 0
+    n = dm.ndofs - off
+    r = np.zeros(n)
+    rows, cols, vals, back = [], [], [], []
     for ei, ops in enumerate(packs):
         gd = dm.element_dofs(ei)
         re, Je = _element_system(ops, law, U[gd], loads[ei], eps, True)
+        if condense:
+            lu = lu_factor(Je[:nk, :nk])
+            X = lu_solve(lu, Je[:nk, nk:])
+            y = lu_solve(lu, re[:nk])
+            back.append((X, y))
+            re = re[nk:] - Je[nk:, :nk] @ y
+            Je = Je[nk:, nk:] - Je[nk:, :nk] @ X
+            gd = gd[nk:]
+        gd = gd - off
         r[gd] += re
         rr, cc = np.meshgrid(gd, gd, indexing="ij")
         rows.append(rr.ravel())
@@ -171,15 +179,20 @@ def assemble_system(dm: DofMap, packs, law, U, loads, eps: float = 0.0):
         vals.append(Je.ravel())
     J = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(dm.ndofs, dm.ndofs)).tocsr()
-    r[dm.boundary_dofs] = 0.0
-    keep = np.ones(dm.ndofs)
-    keep[dm.boundary_dofs] = 0.0
+                      shape=(n, n)).tocsr()
+    bnd = dm.boundary_dofs - off
+    r[bnd] = 0.0
+    keep = np.ones(n)
+    keep[bnd] = 0.0
     K = sp.diags(keep)
-    mask = np.zeros(dm.ndofs)
-    mask[dm.boundary_dofs] = 1.0
-    J = K @ J @ K + sp.diags(mask)
-    return r, J.tocsr()
+    J = K @ J @ K + sp.diags(1.0 - keep)
+    return r, J.tocsr(), back
+
+
+def assemble_system(dm: DofMap, packs, law, U, loads, eps: float = 0.0):
+    """Masked residual and Jacobian (identity rows/cols on boundary dofs)."""
+    r, J, _ = _assemble(dm, packs, law, U, loads, eps, False)
+    return r, J
 
 
 def energy(dm: DofMap, packs, law, U, loads) -> float:
@@ -202,69 +215,21 @@ def energy(dm: DofMap, packs, law, U, loads) -> float:
 
 
 # ---------------------------------------------------------------------------
-# linear solves, with optional static condensation of cell blocks
-
-
-def _solve_full(dm, packs, law, U, loads, eps):
-    r, J = assemble_system(dm, packs, law, U, loads, eps)
-    return spsolve(J, -r)
-
-
-def _solve_condensed(dm, packs, law, U, loads, eps):
-    nfdofs = dm.ndofs - dm.cell_span
-    rc = np.zeros(nfdofs)
-    rows, cols, vals = [], [], []
-    back = []
-    nk = dm.n_cell
-    for ei, ops in enumerate(packs):
-        gd = dm.element_dofs(ei)
-        re, Je = _element_system(ops, law, U[gd], loads[ei], eps, True)
-        fd = gd[nk:] - dm.cell_span
-        lu = lu_factor(Je[:nk, :nk])
-        X = lu_solve(lu, Je[:nk, nk:])
-        y = lu_solve(lu, re[:nk])
-        S = Je[nk:, nk:] - Je[nk:, :nk] @ X
-        rc_e = re[nk:] - Je[nk:, :nk] @ y
-        rc[fd] += rc_e
-        rr, cc = np.meshgrid(fd, fd, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(S.ravel())
-        back.append((X, y))
-    S = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(nfdofs, nfdofs)).tocsr()
-    bnd = dm.boundary_dofs - dm.cell_span
-    rc[bnd] = 0.0
-    keep = np.ones(nfdofs)
-    keep[bnd] = 0.0
-    K = sp.diags(keep)
-    mask = np.zeros(nfdofs)
-    mask[bnd] = 1.0
-    S = (K @ S @ K + sp.diags(mask)).tocsr()
-    df = spsolve(S, -rc)
-    delta = np.zeros(dm.ndofs)
-    delta[dm.cell_span:] = df
-    for ei, (X, y) in enumerate(back):
-        gd = dm.element_dofs(ei)
-        delta[gd[:nk]] = -y - X @ delta[gd[nk:]]
-    return delta
-
-
-# ---------------------------------------------------------------------------
 # Newton with continuation
+
+
+STALL_TOL = 1e-6        # accept a roundoff-floor stall below this
+ARMIJO = 1e-4
+MIN_STEP = 2.0 ** -16
+EPS_SCALE = 1e-10
 
 
 @dataclass
 class NewtonConfig:
     atol: float = 1e-10
-    stall_tol: float = 1e-6     # accept a roundoff-floor stall below this
     max_iterations: int = 60
-    armijo: float = 1e-4
-    min_step: float = 2.0 ** -16
     condense: bool = False
     boost: int = 0
-    eps_scale: float = 1e-10
     continuation: tuple | None = None   # explicit p path overrides the default
 
 
@@ -314,8 +279,7 @@ def _gradient_scale(dm, packs, U) -> float:
 
 
 def _newton_stage(dm, packs, law, U, loads, cfg: NewtonConfig) -> StageReport:
-    eps = cfg.eps_scale * _gradient_scale(dm, packs, U)
-    solve_step = _solve_condensed if cfg.condense else _solve_full
+    eps = EPS_SCALE * _gradient_scale(dm, packs, U)
     iters = 0
     damping = 0
     converged = False
@@ -327,23 +291,28 @@ def _newton_stage(dm, packs, law, U, loads, cfg: NewtonConfig) -> StageReport:
             break
         if iters >= cfg.max_iterations:
             break
-        delta = solve_step(dm, packs, law, U, loads, eps)
+        rs, J, back = _assemble(dm, packs, law, U, loads, eps, cfg.condense)
+        delta = np.zeros(dm.ndofs)
+        delta[dm.ndofs - len(rs):] = spsolve(J, -rs)
+        for ei, (X, y) in enumerate(back):     # condensed cell unknowns
+            gd = dm.element_dofs(ei)
+            delta[gd[:dm.n_cell]] = -y - X @ delta[gd[dm.n_cell:]]
         if np.max(np.abs(delta)) <= 1e-13 * (1.0 + np.max(np.abs(U))):
             # step at roundoff scale: the residual floor has been reached
-            converged = rn <= cfg.stall_tol
+            converged = rn <= STALL_TOL
             break
         t = 1.0
         accepted = False
-        while t >= cfg.min_step:
+        while t >= MIN_STEP:
             r_try = assemble_residual(dm, packs, law, U + t * delta, loads, eps)
             rn_try = float(np.linalg.norm(r_try))
-            if rn_try <= (1.0 - cfg.armijo * t) * rn:
+            if rn_try <= (1.0 - ARMIJO * t) * rn:
                 accepted = True
                 break
             t *= 0.5
             damping += 1
         if not accepted:
-            converged = rn <= cfg.stall_tol
+            converged = rn <= STALL_TOL
             break
         U += t * delta
         r, rn = r_try, rn_try

@@ -7,7 +7,7 @@ from hho.fields import affine_field, sine_product_field
 from hho.harness import (CASES, ErrorBundle, StudyResult, StudyRow,
                          compute_errors, gnuplot_script, manufactured_solution,
                          manufactured_source, run_study, study_to_csv)
-from hho.law import p_laplacian
+from hho.law import applicable_inequalities, p_laplacian
 from hho.mesh import generate
 from hho.solver import (DofMap, SolveReport, StageReport, build_packs,
                         interpolate_global, newton_solve)
@@ -174,7 +174,7 @@ def test_linear_rates_on_general_meshes(family, k):
     assert st.eoc("err_1ph")[-1] == pytest.approx(k + 1, abs=0.2)
 
 
-def test_cli_run_and_outputs(tmp_path):
+def test_cli_run_and_outputs(tmp_path, capsys):
     from hho.cli import main
     out = tmp_path / "study"
     rc = main(["run", "--family", "cartesian", "--degree", "0", "--p", "2",
@@ -183,11 +183,12 @@ def test_cli_run_and_outputs(tmp_path):
     assert rc == 0
     csv_text = (out / "study.csv").read_text()
     assert csv_text.count("\n") == 4   # header comment + columns + 2 rows
+    assert capsys.readouterr().out == csv_text
     assert (out / "study.gp").exists()
     assert (out / "mesh_level2.txt").read_text().startswith("polymesh 2d v1")
 
 
-def test_cli_projector_rates(tmp_path):
+def test_cli_projector_rates(tmp_path, capsys):
     from hho.cli import main
     out = tmp_path / "rates"
     # modest degree keeps this fast; both projectors and both norm kinds
@@ -195,7 +196,9 @@ def test_cli_projector_rates(tmp_path):
     rc = main(["projector-rates", "--degree", "1", "--out", str(out),
                "--exactness", "20"])
     assert rc == 0
-    lines = (out / "projector_rates.csv").read_text().strip().split("\n")
+    text = (out / "projector_rates.csv").read_text()
+    assert capsys.readouterr().out == text
+    lines = text.strip().split("\n")
     assert lines[0] == "projector,kind,m,p,slope,expected"
     body = [ln.split(",") for ln in lines[1:]]
     assert {row[0] for row in body} == {"l2", "elliptic"}
@@ -204,12 +207,16 @@ def test_cli_projector_rates(tmp_path):
         assert abs(float(row[4]) - float(row[5])) <= 0.2
 
 
-def test_cli_check_laws():
+def test_cli_check_laws(capsys):
     from hho.cli import main
     assert main(["check-laws", "--p", "1.75", "--n", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("jacobian vs finite differences:")
+    assert [ln.split()[0] for ln in lines[1:]] == applicable_inequalities(1.75)
+    assert all(ln.endswith("PASS") for ln in lines[1:])
 
 
-def test_cli_condensed_run_matches_full(tmp_path):
+def test_cli_condensed_run_matches_full(tmp_path, capsys):
     from hho.cli import main
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -217,8 +224,11 @@ def test_cli_condensed_run_matches_full(tmp_path):
             "--case", "trigonometric", "--levels", "2"]
     assert main(base + ["--out", str(a)]) == 0
     assert main(base + ["--out", str(b), "--condense"]) == 0
-    rows_a = (a / "study.csv").read_text().strip().split("\n")[2:]
-    rows_b = (b / "study.csv").read_text().strip().split("\n")[2:]
+    text_a = (a / "study.csv").read_text()
+    text_b = (b / "study.csv").read_text()
+    assert capsys.readouterr().out == text_a + text_b
+    rows_a = text_a.strip().split("\n")[2:]
+    rows_b = text_b.strip().split("\n")[2:]
     for ra, rb in zip(rows_a, rows_b):
         ia = [float(v) for v in ra.split(",")[3:6]]
         ib = [float(v) for v in rb.split(",")[3:6]]

@@ -9,7 +9,7 @@ from hho.mesh import generate
 from hho.polybasis import (cell_basis, cell_exponents, cell_seminorm,
                            elliptic_project, face_basis, face_basis_from_points,
                            face_broken_seminorm, fit_slope, l2_project,
-                           l2_project_face, projector_rate_study,
+                           projector_rate_study,
                            square_element_mesh, trace_seminorm_scaled)
 from hho.quadrature import (MAX_EXACTNESS, QuadratureCapabilityError, cell_rule,
                             face_rule, reference_triangle_rule, segment_rule)
@@ -188,7 +188,7 @@ def test_face_projection_mean_of_s_squared():
     # s^2 on a unit segment, k = 0 -> constant 1/3
     fb = face_basis_from_points([0.0, 0.0], [1.0, 0.0], 0)
     rule = segment_rule([0.0, 0.0], [1.0, 0.0], 6)
-    coeffs = l2_project_face(fb, monomial_field(2, 0), rule)
+    coeffs = l2_project(fb, monomial_field(2, 0), rule)
     val = fb.eval(np.array([[0.3, 0.0]])) @ coeffs
     assert val[0] == pytest.approx(1 / 3, rel=1e-13)
 
@@ -199,7 +199,7 @@ def test_face_projection_reproduces_arclength():
     tau = (pb - pa) / np.hypot(*(pb - pa))
     s = affine_field(-pa @ tau, tau[0], tau[1])   # arclength from pa
     rule = segment_rule(pa, pb, 5)
-    coeffs = l2_project_face(fb, s, rule)
+    coeffs = l2_project(fb, s, rule)
     mid = 0.5 * (pa + pb)
     assert fb.eval(mid[None, :]) @ coeffs == pytest.approx(
         float(np.hypot(*(pb - pa))) / 2, rel=1e-13)
@@ -209,7 +209,7 @@ def test_face_projection_exp_matches_dense_normal_equations():
     pa, pb = np.array([0.0, 0.0]), np.array([1.0, 0.0])
     fb = face_basis_from_points(pa, pb, 1)
     rule = segment_rule(pa, pb, 40)
-    coeffs = l2_project_face(fb, exp_field(1.0, 0.0), rule)
+    coeffs = l2_project(fb, exp_field(1.0, 0.0), rule)
     # dense oracle: least squares on a fine sample with quadrature weights
     V = fb.eval(rule.points)
     sw = np.sqrt(rule.weights)

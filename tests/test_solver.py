@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hho.fields import affine_field, exp_field, sine_product_field
-from hho.law import p_laplacian
+from hho.hho_local import stabilization
+from hho.law import LerayLionsLaw, p_laplacian
 from hho.mesh import from_polygons, generate
 from hho.solver import (DofMap, NewtonConfig, assemble_residual,
                         assemble_system, build_packs, compute_loads,
@@ -45,6 +46,14 @@ def test_interpolate_global_matches_face_blocks():
             assert np.array_equal(U[gd][off:off + 2], U[dm.face_dofs(fid)])
 
 
+def test_dirichlet_values_match_interpolate_global():
+    mesh, packs, dm = _linear_setup("locally_refined", 2, 1)
+    g = exp_field(0.5, 1.0)
+    idx, vals = dirichlet_values(dm, packs, g)
+    assert np.array_equal(np.sort(idx), np.sort(dm.boundary_dofs))
+    assert np.array_equal(vals, interpolate_global(dm, packs, g)[idx])
+
+
 def test_linear_problem_single_newton_step():
     u = sine_product_field(PI, PI)
     f = (2 * PI ** 2) * u
@@ -62,6 +71,55 @@ def test_p2_jacobian_symmetric():
     U = rng.standard_normal(dm.ndofs)
     _, J = assemble_system(dm, packs, p_laplacian(2.0), U, loads)
     assert abs(J - J.T).max() <= 1e-12
+
+
+def test_p2_jacobian_independent_of_state():
+    # at p = 2 every weight is exactly 1, also where the face differences
+    # and the regularization both vanish (U = 0, eps = 0)
+    mesh, packs, dm = _linear_setup("hexagonal", 2, 1)
+    law = p_laplacian(2.0)
+    loads = compute_loads(packs, None)
+    U = np.random.default_rng(1).standard_normal(dm.ndofs)
+    _, J0 = assemble_system(dm, packs, law, np.zeros(dm.ndofs), loads)
+    _, J1 = assemble_system(dm, packs, law, U, loads)
+    assert abs(J0 - J1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.75, 3.0])
+def test_assembled_face_terms_match_stabilization(p):
+    # with a zero flux the assembled system is the stabilization's alone:
+    # residual rows are s_T(u, e_i), summed over elements, and the
+    # Jacobian columns are their derivatives
+    mesh, packs, dm = _linear_setup("triangular", 1, 1)
+    law = LerayLionsLaw(
+        p=p, name="stabilization only",
+        flux=lambda x, xi, eps=0.0: np.zeros_like(xi),
+        flux_jacobian=lambda x, xi, eps=0.0: np.zeros(xi.shape + (2,)))
+    loads = compute_loads(packs, None)
+    rng = np.random.default_rng(5)
+    U = 0.5 * rng.standard_normal(dm.ndofs)
+    eps = 1e-8
+
+    def stab_rows(V):
+        out = np.zeros(dm.ndofs)
+        for ei, ops in enumerate(packs):
+            gd = dm.element_dofs(ei)
+            for a, e in enumerate(np.eye(ops.ndof)):
+                out[gd[a]] += stabilization(ops, V[gd], e, p, eps)
+        return out
+
+    r, J = assemble_system(dm, packs, law, U, loads, eps=eps)
+    J = J.toarray()
+    free = np.setdiff1d(np.arange(dm.ndofs), dm.boundary_dofs)
+    s = stab_rows(U)
+    assert np.max(np.abs(r[free] - s[free])) <= 1e-12 * np.abs(s).max()
+    h = 1e-7
+    scale = np.abs(J).max()
+    for j in rng.choice(free, size=12, replace=False):
+        d = np.zeros(dm.ndofs)
+        d[j] = h
+        fd = (stab_rows(U + d) - stab_rows(U - d)) / (2 * h)
+        assert np.max(np.abs(fd[free] - J[free, j])) <= 1e-5 * scale
 
 
 @pytest.mark.parametrize("p", [1.75, 3.0])
