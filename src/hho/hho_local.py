@@ -11,7 +11,8 @@ local unknown vector [cell P^k block | one P^k block per face]:
     P^{k+1}(T), feeding the p-power stabilization.
 
 Point values of all reconstructions at the element/face quadrature nodes are
-cached so nonlinear assembly loops touch only small dense products.
+cached; the solver gathers them for blocks of same-shape elements, so
+nonlinear assembly is a few stacked dense products per block.
 """
 
 from __future__ import annotations

@@ -6,6 +6,14 @@ inhomogeneous Dirichlet data is imposed strongly: boundary face blocks hold
 the face projection of the boundary datum and the corresponding residual rows
 are masked.
 
+Element work runs in blocks: `DofMap` groups the elements by face count,
+which fixes the local ndof and the cell and face node counts, into runs of
+at most BLOCK elements.  Each kernel call gathers one block's operators from
+the per-element `LocalOperators` (stacked copies are not kept, so operator
+memory is not doubled), calls the law once on all of the block's cell nodes,
+and forms residuals, Jacobians and the Schur complements of static
+condensation with stacked matmuls and solves.
+
 The Newton loop supports backtracking damping, regularization of the flux
 Jacobian near vanishing gradients, continuation in the exponent p starting
 from the linear problem, and optional static condensation of the cell blocks.
@@ -15,15 +23,33 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import spsolve
 
 from .hho_local import LocalOperators, build_local_operators, cell_dim
 from .law import LerayLionsLaw, power_weight
 from .polybasis import l2_project
+
+BLOCK = 32      # elements per kernel call
+
+
+def shape_blocks(face_counts) -> list[np.ndarray]:
+    """Element ids grouped by face count, in runs of at most BLOCK."""
+    face_counts = np.asarray(face_counts)
+    blocks = []
+    for nf in np.unique(face_counts):
+        ids = np.flatnonzero(face_counts == nf)
+        blocks += [ids[i:i + BLOCK] for i in range(0, len(ids), BLOCK)]
+    return blocks
+
+
+@dataclass(frozen=True)
+class ElementBlock:
+    elements: np.ndarray    # (E,) ids of elements with one face count
+    dofs: np.ndarray        # (E, ndof) their global unknowns, in local order
 
 
 class DofMap:
@@ -42,6 +68,9 @@ class DofMap:
             for fid in el.faces:
                 idx.append(self.face_dofs(fid))
             self._element_dofs.append(np.concatenate(idx))
+        self.blocks = [
+            ElementBlock(ids, np.stack([self._element_dofs[e] for e in ids]))
+            for ids in shape_blocks([len(el.faces) for el in mesh.elements])]
         bnd = [self.face_dofs(fid) for fid, f in enumerate(mesh.faces)
                if f.is_boundary]
         self.boundary_dofs = (np.concatenate(bnd) if bnd
@@ -96,102 +125,159 @@ def dirichlet_values(dm: DofMap, packs, g) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(idx), np.concatenate(vals)
 
 
-def compute_loads(packs, source) -> list[np.ndarray]:
-    """Cell load vectors int_T f phi_i, one per element."""
-    loads = []
-    for ops in packs:
-        if source is None:
-            loads.append(np.zeros(ops.n_cell))
-        else:
-            fv = source(ops.rule.points)
-            loads.append(ops.cellval_q.T @ (ops.rule.weights * fv))
+def compute_loads(packs, source) -> np.ndarray:
+    """Cell load vectors int_T f phi_i, one row per element; laid end to
+    end, the rows are the cell rows of the global load vector."""
+    loads = np.zeros((len(packs), packs[0].n_cell))
+    if source is None:
+        return loads
+    for ids in shape_blocks([len(ops.face_ids) for ops in packs]):
+        blk = [packs[e] for e in ids]
+        fv = source(np.concatenate([ops.rule.points for ops in blk]))
+        wfv = fv.reshape(len(ids), -1) * np.stack([ops.rule.weights
+                                                   for ops in blk])
+        V = np.stack([ops.cellval_q for ops in blk])
+        loads[ids] = (wfv[:, None, :] @ V)[:, 0, :]
     return loads
 
 
-def _element_system(ops: LocalOperators, law: LerayLionsLaw, Ue: np.ndarray,
-                    load: np.ndarray, eps: float, want_jac: bool):
-    w = ops.rule.weights
-    x = ops.rule.points
-    p = law.p
-    g = ops.grad_q @ Ue
-    a = law.flux(x, g, eps)
-    re = np.einsum("q,qc,qci->i", w, a, ops.grad_q, optimize=True)
-    re[:ops.n_cell] -= load
-    Je = None
-    if want_jac:
-        Da = law.flux_jacobian(x, g, eps)
-        wDa = w[:, None, None] * Da
-        tmp = np.einsum("qab,qbj->qaj", wDa, ops.grad_q, optimize=True)
-        Je = np.einsum("qaj,qai->ij", tmp, ops.grad_q, optimize=True)
-    for i, dval in enumerate(ops.dval_q):
-        du = dval @ Ue
-        wq = ops.face_rules[i].weights
-        hcoef = ops.face_lengths[i] ** (1.0 - p)
-        n2 = du * du + eps * eps
-        sw = power_weight(n2, (p - 2.0) / 2.0)
-        re += hcoef * (dval.T @ (wq * sw * du))
-        if want_jac:
-            # d/du of sw * du, in the form of the flux Jacobian
-            jw = sw + (p - 2.0) * power_weight(n2, (p - 4.0) / 2.0) * du * du
-            Je += hcoef * (dval.T * (wq * jw)) @ dval
-    return re, Je
+class _BlockOps(NamedTuple):
+    """A block's operators gathered from its LocalOperators for one call."""
+    G: np.ndarray       # (E, 2 nq, ndof) G v at the cell nodes, (x, y) pairs
+    D: np.ndarray       # (E, nf nfq, ndof) d_F v at the face nodes, by face
+    x: np.ndarray       # (E nq, 2) cell nodes
+    w: np.ndarray       # (E, nq) cell weights
+    wf: np.ndarray      # (E, nf, nfq) face weights
+    hf: np.ndarray      # (E, nf) face lengths
+
+    def face_weights(self, p: float) -> np.ndarray:
+        """(E, nf nfq) weights h_F^{1-p} w of the face nodes."""
+        return (self.wf * self.hf[:, :, None] ** (1.0 - p)).reshape(
+            len(self.wf), -1)
+
+    def values(self, Ue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients (E nq, 2) and face residuals (E, nf nfq) of Ue."""
+        return ((self.G @ Ue[:, :, None]).reshape(-1, 2),
+                (self.D @ Ue[:, :, None])[:, :, 0])
+
+
+def _gather(packs, blk: ElementBlock) -> _BlockOps:
+    ops = [packs[e] for e in blk.elements]
+    return _BlockOps(
+        G=np.stack([o.grad_q.reshape(-1, o.ndof) for o in ops]),
+        D=np.stack([np.concatenate(o.dval_q) for o in ops]),
+        x=np.concatenate([o.rule.points for o in ops]),
+        w=np.stack([o.rule.weights for o in ops]),
+        wf=np.stack([[r.weights for r in o.face_rules] for o in ops]),
+        hf=np.array([o.face_lengths for o in ops]))
+
+
+def _block_residual(B: _BlockOps, law: LerayLionsLaw, Ue: np.ndarray,
+                    eps: float) -> np.ndarray:
+    """Element residuals (E, ndof) of a block, loads left out."""
+    E, nq = B.w.shape
+    g, du = B.values(Ue)
+    a = law.flux(B.x, g, eps).reshape(E, nq, 2) * B.w[:, :, None]
+    sw = power_weight(du * du + eps * eps, (law.p - 2.0) / 2.0)
+    c = B.face_weights(law.p) * sw * du
+    return (a.reshape(E, 1, -1) @ B.G + c[:, None, :] @ B.D)[:, 0, :]
+
+
+def _block_jacobian(B: _BlockOps, law: LerayLionsLaw, Ue: np.ndarray,
+                    eps: float) -> np.ndarray:
+    """Element Jacobians (E, ndof, ndof) of a block's residuals.
+
+    The face terms are added one face at a time, the order of the sum over
+    faces in the stabilization.  At p = 2 that keeps each matrix equal to
+    the last bit to the one-element formula; one product over all faces
+    moved err_1ph of a cartesian k = 3, level 4 solve by 1e-11 relative."""
+    (E, nq), p = B.w.shape, law.p
+    g, du = B.values(Ue)
+    wDa = (law.flux_jacobian(B.x, g, eps).reshape(E, nq, 2, 2)
+           * B.w[:, :, None, None])
+    Je = B.G.transpose(0, 2, 1) @ (
+        wDa @ B.G.reshape(E, nq, 2, -1)).reshape(E, 2 * nq, -1)
+    n2 = du * du + eps * eps
+    # d/du of sw * du, in the form of the flux Jacobian
+    jw = (power_weight(n2, (p - 2.0) / 2.0)
+          + (p - 2.0) * power_weight(n2, (p - 4.0) / 2.0) * du * du)
+    nf, nfq = B.wf.shape[1:]
+    wjw = B.wf * jw.reshape(E, nf, nfq)
+    hcoef = B.hf ** (1.0 - p)
+    for f in range(nf):
+        D = B.D[:, f * nfq:(f + 1) * nfq]
+        Je += hcoef[:, f, None, None] * (
+            (D.transpose(0, 2, 1) * wjw[:, None, f]) @ D)
+    return Je
 
 
 def assemble_residual(dm: DofMap, packs, law, U, loads,
                       eps: float = 0.0) -> np.ndarray:
-    r = np.zeros(dm.ndofs)
-    for ei, ops in enumerate(packs):
-        gd = dm.element_dofs(ei)
-        re, _ = _element_system(ops, law, U[gd], loads[ei], eps, False)
-        r[gd] += re
+    idx, vals = [], []
+    for blk in dm.blocks:
+        re = _block_residual(_gather(packs, blk), law, U[blk.dofs], eps)
+        idx.append(blk.dofs.ravel())
+        vals.append(re.ravel())
+    r = np.bincount(np.concatenate(idx), np.concatenate(vals),
+                    minlength=dm.ndofs)
+    r[:dm.cell_span] -= np.ravel(loads)
     r[dm.boundary_dofs] = 0.0
     return r
 
 
-def _assemble(dm: DofMap, packs, law, U, loads, eps: float, condense: bool):
-    """Masked Newton system (identity rows/cols on boundary dofs).
+def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
+    """Masked Newton matrix (identity rows/cols on boundary dofs) and its
+    right-hand side, given the masked residual r at the same U and eps.
 
     With `condense`, each element's cell block is eliminated before the
     scatter, so the system couples face unknowns only; the returned
-    per-element (X, y) recover the cell update as -y - X @ (face update).
+    per-block (X, y) recover the cell update as -y - X @ (face update).
+    The cell rows of r belong to one element each, so y is read from r.
     """
     nk = dm.n_cell
     off = dm.cell_span if condense else 0
     n = dm.ndofs - off
-    r = np.zeros(n)
+    rhs = r[off:].copy()
     rows, cols, vals, back = [], [], [], []
-    for ei, ops in enumerate(packs):
-        gd = dm.element_dofs(ei)
-        re, Je = _element_system(ops, law, U[gd], loads[ei], eps, True)
+    for blk in dm.blocks:
+        gd = blk.dofs
+        Je = _block_jacobian(_gather(packs, blk), law, U[gd], eps)
         if condense:
-            lu = lu_factor(Je[:nk, :nk])
-            X = lu_solve(lu, Je[:nk, nk:])
-            y = lu_solve(lu, re[:nk])
+            rhs_c = np.concatenate([Je[:, :nk, nk:], r[gd[:, :nk], None]],
+                                   axis=2)
+            try:
+                Xy = np.linalg.solve(Je[:, :nk, :nk], rhs_c)
+            except np.linalg.LinAlgError:
+                # a singular cell block gives a NaN step, as spsolve does
+                # for a singular full system; the line search rejects it
+                Xy = np.full_like(rhs_c, np.nan)
+            X, y = Xy[:, :, :-1], Xy[:, :, -1]
             back.append((X, y))
-            re = re[nk:] - Je[nk:, :nk] @ y
-            Je = Je[nk:, nk:] - Je[nk:, :nk] @ X
-            gd = gd[nk:]
-        gd = gd - off
-        r[gd] += re
-        rr, cc = np.meshgrid(gd, gd, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
+            gd = gd[:, nk:] - off
+            rhs -= np.bincount(gd.ravel(),
+                               (Je[:, nk:, :nk] @ y[:, :, None]).ravel(),
+                               minlength=n)
+            Je = Je[:, nk:, nk:] - Je[:, nk:, :nk] @ X
+        nl = gd.shape[1]
+        rows.append(np.repeat(gd, nl, axis=1).ravel())
+        cols.append(np.tile(gd, nl).ravel())
         vals.append(Je.ravel())
     J = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsr()
     bnd = dm.boundary_dofs - off
-    r[bnd] = 0.0
+    rhs[bnd] = 0.0
     keep = np.ones(n)
     keep[bnd] = 0.0
     K = sp.diags(keep)
     J = K @ J @ K + sp.diags(1.0 - keep)
-    return r, J.tocsr(), back
+    return rhs, J.tocsr(), back
 
 
 def assemble_system(dm: DofMap, packs, law, U, loads, eps: float = 0.0):
     """Masked residual and Jacobian (identity rows/cols on boundary dofs)."""
-    r, J, _ = _assemble(dm, packs, law, U, loads, eps, False)
+    r = assemble_residual(dm, packs, law, U, loads, eps)
+    _, J, _ = _assemble(dm, packs, law, U, r, eps, False)
     return r, J
 
 
@@ -199,19 +285,14 @@ def energy(dm: DofMap, packs, law, U, loads) -> float:
     """Dirichlet energy of the discrete solution (gradient is the residual)."""
     if law.energy_density is None:
         raise ValueError("law has no energy density")
-    total = 0.0
     p = law.p
-    for ei, ops in enumerate(packs):
-        Ue = U[dm.element_dofs(ei)]
-        g = ops.grad_q @ Ue
-        total += float(ops.rule.weights @ law.energy_density(g))
-        for i, dval in enumerate(ops.dval_q):
-            du = dval @ Ue
-            wq = ops.face_rules[i].weights
-            total += (ops.face_lengths[i] ** (1.0 - p) / p
-                      * float(wq @ np.abs(du) ** p))
-        total -= float(loads[ei] @ Ue[:ops.n_cell])
-    return total
+    total = 0.0
+    for blk in dm.blocks:
+        B = _gather(packs, blk)
+        g, du = B.values(U[blk.dofs])
+        total += float(B.w.ravel() @ law.energy_density(g))
+        total += float(np.sum(B.face_weights(p) * np.abs(du) ** p)) / p
+    return total - float(np.ravel(loads) @ U[:dm.cell_span])
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +322,10 @@ class StageReport:
     residual_raw: float       # same iterate, eps = 0 weights
     converged: bool
     damping_events: int = 0
+    # wall time summed over the stage's iterations; never written to CSV
+    assemble_s: float = 0.0       # Newton matrix, with condensation if set
+    linear_solve_s: float = 0.0   # sparse solve and cell back-substitution
+    line_search_s: float = 0.0    # trial residuals of the backtracking
 
 
 @dataclass
@@ -272,17 +357,19 @@ def continuation_path(p: float) -> tuple:
 
 def _gradient_scale(dm, packs, U) -> float:
     worst = 1.0
-    for ei, ops in enumerate(packs):
-        g = ops.grad_q @ U[dm.element_dofs(ei)]
+    for blk in dm.blocks:
+        g, _ = _gather(packs, blk).values(U[blk.dofs])
         worst = max(worst, float(np.max(np.hypot(g[:, 0], g[:, 1]))))
     return worst
 
 
 def _newton_stage(dm, packs, law, U, loads, cfg: NewtonConfig) -> StageReport:
     eps = EPS_SCALE * _gradient_scale(dm, packs, U)
+    nk = dm.n_cell
     iters = 0
     damping = 0
     converged = False
+    t_asm = t_lin = t_ls = 0.0
     r = assemble_residual(dm, packs, law, U, loads, eps)
     rn = float(np.linalg.norm(r))
     while True:
@@ -291,12 +378,17 @@ def _newton_stage(dm, packs, law, U, loads, cfg: NewtonConfig) -> StageReport:
             break
         if iters >= cfg.max_iterations:
             break
-        rs, J, back = _assemble(dm, packs, law, U, loads, eps, cfg.condense)
+        t0 = time.perf_counter()
+        rs, J, back = _assemble(dm, packs, law, U, r, eps, cfg.condense)
+        t1 = time.perf_counter()
         delta = np.zeros(dm.ndofs)
         delta[dm.ndofs - len(rs):] = spsolve(J, -rs)
-        for ei, (X, y) in enumerate(back):     # condensed cell unknowns
-            gd = dm.element_dofs(ei)
-            delta[gd[:dm.n_cell]] = -y - X @ delta[gd[dm.n_cell:]]
+        for blk, (X, y) in zip(dm.blocks, back):   # condensed cell unknowns
+            gd = blk.dofs
+            delta[gd[:, :nk]] = -y - (X @ delta[gd[:, nk:], None])[:, :, 0]
+        t2 = time.perf_counter()
+        t_asm += t1 - t0
+        t_lin += t2 - t1
         if np.max(np.abs(delta)) <= 1e-13 * (1.0 + np.max(np.abs(U))):
             # step at roundoff scale: the residual floor has been reached
             converged = rn <= STALL_TOL
@@ -311,6 +403,7 @@ def _newton_stage(dm, packs, law, U, loads, cfg: NewtonConfig) -> StageReport:
                 break
             t *= 0.5
             damping += 1
+        t_ls += time.perf_counter() - t2
         if not accepted:
             converged = rn <= STALL_TOL
             break
@@ -320,7 +413,8 @@ def _newton_stage(dm, packs, law, U, loads, cfg: NewtonConfig) -> StageReport:
     raw = float(np.linalg.norm(assemble_residual(dm, packs, law, U, loads)))
     return StageReport(p=law.p, iterations=iters, residual_norm=rn,
                        residual_raw=raw, converged=converged,
-                       damping_events=damping)
+                       damping_events=damping, assemble_s=t_asm,
+                       linear_solve_s=t_lin, line_search_s=t_ls)
 
 
 def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,

@@ -1,16 +1,19 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hho.fields import affine_field, exp_field, sine_product_field
+from hho.harness import manufactured_source
 from hho.hho_local import stabilization
 from hho.law import LerayLionsLaw, p_laplacian
 from hho.mesh import from_polygons, generate
-from hho.solver import (DofMap, NewtonConfig, assemble_residual,
-                        assemble_system, build_packs, compute_loads,
-                        continuation_path, dirichlet_values, energy,
-                        interpolate_global, newton_solve)
+from hho.solver import (BLOCK, DofMap, NewtonConfig, _assemble,
+                        assemble_residual, assemble_system, build_packs,
+                        compute_loads, continuation_path, dirichlet_values,
+                        energy, interpolate_global, newton_solve)
 
 PI = math.pi
 
@@ -122,9 +125,8 @@ def test_assembled_face_terms_match_stabilization(p):
         assert np.max(np.abs(fd[free] - J[free, j])) <= 1e-5 * scale
 
 
-@pytest.mark.parametrize("p", [1.75, 3.0])
-def test_global_jacobian_matches_finite_differences(p):
-    mesh, packs, dm = _linear_setup("triangular", 1, 1)
+def _check_jacobian_fd(family, level, p):
+    mesh, packs, dm = _linear_setup(family, level, 1)
     law = p_laplacian(p)
     loads = compute_loads(packs, exp_field(1.0, -0.5))
     rng = np.random.default_rng(3)
@@ -145,16 +147,48 @@ def test_global_jacobian_matches_finite_differences(p):
         assert np.max(np.abs(fd - J[:, j])) <= 1e-5 * scale
 
 
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_energy_gradient_is_residual(p):
-    mesh, packs, dm = _linear_setup("cartesian", 2, 0)
+@pytest.mark.parametrize("p", [1.75, 3.0])
+def test_global_jacobian_matches_finite_differences(p):
+    _check_jacobian_fd("triangular", 1, p)
+
+
+# hexagonal level 3: 120 elements with 3, 4 and 6 faces, the 6-face ones
+# over three blocks; locally refined level 2: 4 and 5 faces
+MIXED_SHAPES = [("hexagonal", 3), ("locally_refined", 2)]
+
+
+def test_blocks_partition_elements_by_shape():
+    for family, level in MIXED_SHAPES:
+        mesh, packs, dm = _linear_setup(family, level, 1)
+        seen = np.concatenate([b.elements for b in dm.blocks])
+        assert np.array_equal(np.sort(seen), np.arange(len(mesh.elements)))
+        shapes = []
+        for b in dm.blocks:
+            nf = {len(mesh.elements[e].faces) for e in b.elements}
+            assert len(nf) == 1 and 0 < len(b.elements) <= BLOCK
+            shapes += nf
+            for e, gd in zip(b.elements, b.dofs):
+                assert np.array_equal(gd, dm.element_dofs(e))
+        assert len(set(shapes)) > 1
+        if family == "hexagonal":
+            assert shapes.count(6) > 1     # one shape over several blocks
+
+
+@pytest.mark.parametrize("family,level", MIXED_SHAPES)
+@pytest.mark.parametrize("p", [1.75, 3.0])
+def test_global_jacobian_matches_finite_differences_mixed_shapes(
+        p, family, level):
+    _check_jacobian_fd(family, level, p)
+
+
+def _check_energy_gradient(family, level, k, p, h):
+    mesh, packs, dm = _linear_setup(family, level, k)
     law = p_laplacian(p)
     loads = compute_loads(packs, sine_product_field(PI, PI))
     rng = np.random.default_rng(9)
     U = rng.standard_normal(dm.ndofs)
     r = assemble_residual(dm, packs, law, U, loads)
     free = np.setdiff1d(np.arange(dm.ndofs), dm.boundary_dofs)
-    h = 1e-6
     for j in rng.choice(free, size=10, replace=False):
         d = np.zeros(dm.ndofs)
         d[j] = h
@@ -163,7 +197,21 @@ def test_energy_gradient_is_residual(p):
         assert dE == pytest.approx(r[j], rel=1e-6, abs=1e-6)
 
 
-@pytest.mark.parametrize("family", ["cartesian", "locally_refined"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_energy_gradient_is_residual(p):
+    _check_energy_gradient("cartesian", 2, 0, p, h=1e-6)
+
+
+@pytest.mark.parametrize("family,level", MIXED_SHAPES)
+@pytest.mark.parametrize("p", [1.75, 3.0])
+def test_energy_gradient_is_residual_mixed_shapes(p, family, level):
+    # the energy reaches 2e5 here (h_F^{1-p} weights on small faces), so a
+    # 1e-6 step would leave differences at roundoff; 1e-4 stays below 1e-7
+    _check_energy_gradient(family, level, 1, p, h=1e-4)
+
+
+@pytest.mark.parametrize("family", ["cartesian", "locally_refined",
+                                    "hexagonal"])
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_condensed_solve_matches_full(family, p):
     u = sine_product_field(PI, PI)
@@ -285,3 +333,99 @@ def test_roundoff_floor_stall_counts_as_converged():
     U, rep, dm, packs = newton_solve(mesh, 2, law, source=f, dirichlet=u)
     assert rep.converged
     assert rep.stages[-1].residual_norm <= 1e-6
+
+
+def _residual_by_element(dm, packs, law, U, loads, eps):
+    """Reference: the residual assembled one element at a time."""
+    p = law.p
+    r = np.zeros(dm.ndofs)
+    for ei, ops in enumerate(packs):
+        gd = dm.element_dofs(ei)
+        a = law.flux(ops.rule.points, ops.grad_q @ U[gd], eps)
+        re = np.einsum("q,qc,qci->i", ops.rule.weights, a, ops.grad_q)
+        re[:ops.n_cell] -= loads[ei]
+        for i, dval in enumerate(ops.dval_q):
+            du = dval @ U[gd]
+            sw = (du * du + eps * eps) ** ((p - 2.0) / 2.0)
+            re += ops.face_lengths[i] ** (1.0 - p) * (
+                dval.T @ (ops.face_rules[i].weights * sw * du))
+        r[gd] += re
+    r[dm.boundary_dofs] = 0.0
+    return r
+
+
+@pytest.mark.parametrize("family,level", MIXED_SHAPES)
+def test_blocks_match_element_loop(family, level):
+    mesh, packs, dm = _linear_setup(family, level, 1)
+    u = sine_product_field(PI, PI)
+    law = p_laplacian(1.75)
+    # a floor this high marks many nodes singular, so their count is tested
+    f_blocks = manufactured_source(u, law, singular_floor=0.5)
+    f_loop = manufactured_source(u, law, singular_floor=0.5)
+    loads = compute_loads(packs, f_blocks)
+    ref = np.array([ops.cellval_q.T @ (ops.rule.weights
+                                       * f_loop(ops.rule.points))
+                    for ops in packs])
+    assert f_blocks.singular_hits == f_loop.singular_hits > 0
+    assert np.max(np.abs(loads - ref)) <= 1e-13 * np.abs(ref).max()
+    U = 0.5 * np.random.default_rng(2).standard_normal(dm.ndofs)
+    r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
+    r_ref = _residual_by_element(dm, packs, law, U, ref, 1e-8)
+    assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.abs(r_ref).max()
+
+
+def test_assemble_calls_the_law_once_per_block():
+    # the Newton matrix reuses the residual at the same iterate: no flux
+    # call, and at most one flux Jacobian call per block of elements
+    mesh, packs, dm = _linear_setup("triangular", 3, 1)
+    base = p_laplacian(1.75)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    law = replace(base, flux=counted("flux", base.flux),
+                  flux_jacobian=counted("flux_jacobian", base.flux_jacobian))
+    loads = compute_loads(packs, exp_field(1.0, -0.5))
+    U = 0.5 * np.random.default_rng(4).standard_normal(dm.ndofs)
+    r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
+    assert calls["flux"] == len(dm.blocks) < len(mesh.elements)
+    for condense in (False, True):
+        calls.clear()
+        _assemble(dm, packs, law, U, r, 1e-8, condense)
+        assert calls["flux"] == 0
+        assert calls["flux_jacobian"] <= len(dm.blocks)
+
+
+def test_stage_reports_time_the_newton_phases():
+    u = sine_product_field(PI, PI)
+    law = p_laplacian(1.75)
+    _, rep, _, _ = newton_solve(generate("triangular", 2), 1, law,
+                                source=manufactured_source(u, law),
+                                dirichlet=u)
+    assert rep.converged
+    for st in rep.stages:
+        assert st.iterations > 0
+        assert min(st.assemble_s, st.linear_solve_s, st.line_search_s) > 0
+    assert sum(st.assemble_s + st.linear_solve_s + st.line_search_s
+               for st in rep.stages) <= rep.wall_time
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_singular_cell_block_ends_in_a_clean_failure(monkeypatch):
+    # a condensed step through a singular cell block is NaN, like a full
+    # step through a singular system: the stage reports non-convergence
+    mesh, packs, dm = _linear_setup("cartesian", 2, 1)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    u = sine_product_field(PI, PI)
+    U, rep, _, _ = newton_solve(mesh, 1, p_laplacian(2.0),
+                                source=(2 * PI ** 2) * u,
+                                config=NewtonConfig(condense=True),
+                                packs=packs, dm=dm)
+    assert not rep.converged and rep.newton_iters == 0
