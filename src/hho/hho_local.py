@@ -11,13 +11,17 @@ local unknown vector [cell P^k block | one P^k block per face]:
     P^{k+1}(T), feeding the p-power stabilization.
 
 Point values of all reconstructions at the element/face quadrature nodes are
-cached; the solver gathers them for blocks of same-shape elements, so
-nonlinear assembly is a few stacked dense products per block.
+cached.  The bases are scaled monomials centred at the cell centroid and at
+the face midpoints, so every one of these arrays is the same for two
+elements that are translates of each other with the same face orientations.
+`translated_operators` gives such an element the arrays of one built
+element, with its own quadrature points and bases; the arrays are read-only,
+so no element can change its siblings' operators in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,13 +155,50 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
         cell_at_face_q.append(bk.eval(frules[i].points))
         dval_q.append(Psi @ D[i])
 
-    return LocalOperators(element_id=element_id, k=k, n_cell=nk, ndof=ndof,
-                          face_ids=tuple(el.faces), face_offsets=offs,
-                          face_lengths=tuple(lengths), basis_k=bk, basis_k1=bk1,
-                          face_bases=fbases, rule=rule, face_rules=frules,
-                          Gx=Gx, Gy=Gy, P=P, D=D, grad_q=grad_q, pgrad_q=pgrad_q,
-                          pval_q=pval_q, cellval_q=Vk, dval_q=dval_q,
-                          faceval_q=faceval_q, cell_at_face_q=cell_at_face_q)
+    ops = LocalOperators(element_id=element_id, k=k, n_cell=nk, ndof=ndof,
+                         face_ids=tuple(el.faces), face_offsets=offs,
+                         face_lengths=tuple(lengths), basis_k=bk, basis_k1=bk1,
+                         face_bases=fbases, rule=rule, face_rules=frules,
+                         Gx=Gx, Gy=Gy, P=P, D=D, grad_q=grad_q, pgrad_q=pgrad_q,
+                         pval_q=pval_q, cellval_q=Vk, dval_q=dval_q,
+                         faceval_q=faceval_q, cell_at_face_q=cell_at_face_q)
+    for a in _shared_arrays(ops):
+        a.flags.writeable = False
+    return ops
+
+
+def _shared_arrays(ops: LocalOperators):
+    """The arrays `translated_operators` hands on unchanged."""
+    yield from (ops.Gx, ops.Gy, ops.P, ops.grad_q, ops.pgrad_q, ops.pval_q,
+                ops.cellval_q, ops.rule.weights)
+    yield from (*ops.D, *ops.dval_q, *ops.faceval_q, *ops.cell_at_face_q)
+    yield from (r.weights for r in ops.face_rules)
+    for b in (ops.basis_k, ops.basis_k1):
+        yield from (b.exponents, b.mass, b.moments)
+    for b in (ops.basis_k, ops.basis_k1, *ops.face_bases):
+        if b.transform is not None:
+            yield b.transform
+
+
+def translated_operators(ops: LocalOperators, mesh,
+                         element_id: int) -> LocalOperators:
+    """Operators of an element that is a translate of `ops`' element with
+    the same face orientations (one `mesh.shape_keys` label): the operator
+    arrays, weights and basis matrices are those of `ops`; the quadrature
+    points and the bases' centres follow the element."""
+    el = mesh.elements[element_id]
+    shift = el.centroid - ops.basis_k.element.centroid
+    fbases = []
+    for fid, fb in zip(el.faces, ops.face_bases):
+        a, b = mesh.faces[fid].vertices
+        fbases.append(replace(fb, pa=mesh.vertices[a], pb=mesh.vertices[b]))
+    return replace(
+        ops, element_id=element_id, face_ids=tuple(el.faces),
+        basis_k=replace(ops.basis_k, element=el),
+        basis_k1=replace(ops.basis_k1, element=el), face_bases=fbases,
+        rule=replace(ops.rule, points=ops.rule.points + shift),
+        face_rules=[replace(r, points=r.points + shift)
+                    for r in ops.face_rules])
 
 
 def interpolate_local(ops: LocalOperators, field) -> np.ndarray:

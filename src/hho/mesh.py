@@ -224,6 +224,37 @@ def from_polygons(vertices, cells, family=None, level=None,
 
 
 # ---------------------------------------------------------------------------
+# element shapes
+
+SHAPE_BITS = 30     # vertex offsets are compared to 2^-30 of the diameter
+
+
+def shape_keys(mesh: PolytopalMesh) -> np.ndarray:
+    """One label per element, numbering the shape keys in order of first
+    appearance.
+
+    Two elements share a key when one is a translate of the other with the
+    same cycle start and face orientations.  The key is the vertex count,
+    the vertex offsets from the centroid in cycle order, rounded to a grid of
+    2^-SHAPE_BITS times the power of two just above the diameter, and per
+    face whether its first endpoint is the element's vertex at that position
+    (it fixes the face basis tangent).  Elements that share a key then have
+    the same local operators up to roundoff.
+    """
+    labels = np.empty(len(mesh.elements), dtype=int)
+    seen: dict = {}
+    for ei, el in enumerate(mesh.elements):
+        exp = math.frexp(el.diameter)[1]
+        off = mesh.vertices[list(el.vertices)] - el.centroid
+        grid = np.rint(np.ldexp(off, SHAPE_BITS - exp)).astype(np.int64)
+        heads = bytes(mesh.faces[f].vertices[0] == v
+                      for f, v in zip(el.faces, el.vertices))
+        key = (len(el.vertices), exp, grid.tobytes(), heads)
+        labels[ei] = seen.setdefault(key, len(seen))
+    return labels
+
+
+# ---------------------------------------------------------------------------
 # generators
 
 

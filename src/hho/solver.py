@@ -6,13 +6,16 @@ inhomogeneous Dirichlet data is imposed strongly: boundary face blocks hold
 the face projection of the boundary datum and the corresponding residual rows
 are masked.
 
-Element work runs in blocks: `DofMap` groups the elements by face count,
-which fixes the local ndof and the cell and face node counts, into runs of
-at most BLOCK elements.  Each kernel call gathers one block's operators from
-the per-element `LocalOperators` (stacked copies are not kept, so operator
-memory is not doubled), calls the law once on all of the block's cell nodes,
-and forms residuals, Jacobians and the Schur complements of static
-condensation with stacked matmuls and solves.
+Local operators are shared: `build_packs` builds them once per element
+shape (`mesh.shape_keys`: translates with the same face orientations), and
+every other element of that shape holds the same read-only arrays with its
+own quadrature points.  Element work runs in blocks: `DofMap` groups the
+elements by shape key into runs of at most BLOCK elements, so a block's
+gradient and face-residual operators are one shared matrix each.  Each
+kernel call checks that the block's elements do share them, calls the law
+once on all of the block's cell nodes, and forms gradients and residuals as
+one matrix product over the block, Jacobians and the Schur complements of
+static condensation as products and solves broadcast over it.
 
 The Newton loop supports backtracking damping, regularization of the flux
 Jacobian near vanishing gradients, continuation in the exponent p starting
@@ -29,26 +32,28 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .hho_local import LocalOperators, build_local_operators, cell_dim
+from .hho_local import (LocalOperators, build_local_operators, cell_dim,
+                        translated_operators)
 from .law import LerayLionsLaw, power_weight
+from .mesh import shape_keys
 from .polybasis import l2_project
 
 BLOCK = 32      # elements per kernel call
 
 
-def shape_blocks(face_counts) -> list[np.ndarray]:
-    """Element ids grouped by face count, in runs of at most BLOCK."""
-    face_counts = np.asarray(face_counts)
-    blocks = []
-    for nf in np.unique(face_counts):
-        ids = np.flatnonzero(face_counts == nf)
-        blocks += [ids[i:i + BLOCK] for i in range(0, len(ids), BLOCK)]
-    return blocks
+def shape_blocks(keys) -> list[np.ndarray]:
+    """Element ids grouped by key, keys in order of first appearance, in
+    runs of at most BLOCK."""
+    groups: dict = {}
+    for e, key in enumerate(keys):
+        groups.setdefault(key, []).append(e)
+    return [np.array(ids[i:i + BLOCK]) for ids in groups.values()
+            for i in range(0, len(ids), BLOCK)]
 
 
 @dataclass(frozen=True)
 class ElementBlock:
-    elements: np.ndarray    # (E,) ids of elements with one face count
+    elements: np.ndarray    # (E,) ids of elements with one shape key
     dofs: np.ndarray        # (E, ndof) their global unknowns, in local order
 
 
@@ -70,7 +75,7 @@ class DofMap:
             self._element_dofs.append(np.concatenate(idx))
         self.blocks = [
             ElementBlock(ids, np.stack([self._element_dofs[e] for e in ids]))
-            for ids in shape_blocks([len(el.faces) for el in mesh.elements])]
+            for ids in shape_blocks(shape_keys(mesh))]
         bnd = [self.face_dofs(fid) for fid, f in enumerate(mesh.faces)
                if f.is_boundary]
         self.boundary_dofs = (np.concatenate(bnd) if bnd
@@ -88,8 +93,17 @@ class DofMap:
 
 
 def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
-    return [build_local_operators(mesh, ei, k, boost)
-            for ei in range(len(mesh.elements))]
+    """Local operators of every element, built once per shape key: the
+    other elements of a key share the first one's arrays."""
+    first: dict = {}
+    packs = []
+    for ei, key in enumerate(shape_keys(mesh)):
+        if key in first:
+            packs.append(translated_operators(first[key], mesh, ei))
+        else:
+            first[key] = build_local_operators(mesh, ei, k, boost)
+            packs.append(first[key])
+    return packs
 
 
 def _faces_once(packs):
@@ -131,56 +145,59 @@ def compute_loads(packs, source) -> np.ndarray:
     loads = np.zeros((len(packs), packs[0].n_cell))
     if source is None:
         return loads
-    for ids in shape_blocks([len(ops.face_ids) for ops in packs]):
-        blk = [packs[e] for e in ids]
-        fv = source(np.concatenate([ops.rule.points for ops in blk]))
-        wfv = fv.reshape(len(ids), -1) * np.stack([ops.rule.weights
-                                                   for ops in blk])
-        V = np.stack([ops.cellval_q for ops in blk])
-        loads[ids] = (wfv[:, None, :] @ V)[:, 0, :]
+    # the elements of one shape share cellval_q and the weights
+    for ids in shape_blocks([id(ops.cellval_q) for ops in packs]):
+        ops = packs[ids[0]]
+        fv = source(np.concatenate([packs[e].rule.points for e in ids]))
+        loads[ids] = (fv.reshape(len(ids), -1) * ops.rule.weights) @ (
+            ops.cellval_q)
     return loads
 
 
 class _BlockOps(NamedTuple):
-    """A block's operators gathered from its LocalOperators for one call."""
-    G: np.ndarray       # (E, 2 nq, ndof) G v at the cell nodes, (x, y) pairs
-    D: np.ndarray       # (E, nf nfq, ndof) d_F v at the face nodes, by face
-    x: np.ndarray       # (E nq, 2) cell nodes
-    w: np.ndarray       # (E, nq) cell weights
-    wf: np.ndarray      # (E, nf, nfq) face weights
-    hf: np.ndarray      # (E, nf) face lengths
+    """A block's shared operators, and its elements' cell nodes."""
+    G: np.ndarray       # (2 nq, ndof) G v at the cell nodes, (x, y) pairs
+    D: np.ndarray       # (nf nfq, ndof) d_F v at the face nodes, by face
+    x: np.ndarray       # (E nq, 2) cell nodes of the block's elements
+    w: np.ndarray       # (nq,) cell weights
+    wf: np.ndarray      # (nf, nfq) face weights
+    hf: np.ndarray      # (nf,) face lengths
 
     def face_weights(self, p: float) -> np.ndarray:
-        """(E, nf nfq) weights h_F^{1-p} w of the face nodes."""
-        return (self.wf * self.hf[:, :, None] ** (1.0 - p)).reshape(
-            len(self.wf), -1)
+        """(nf nfq,) weights h_F^{1-p} w of the face nodes."""
+        return (self.wf * self.hf[:, None] ** (1.0 - p)).ravel()
 
     def values(self, Ue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradients (E nq, 2) and face residuals (E, nf nfq) of Ue."""
-        return ((self.G @ Ue[:, :, None]).reshape(-1, 2),
-                (self.D @ Ue[:, :, None])[:, :, 0])
+        return (Ue @ self.G.T).reshape(-1, 2), Ue @ self.D.T
 
 
 def _gather(packs, blk: ElementBlock) -> _BlockOps:
     ops = [packs[e] for e in blk.elements]
+    o = ops[0]
+    if o.ndof != blk.dofs.shape[1] or any(
+            b.grad_q is not o.grad_q or b.dval_q is not o.dval_q
+            for b in ops[1:]):
+        raise ValueError(
+            f"elements {blk.elements.tolist()} do not share one operator "
+            "set that fits their block: build the packs with build_packs "
+            "on the mesh of the DofMap")
     return _BlockOps(
-        G=np.stack([o.grad_q.reshape(-1, o.ndof) for o in ops]),
-        D=np.stack([np.concatenate(o.dval_q) for o in ops]),
-        x=np.concatenate([o.rule.points for o in ops]),
-        w=np.stack([o.rule.weights for o in ops]),
-        wf=np.stack([[r.weights for r in o.face_rules] for o in ops]),
-        hf=np.array([o.face_lengths for o in ops]))
+        G=o.grad_q.reshape(-1, o.ndof), D=np.concatenate(o.dval_q),
+        x=np.concatenate([b.rule.points for b in ops]), w=o.rule.weights,
+        wf=np.array([r.weights for r in o.face_rules]),
+        hf=np.array(o.face_lengths))
 
 
 def _block_residual(B: _BlockOps, law: LerayLionsLaw, Ue: np.ndarray,
                     eps: float) -> np.ndarray:
     """Element residuals (E, ndof) of a block, loads left out."""
-    E, nq = B.w.shape
+    E, nq = len(Ue), len(B.w)
     g, du = B.values(Ue)
-    a = law.flux(B.x, g, eps).reshape(E, nq, 2) * B.w[:, :, None]
+    a = law.flux(B.x, g, eps).reshape(E, nq, 2) * B.w[:, None]
     sw = power_weight(du * du + eps * eps, (law.p - 2.0) / 2.0)
     c = B.face_weights(law.p) * sw * du
-    return (a.reshape(E, 1, -1) @ B.G + c[:, None, :] @ B.D)[:, 0, :]
+    return a.reshape(E, -1) @ B.G + c @ B.D
 
 
 def _block_jacobian(B: _BlockOps, law: LerayLionsLaw, Ue: np.ndarray,
@@ -191,23 +208,21 @@ def _block_jacobian(B: _BlockOps, law: LerayLionsLaw, Ue: np.ndarray,
     faces in the stabilization.  At p = 2 that keeps each matrix equal to
     the last bit to the one-element formula; one product over all faces
     moved err_1ph of a cartesian k = 3, level 4 solve by 1e-11 relative."""
-    (E, nq), p = B.w.shape, law.p
+    E, nq, p = len(Ue), len(B.w), law.p
     g, du = B.values(Ue)
     wDa = (law.flux_jacobian(B.x, g, eps).reshape(E, nq, 2, 2)
-           * B.w[:, :, None, None])
-    Je = B.G.transpose(0, 2, 1) @ (
-        wDa @ B.G.reshape(E, nq, 2, -1)).reshape(E, 2 * nq, -1)
+           * B.w[:, None, None])
+    Je = B.G.T @ (wDa @ B.G.reshape(nq, 2, -1)).reshape(E, 2 * nq, -1)
     n2 = du * du + eps * eps
     # d/du of sw * du, in the form of the flux Jacobian
     jw = (power_weight(n2, (p - 2.0) / 2.0)
           + (p - 2.0) * power_weight(n2, (p - 4.0) / 2.0) * du * du)
-    nf, nfq = B.wf.shape[1:]
+    nf, nfq = B.wf.shape
     wjw = B.wf * jw.reshape(E, nf, nfq)
     hcoef = B.hf ** (1.0 - p)
     for f in range(nf):
-        D = B.D[:, f * nfq:(f + 1) * nfq]
-        Je += hcoef[:, f, None, None] * (
-            (D.transpose(0, 2, 1) * wjw[:, None, f]) @ D)
+        D = B.D[f * nfq:(f + 1) * nfq]
+        Je += hcoef[f] * ((D.T * wjw[:, None, f]) @ D)
     return Je
 
 
@@ -290,7 +305,8 @@ def energy(dm: DofMap, packs, law, U, loads) -> float:
     for blk in dm.blocks:
         B = _gather(packs, blk)
         g, du = B.values(U[blk.dofs])
-        total += float(B.w.ravel() @ law.energy_density(g))
+        total += float(np.sum(law.energy_density(g).reshape(-1, len(B.w))
+                              @ B.w))
         total += float(np.sum(B.face_weights(p) * np.abs(du) ** p)) / p
     return total - float(np.ravel(loads) @ U[:dm.cell_span])
 

@@ -6,7 +6,7 @@ import pytest
 from hho import mesh as hmesh
 from hho.mesh import (FAMILIES, MeshFormatError, MeshResourceError,
                       MeshValidationError, from_polygons, generate, read_mesh,
-                      validate, write_mesh)
+                      shape_keys, validate, write_mesh)
 
 # level-1 regularity ratios recorded at build time (regression baselines)
 RHO_LEVEL1 = {
@@ -231,3 +231,39 @@ def test_read_detects_missing_face():
     txt = TWO_TRIANGLES.replace("faces 5", "faces 4").replace("0 3 1 -1\n", "")
     with pytest.raises(MeshFormatError):
         read_mesh(txt)
+
+
+def _flip_face(mesh, fid):
+    """The mesh read back with the endpoints of face fid swapped."""
+    lines = write_mesh(mesh).splitlines()
+    at = lines.index(f"faces {mesh.n_faces}") + 1 + fid
+    a, b, oa, ob = lines[at].split()
+    lines[at] = f"{b} {a} {oa} {ob}"
+    return read_mesh("\n".join(lines) + "\n")
+
+
+def test_shape_keys_follow_translation_size_and_face_orientation():
+    m = generate("cartesian", 2)
+    keys = shape_keys(m)
+    # cartesian cells differ only in which faces they meet first
+    assert keys.max() + 1 == 4
+    moved = from_polygons(m.vertices + [0.3, -0.7],
+                          [e.vertices for e in m.elements])
+    assert np.array_equal(shape_keys(moved), keys)
+    # swapping a face's endpoints flips its basis tangent: its owners leave
+    # their class
+    e = 5
+    fid = m.elements[e].faces[0]
+    twins = [t for t in np.flatnonzero(keys == keys[e])
+             if t not in m.faces[fid].owners]
+    assert twins
+    flipped = shape_keys(_flip_face(m, fid))
+    assert len({flipped[t] for t in twins}) == 1
+    assert flipped[e] != flipped[twins[0]]
+    sq = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+    def pair(other):
+        return from_polygons(np.vstack([sq, other]),
+                             [[0, 1, 2, 3], [4, 5, 6, 7]])
+    assert list(shape_keys(pair(sq + [2.0, 0.0]))) == [0, 0]
+    assert list(shape_keys(pair(0.5 * sq + [2.0, 0.0]))) == [0, 1]

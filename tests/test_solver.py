@@ -5,11 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hho import solver
 from hho.fields import affine_field, exp_field, sine_product_field
 from hho.harness import manufactured_source
-from hho.hho_local import stabilization
+from hho.hho_local import build_local_operators, stabilization
 from hho.law import LerayLionsLaw, p_laplacian
-from hho.mesh import from_polygons, generate
+from hho.mesh import (FAMILIES, from_polygons, generate, read_mesh,
+                      shape_keys, write_mesh)
 from hho.solver import (BLOCK, DofMap, NewtonConfig, _assemble,
                         assemble_residual, assemble_system, build_packs,
                         compute_loads, continuation_path, dirichlet_values,
@@ -160,18 +162,26 @@ MIXED_SHAPES = [("hexagonal", 3), ("locally_refined", 2)]
 def test_blocks_partition_elements_by_shape():
     for family, level in MIXED_SHAPES:
         mesh, packs, dm = _linear_setup(family, level, 1)
+        keys = shape_keys(mesh)
         seen = np.concatenate([b.elements for b in dm.blocks])
         assert np.array_equal(np.sort(seen), np.arange(len(mesh.elements)))
-        shapes = []
+        shapes, block_keys = [], []
         for b in dm.blocks:
             nf = {len(mesh.elements[e].faces) for e in b.elements}
             assert len(nf) == 1 and 0 < len(b.elements) <= BLOCK
+            assert len(set(keys[b.elements])) == 1     # one shape key
+            block_keys.append(keys[b.elements[0]])
             shapes += nf
+            first = packs[b.elements[0]]
             for e, gd in zip(b.elements, b.dofs):
                 assert np.array_equal(gd, dm.element_dofs(e))
+                assert packs[e].grad_q is first.grad_q
         assert len(set(shapes)) > 1
+        assert len(set(block_keys)) == keys.max() + 1
         if family == "hexagonal":
-            assert shapes.count(6) > 1     # one shape over several blocks
+            assert shapes.count(6) > 1
+            # one shape key over several blocks
+            assert len(block_keys) > len(set(block_keys))
 
 
 @pytest.mark.parametrize("family,level", MIXED_SHAPES)
@@ -429,3 +439,122 @@ def test_singular_cell_block_ends_in_a_clean_failure(monkeypatch):
                                 config=NewtonConfig(condense=True),
                                 packs=packs, dm=dm)
     assert not rep.converged and rep.newton_iters == 0
+
+
+def _max_rel_gap(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def _check_shared_match_element_builds(mesh, k, tol):
+    packs = build_packs(mesh, k)
+    assert len({id(ops.grad_q) for ops in packs}) == shape_keys(mesh).max() + 1
+    for ei, ops in enumerate(packs):
+        ref = build_local_operators(mesh, ei, k)
+        assert ops.element_id == ei and ops.face_ids == ref.face_ids
+        pairs = [(ops.Gx, ref.Gx), (ops.Gy, ref.Gy), (ops.P, ref.P),
+                 (ops.grad_q, ref.grad_q), (ops.pgrad_q, ref.pgrad_q),
+                 (ops.pval_q, ref.pval_q),
+                 (ops.rule.points, ref.rule.points)]
+        pairs += zip(ops.D, ref.D)
+        pairs += zip(ops.dval_q, ref.dval_q)
+        pairs += [(a.points, b.points)
+                  for a, b in zip(ops.face_rules, ref.face_rules)]
+        for a, b in pairs:
+            assert _max_rel_gap(a, b) <= tol
+
+
+# two separate builds of one clipped boundary cell of the hexagonal family
+# already differ by about 1.5e-12 relative (grad_q, level 4)
+SHARED_TOL = {"hexagonal": 1e-11}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_shared_operators_match_element_builds(family, k):
+    _check_shared_match_element_builds(generate(family, 3), k,
+                                       SHARED_TOL.get(family, 1e-12))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shared_operators_match_element_builds_read_back(family):
+    mesh = read_mesh(write_mesh(generate(family, 2)))
+    _check_shared_match_element_builds(mesh, 2, SHARED_TOL.get(family, 1e-12))
+
+
+def test_shared_arrays_are_read_only():
+    mesh, packs, dm = _linear_setup("triangular", 2, 1)
+    sibling = packs[1]
+    assert sum(ops.grad_q is sibling.grad_q for ops in packs) > 1
+    for a in (sibling.grad_q, sibling.dval_q[0], sibling.P,
+              sibling.cellval_q, sibling.rule.weights):
+        with pytest.raises(ValueError):
+            a[0] += 1.0
+
+
+def test_blocks_reject_operators_that_are_not_shared():
+    mesh, packs, dm = _linear_setup("triangular", 2, 1)
+    law = p_laplacian(3.0)
+    loads = compute_loads(packs, None)
+    U = np.random.default_rng(6).standard_normal(dm.ndofs)
+    one_by_one = [build_local_operators(mesh, ei, 1)
+                  for ei in range(len(mesh.elements))]
+    other = DofMap(generate("cartesian", 2), 1)
+    for pk, d in ((one_by_one, dm), (packs, other)):
+        with pytest.raises(ValueError, match="do not share one operator set"):
+            assemble_residual(d, pk, law, U[:d.ndofs], loads)
+        with pytest.raises(ValueError, match="do not share one operator set"):
+            _assemble(d, pk, law, U[:d.ndofs], U[:d.ndofs], 0.0, False)
+
+
+def _count_builds(monkeypatch):
+    calls = Counter()
+    build = solver.build_local_operators
+
+    def counted(mesh, ei, k, boost=0):
+        calls[ei] += 1
+        return build(mesh, ei, k, boost)
+    monkeypatch.setattr(solver, "build_local_operators", counted)
+    return calls
+
+
+def test_build_packs_builds_each_shape_once(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    mesh = generate("triangular", 4)
+    packs = build_packs(mesh, 1)
+    assert sum(calls.values()) == 4
+    assert len(packs) == len(mesh.elements) == 512
+
+
+def _jittered_mesh(n=4, seed=11):
+    """Quadrilaterals on a grid whose interior vertices are moved at
+    random: no two elements have one shape."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    verts = np.array([[x, y] for y in xs for x in xs])
+    inner = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    verts[inner] += rng.uniform(-0.2, 0.2, (inner.sum(), 2)) / n
+    cells = [[j * (n + 1) + i, j * (n + 1) + i + 1,
+              (j + 1) * (n + 1) + i + 1, (j + 1) * (n + 1) + i]
+             for j in range(n) for i in range(n)]
+    return from_polygons(verts, cells)
+
+
+def test_unique_shapes_build_every_element(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    mesh = _jittered_mesh()
+    packs = build_packs(mesh, 1)
+    assert calls == Counter(range(len(mesh.elements)))
+    dm = DofMap(mesh, 1)
+    assert len(dm.blocks) == len(mesh.elements)
+    law = p_laplacian(1.75)
+    loads = compute_loads(packs, exp_field(1.0, -0.5))
+    U = 0.5 * np.random.default_rng(2).standard_normal(dm.ndofs)
+    r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
+    r_ref = _residual_by_element(dm, packs, law, U, loads, 1e-8)
+    assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.abs(r_ref).max()
+    # an affine field is the exact discrete solution on any mesh
+    g = affine_field(0.25, 1.0, -2.0)
+    U, rep, dm, packs = newton_solve(mesh, 1, p_laplacian(3.0), dirichlet=g,
+                                     packs=packs, dm=dm)
+    assert rep.converged
+    assert np.max(np.abs(U - interpolate_global(dm, packs, g))) <= 1e-10
