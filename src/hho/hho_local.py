@@ -17,6 +17,9 @@ elements that are translates of each other with the same face orientations.
 `translated_operators` gives such an element the arrays of one built
 element, with its own quadrature points and bases; the arrays are read-only,
 so no element can change its siblings' operators in place.
+
+`interpolate_local`, `stabilization` and `local_norm` act on one element:
+they are the oracles of the block kernels in `solver` and `harness`.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ class LocalOperators:
     cellval_q: np.ndarray           # (nq, n_cell) cell basis at cell quad nodes
     dval_q: list                    # per face: (nfq, ndof) face residual values
     faceval_q: list                 # per face: (nfq, k+1) face basis values
-    cell_at_face_q: list            # per face: (nfq, n_cell) cell basis traces
 
 
 def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> LocalOperators:
@@ -95,7 +97,7 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
     offs = tuple(nk + i * nf for i in range(nfaces))
 
     fbases, frules, normals, lengths = [], [], [], []
-    Tk, Tk1 = [], []
+    faceval_q, Tk, Tk1 = [], [], []
     for fid in el.faces:
         f = mesh.faces[fid]
         fb = face_basis(mesh, fid, k)
@@ -105,6 +107,7 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
         lengths.append(f.length)
         normals.append(f.signs[f.owners.index(element_id)] * f.normal)
         Psi = fb.eval(fr.points)
+        faceval_q.append(Psi)
         Tk.append(Psi.T @ (bk.eval(fr.points) * fr.weights[:, None]))
         Tk1.append(Psi.T @ (bk1.eval(fr.points) * fr.weights[:, None]))
 
@@ -148,12 +151,7 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
     pgrad_q[:, 0, :] = Wx @ P
     pgrad_q[:, 1, :] = Wy @ P
     pval_q = Vk1 @ P
-    dval_q, faceval_q, cell_at_face_q = [], [], []
-    for i in range(nfaces):
-        Psi = fbases[i].eval(frules[i].points)
-        faceval_q.append(Psi)
-        cell_at_face_q.append(bk.eval(frules[i].points))
-        dval_q.append(Psi @ D[i])
+    dval_q = [Psi @ Di for Psi, Di in zip(faceval_q, D)]
 
     ops = LocalOperators(element_id=element_id, k=k, n_cell=nk, ndof=ndof,
                          face_ids=tuple(el.faces), face_offsets=offs,
@@ -161,7 +159,7 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
                          face_bases=fbases, rule=rule, face_rules=frules,
                          Gx=Gx, Gy=Gy, P=P, D=D, grad_q=grad_q, pgrad_q=pgrad_q,
                          pval_q=pval_q, cellval_q=Vk, dval_q=dval_q,
-                         faceval_q=faceval_q, cell_at_face_q=cell_at_face_q)
+                         faceval_q=faceval_q)
     for a in _shared_arrays(ops):
         a.flags.writeable = False
     return ops
@@ -171,7 +169,7 @@ def _shared_arrays(ops: LocalOperators):
     """The arrays `translated_operators` hands on unchanged."""
     yield from (ops.Gx, ops.Gy, ops.P, ops.grad_q, ops.pgrad_q, ops.pval_q,
                 ops.cellval_q, ops.rule.weights)
-    yield from (*ops.D, *ops.dval_q, *ops.faceval_q, *ops.cell_at_face_q)
+    yield from (*ops.D, *ops.dval_q, *ops.faceval_q)
     yield from (r.weights for r in ops.face_rules)
     for b in (ops.basis_k, ops.basis_k1):
         yield from (b.exponents, b.mass, b.moments)
@@ -229,17 +227,3 @@ def local_norm(ops: LocalOperators, v: np.ndarray, p: float) -> float:
     g = ops.pgrad_q @ v
     gp = float(ops.rule.weights @ np.hypot(g[:, 0], g[:, 1]) ** p)
     return (gp + stabilization(ops, v, v, p)) ** (1.0 / p)
-
-
-def gradient_seminorm(ops: LocalOperators, v: np.ndarray, p: float) -> float:
-    """(||grad v_T||^p + sum_F h_F^{1-p} ||v_F - v_T||^p_{L^p(F)})^{1/p}."""
-    pts = ops.rule.points
-    gx = ops.basis_k.partial(1, 0, pts) @ v[:ops.n_cell]
-    gy = ops.basis_k.partial(0, 1, pts) @ v[:ops.n_cell]
-    acc = float(ops.rule.weights @ np.hypot(gx, gy) ** p)
-    for i, off in enumerate(ops.face_offsets):
-        jump = (ops.faceval_q[i] @ v[off:off + ops.k + 1]
-                - ops.cell_at_face_q[i] @ v[:ops.n_cell])
-        acc += ops.face_lengths[i] ** (1.0 - p) * float(
-            ops.face_rules[i].weights @ np.abs(jump) ** p)
-    return acc ** (1.0 / p)

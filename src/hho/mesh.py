@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,13 @@ class PolytopalMesh:
 
     def boundary_faces(self) -> list[int]:
         return [i for i, f in enumerate(self.faces) if f.is_boundary]
+
+    @cached_property
+    def shape_labels(self) -> np.ndarray:
+        """`shape_keys` of this mesh, computed on first use (read-only)."""
+        labels = shape_keys(self)
+        labels.flags.writeable = False
+        return labels
 
 
 @dataclass

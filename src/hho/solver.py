@@ -15,7 +15,8 @@ gradient and face-residual operators are one shared matrix each.  Each
 kernel call checks that the block's elements do share them, calls the law
 once on all of the block's cell nodes, and forms gradients and residuals as
 one matrix product over the block, Jacobians and the Schur complements of
-static condensation as products and solves broadcast over it.
+static condensation as products and solves broadcast over it.  So do the
+interpolation, the Dirichlet data and `harness.compute_errors`.
 
 The Newton loop supports backtracking damping, regularization of the flux
 Jacobian near vanishing gradients, continuation in the exponent p starting
@@ -35,8 +36,6 @@ from scipy.sparse.linalg import spsolve
 from .hho_local import (LocalOperators, build_local_operators, cell_dim,
                         translated_operators)
 from .law import LerayLionsLaw, power_weight
-from .mesh import shape_keys
-from .polybasis import l2_project
 
 BLOCK = 32      # elements per kernel call
 
@@ -55,6 +54,8 @@ def shape_blocks(keys) -> list[np.ndarray]:
 class ElementBlock:
     elements: np.ndarray    # (E,) ids of elements with one shape key
     dofs: np.ndarray        # (E, ndof) their global unknowns, in local order
+    owned: np.ndarray       # (E, nf) is the element the face's first owner
+    boundary: np.ndarray    # (E, nf) is the face on the boundary
 
 
 class DofMap:
@@ -67,19 +68,21 @@ class DofMap:
         self.n_face = k + 1
         self.cell_span = len(mesh.elements) * self.n_cell
         self.ndofs = self.cell_span + len(mesh.faces) * self.n_face
-        self._element_dofs = []
-        for ei, el in enumerate(mesh.elements):
-            idx = [np.arange(ei * self.n_cell, (ei + 1) * self.n_cell)]
-            for fid in el.faces:
-                idx.append(self.face_dofs(fid))
-            self._element_dofs.append(np.concatenate(idx))
-        self.blocks = [
-            ElementBlock(ids, np.stack([self._element_dofs[e] for e in ids]))
-            for ids in shape_blocks(shape_keys(mesh))]
-        bnd = [self.face_dofs(fid) for fid, f in enumerate(mesh.faces)
-               if f.is_boundary]
-        self.boundary_dofs = (np.concatenate(bnd) if bnd
-                              else np.empty(0, dtype=int))
+        self._element_dofs = [
+            np.concatenate([self.cell_dofs(ei),
+                            *map(self.face_dofs, el.faces)])
+            for ei, el in enumerate(mesh.elements)]
+        owner = np.array([f.owners[0] for f in mesh.faces])
+        on_bnd = np.array([f.is_boundary for f in mesh.faces])
+        self.blocks = []
+        for ids in shape_blocks(mesh.shape_labels):
+            faces = np.array([mesh.elements[e].faces for e in ids])
+            self.blocks.append(ElementBlock(
+                ids, np.stack([self._element_dofs[e] for e in ids]),
+                owned=owner[faces] == ids[:, None], boundary=on_bnd[faces]))
+        bnd = np.flatnonzero(on_bnd)
+        self.boundary_dofs = (self.cell_span + self.n_face * bnd[:, None]
+                              + np.arange(self.n_face)).ravel()
 
     def cell_dofs(self, ei: int) -> np.ndarray:
         return np.arange(ei * self.n_cell, (ei + 1) * self.n_cell)
@@ -91,13 +94,17 @@ class DofMap:
     def element_dofs(self, ei: int) -> np.ndarray:
         return self._element_dofs[ei]
 
+    def block_face_dofs(self, blk: ElementBlock) -> np.ndarray:
+        """(E, nf, k+1) unknowns of a block's faces, in local order."""
+        return blk.dofs[:, self.n_cell:].reshape(*blk.owned.shape, -1)
+
 
 def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
     """Local operators of every element, built once per shape key: the
     other elements of a key share the first one's arrays."""
     first: dict = {}
     packs = []
-    for ei, key in enumerate(shape_keys(mesh)):
+    for ei, key in enumerate(mesh.shape_labels):
         if key in first:
             packs.append(translated_operators(first[key], mesh, ei))
         else:
@@ -106,36 +113,50 @@ def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
     return packs
 
 
-def _faces_once(packs):
-    """(face id, basis, rule) of every mesh face, at its first element."""
-    seen = set()
-    for ops in packs:
-        for fid, basis, rule in zip(ops.face_ids, ops.face_bases,
-                                    ops.face_rules):
-            if fid not in seen:
-                seen.add(fid)
-                yield fid, basis, rule
+def _project_block(packs, blk: ElementBlock, field, faces: np.ndarray,
+                   cells: bool = True):
+    """L2 projections of a field on a block, from one evaluation of it at
+    all their nodes: (E, n_cell) cell coefficients (none unless `cells`) and
+    the (n, k+1) coefficients of the n faces set in the (E, nf) mask `faces`,
+    in mask order.  The projectors are the shared basis values, weights and
+    mass matrices of the block's first element."""
+    B = _gather(packs, blk)
+    o = packs[blk.elements[0]]
+    e, f = np.nonzero(faces)
+    xf = [packs[blk.elements[a]].face_rules[b].points for a, b in zip(e, f)]
+    nc = len(B.x) if cells else 0
+    vals = np.asarray(field(np.concatenate([B.x[:nc], *xf])), dtype=float)
+    Pc = np.linalg.solve(o.basis_k.mass, (o.cellval_q * B.w[:, None]).T)
+    Pf = np.array([np.linalg.solve(b.mass, (v * r.weights[:, None]).T).T
+                   for b, v, r in zip(o.face_bases, o.faceval_q,
+                                      o.face_rules)])[f]
+    fv = vals[nc:].reshape(len(f), B.wf.shape[1])
+    # node by node with elementwise products: a face's coefficients do not
+    # depend on the other faces of the call, so dirichlet_values equals
+    # interpolate_global on the boundary to the last bit
+    face = sum(fv[:, q, None] * Pf[:, q] for q in range(fv.shape[1]))
+    return vals[:nc].reshape(-1, len(B.w)) @ Pc.T, face
 
 
 def interpolate_global(dm: DofMap, packs, field) -> np.ndarray:
-    """Cell and face projections of a field, each face computed once."""
+    """Cell and face projections of a field, block by block; each face is
+    projected once, at its first owner."""
     U = np.zeros(dm.ndofs)
-    for ei, ops in enumerate(packs):
-        U[dm.cell_dofs(ei)] = l2_project(ops.basis_k, field, ops.rule)
-    for fid, basis, rule in _faces_once(packs):
-        U[dm.face_dofs(fid)] = l2_project(basis, field, rule)
+    for blk in dm.blocks:
+        cell, face = _project_block(packs, blk, field, blk.owned)
+        U[blk.dofs[:, :dm.n_cell]] = cell
+        U[dm.block_face_dofs(blk)[blk.owned]] = face
     return U
 
 
 def dirichlet_values(dm: DofMap, packs, g) -> tuple[np.ndarray, np.ndarray]:
     """Boundary dof indices and the face projections of the datum g."""
-    idx, vals = [], []
-    for fid, basis, rule in _faces_once(packs):
-        if dm.mesh.faces[fid].is_boundary:
-            idx.append(dm.face_dofs(fid))
-            vals.append(l2_project(basis, g, rule))
-    if not idx:
-        return np.empty(0, dtype=int), np.empty(0)
+    idx, vals = [np.empty(0, dtype=int)], [np.empty(0)]
+    for blk in dm.blocks:
+        if blk.boundary.any():
+            _, face = _project_block(packs, blk, g, blk.boundary, cells=False)
+            idx.append(dm.block_face_dofs(blk)[blk.boundary].ravel())
+            vals.append(face.ravel())
     return np.concatenate(idx), np.concatenate(vals)
 
 
@@ -158,6 +179,8 @@ class _BlockOps(NamedTuple):
     """A block's shared operators, and its elements' cell nodes."""
     G: np.ndarray       # (2 nq, ndof) G v at the cell nodes, (x, y) pairs
     D: np.ndarray       # (nf nfq, ndof) d_F v at the face nodes, by face
+    PG: np.ndarray      # (2 nq, ndof) grad P v at the cell nodes, (x, y) pairs
+    PV: np.ndarray      # (nq, ndof) P v at the cell nodes
     x: np.ndarray       # (E nq, 2) cell nodes of the block's elements
     w: np.ndarray       # (nq,) cell weights
     wf: np.ndarray      # (nf, nfq) face weights
@@ -170,6 +193,14 @@ class _BlockOps(NamedTuple):
     def values(self, Ue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradients (E nq, 2) and face residuals (E, nf nfq) of Ue."""
         return (Ue @ self.G.T).reshape(-1, 2), Ue @ self.D.T
+
+    def cell_sum(self, vals: np.ndarray) -> float:
+        """sum of w vals over the block's (E nq,) cell nodes."""
+        return float(np.sum(vals.reshape(-1, len(self.w)) @ self.w))
+
+    def face_power(self, du: np.ndarray, p: float) -> float:
+        """sum_F h_F^{1-p} int_F |du|^p over the block's faces."""
+        return float(np.sum(self.face_weights(p) * np.abs(du) ** p))
 
 
 def _gather(packs, blk: ElementBlock) -> _BlockOps:
@@ -184,6 +215,7 @@ def _gather(packs, blk: ElementBlock) -> _BlockOps:
             "on the mesh of the DofMap")
     return _BlockOps(
         G=o.grad_q.reshape(-1, o.ndof), D=np.concatenate(o.dval_q),
+        PG=o.pgrad_q.reshape(-1, o.ndof), PV=o.pval_q,
         x=np.concatenate([b.rule.points for b in ops]), w=o.rule.weights,
         wf=np.array([r.weights for r in o.face_rules]),
         hf=np.array(o.face_lengths))
@@ -305,9 +337,8 @@ def energy(dm: DofMap, packs, law, U, loads) -> float:
     for blk in dm.blocks:
         B = _gather(packs, blk)
         g, du = B.values(U[blk.dofs])
-        total += float(np.sum(law.energy_density(g).reshape(-1, len(B.w))
-                              @ B.w))
-        total += float(np.sum(B.face_weights(p) * np.abs(du) ** p)) / p
+        total += B.cell_sum(law.energy_density(g))
+        total += B.face_power(du, p) / p
     return total - float(np.ravel(loads) @ U[:dm.cell_span])
 
 

@@ -1,14 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hho.fields import affine_field, sine_product_field
+from hho.fields import ScalarField, affine_field, sine_product_field
 from hho.harness import (CASES, ErrorBundle, StudyResult, StudyRow,
                          compute_errors, gnuplot_script, manufactured_solution,
                          manufactured_source, run_study, study_to_csv)
+from hho.hho_local import build_local_operators, local_norm, stabilization
 from hho.law import applicable_inequalities, p_laplacian
-from hho.mesh import generate
+from hho.mesh import FAMILIES, generate, read_mesh, write_mesh
 from hho.solver import (DofMap, SolveReport, StageReport, build_packs,
                         interpolate_global, newton_solve)
 
@@ -233,3 +235,102 @@ def test_cli_condensed_run_matches_full(tmp_path, capsys):
         ia = [float(v) for v in ra.split(",")[3:6]]
         ib = [float(v) for v in rb.split(",")[3:6]]
         assert ia == pytest.approx(ib, rel=1e-8)
+
+
+def _errors_by_element(dm, packs, p, U, exact):
+    """Reference: the three error norms summed one element at a time."""
+    UI = interpolate_global(dm, packs, exact)
+    acc1 = accp = accl = 0.0
+    for ei, ops in enumerate(packs):
+        gd = dm.element_dofs(ei)
+        acc1 += local_norm(ops, (U - UI)[gd], p) ** p
+        Ue = U[gd]
+        w = ops.rule.weights
+        gdiff = ops.pgrad_q @ Ue - exact.gradient(ops.rule.points)
+        accp += float(w @ np.hypot(gdiff[:, 0], gdiff[:, 1]) ** p)
+        accp += stabilization(ops, Ue, Ue, p)
+        vdiff = ops.pval_q @ Ue - exact(ops.rule.points)
+        accl += float(w @ vdiff ** 2)
+    return acc1 ** (1.0 / p), accp ** (1.0 / p), math.sqrt(accl)
+
+
+def _check_errors_match_element_loop(mesh, k):
+    packs = build_packs(mesh, k)
+    dm = DofMap(mesh, k)
+    u = manufactured_solution("trigonometric")
+    rng = np.random.default_rng(k)
+    U = interpolate_global(dm, packs, u) + 1e-2 * rng.standard_normal(dm.ndofs)
+    for p in (1.75, 2.0, 3.0):
+        eb = compute_errors(dm, packs, p_laplacian(p), U, u)
+        want = _errors_by_element(dm, packs, p, U, u)
+        got = (eb.err_1ph, eb.err_pot, eb.err_l2)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_errors_match_element_loop(family, k):
+    _check_errors_match_element_loop(generate(family, 2), k)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_errors_match_element_loop_read_back(family):
+    mesh = read_mesh(write_mesh(generate(family, 2)))
+    _check_errors_match_element_loop(mesh, 1)
+
+
+def test_errors_reject_packs_built_element_by_element():
+    mesh = generate("triangular", 2)
+    dm = DofMap(mesh, 1)
+    one_by_one = [build_local_operators(mesh, ei, 1)
+                  for ei in range(len(mesh.elements))]
+    u = manufactured_solution("trigonometric")
+    with pytest.raises(ValueError, match="do not share one operator set"):
+        compute_errors(dm, one_by_one, p_laplacian(2.0), np.zeros(dm.ndofs), u)
+
+
+def _counted(field, calls):
+    """field, counting its evaluations by derivative (ax, ay)."""
+    def factory(ax, ay):
+        fn = field.partial(ax, ay)
+
+        def ev(pts):
+            calls[ax, ay] += 1
+            return fn(pts)
+        return ev
+    return ScalarField(factory)
+
+
+def test_errors_evaluate_the_field_once_per_block():
+    # one call for the interpolate and one for the error itself per block,
+    # not one per element
+    mesh = generate("triangular", 3)
+    packs = build_packs(mesh, 1)
+    dm = DofMap(mesh, 1)
+    nb = len(dm.blocks)
+    assert nb < len(mesh.elements)
+    calls = Counter()
+    u = _counted(manufactured_solution("trigonometric"), calls)
+    U = interpolate_global(dm, packs, u)
+    assert calls == {(0, 0): nb}
+    calls.clear()
+    compute_errors(dm, packs, p_laplacian(1.75), U, u)
+    assert calls[0, 0] <= 2 * nb
+    assert calls[1, 0] == calls[0, 1] <= nb
+    assert set(calls) <= {(0, 0), (1, 0), (0, 1)}
+
+
+@pytest.mark.parametrize("where", ["cell", "face"])
+def test_errors_of_nan_are_not_finite(where):
+    # a garbage iterate must never report a finite error
+    mesh = generate("cartesian", 2)
+    packs = build_packs(mesh, 1)
+    dm = DofMap(mesh, 1)
+    u = manufactured_solution("trigonometric")
+    U = interpolate_global(dm, packs, u)
+    U[5 if where == "cell" else dm.cell_span + 7] = np.nan
+    for p in (1.75, 2.0, 3.0):
+        eb = compute_errors(dm, packs, p_laplacian(p), U, u)
+        assert not np.isfinite(eb.err_1ph)
+        assert not np.isfinite(eb.err_pot)
+        assert not np.isfinite(eb.err_l2)

@@ -267,3 +267,11 @@ def test_shape_keys_follow_translation_size_and_face_orientation():
                              [[0, 1, 2, 3], [4, 5, 6, 7]])
     assert list(shape_keys(pair(sq + [2.0, 0.0]))) == [0, 0]
     assert list(shape_keys(pair(0.5 * sq + [2.0, 0.0]))) == [0, 1]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shape_labels_are_the_shape_keys(family):
+    for m in (generate(family, 3), read_mesh(write_mesh(generate(family, 2)))):
+        assert np.array_equal(m.shape_labels, shape_keys(m))
+        assert m.shape_labels is m.shape_labels
+        assert not m.shape_labels.flags.writeable

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hho import mesh as mesh_module
 from hho import solver
 from hho.fields import affine_field, exp_field, sine_product_field
 from hho.harness import manufactured_source
@@ -12,6 +13,7 @@ from hho.hho_local import build_local_operators, stabilization
 from hho.law import LerayLionsLaw, p_laplacian
 from hho.mesh import (FAMILIES, from_polygons, generate, read_mesh,
                       shape_keys, write_mesh)
+from hho.polybasis import l2_project
 from hho.solver import (BLOCK, DofMap, NewtonConfig, _assemble,
                         assemble_residual, assemble_system, build_packs,
                         compute_loads, continuation_path, dirichlet_values,
@@ -558,3 +560,53 @@ def test_unique_shapes_build_every_element(monkeypatch):
                                      packs=packs, dm=dm)
     assert rep.converged
     assert np.max(np.abs(U - interpolate_global(dm, packs, g))) <= 1e-10
+
+
+def test_dofmap_and_packs_compute_the_shape_keys_once(monkeypatch):
+    calls = Counter()
+    keys = mesh_module.shape_keys
+
+    def counted(mesh):
+        calls[id(mesh)] += 1
+        return keys(mesh)
+    monkeypatch.setattr(mesh_module, "shape_keys", counted)
+    mesh = generate("hexagonal", 3)
+    DofMap(mesh, 1)
+    build_packs(mesh, 1)
+    DofMap(mesh, 2)
+    assert calls == {id(mesh): 1}
+
+
+def _check_interpolate_matches_l2_project(mesh, k):
+    # every cell and every face, seen from each of its owners, against the
+    # one-element projection
+    packs = build_packs(mesh, k)
+    dm = DofMap(mesh, k)
+    u = exp_field(0.5, 1.0)
+    U = interpolate_global(dm, packs, u)
+    tol = 1e-13 * np.abs(U).max()
+    for ei, ops in enumerate(packs):
+        want = l2_project(ops.basis_k, u, ops.rule)
+        assert np.max(np.abs(U[dm.cell_dofs(ei)] - want)) <= tol
+        for fid, basis, rule in zip(ops.face_ids, ops.face_bases,
+                                    ops.face_rules):
+            want = l2_project(basis, u, rule)
+            assert np.max(np.abs(U[dm.face_dofs(fid)] - want)) <= tol
+    return dm
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_interpolate_global_matches_l2_project(family, k):
+    _check_interpolate_matches_l2_project(generate(family, 2), k)
+
+
+def test_interpolate_global_on_a_block_that_owns_no_face():
+    # the centre cell of a 3 x 3 grid, numbered last, is a face's first
+    # owner nowhere; with unique shapes it is a block of its own
+    m = _jittered_mesh(n=3)
+    cells = [el.vertices for el in m.elements]
+    cells.append(cells.pop(4))
+    dm = _check_interpolate_matches_l2_project(
+        from_polygons(m.vertices, cells), 1)
+    assert any(not b.owned.any() for b in dm.blocks)
