@@ -61,8 +61,7 @@ class CellBasis:
         return vals
 
     def eval(self, points) -> np.ndarray:
-        raw = self._raw(points)
-        return raw if self.transform is None else raw @ self.transform.T
+        return self.partial(0, 0, points)
 
     def partial(self, ax: int, ay: int, points) -> np.ndarray:
         raw = self._raw(points, ax, ay)
@@ -76,20 +75,24 @@ class CellBasis:
         return ScalarField(factory, name=f"P{self.degree}")
 
 
+def _orthonormalize(raw: np.ndarray, rule: QuadratureRule, degree: int):
+    """(transform, mass) for raw monomial values at the rule's nodes: no
+    transform below degree 2, else the inverse Cholesky factor of the Gram
+    matrix (conditioning), with the mass matrix of the transformed basis."""
+    M = raw.T @ (raw * rule.weights[:, None])
+    if degree < 2:
+        return None, M
+    C = solve_triangular(np.linalg.cholesky(M), np.eye(len(M)), lower=True)
+    return C, C @ M @ C.T
+
+
 def cell_basis(element: Element, degree: int) -> CellBasis:
     """Monomial basis scaled by (centroid, diameter); orthonormalized against
     the element mass matrix for degree >= 2 (conditioning)."""
     rule = cell_rule(element, 2 * degree)
     basis = CellBasis(element=element, degree=degree, exponents=cell_exponents(degree),
                       transform=None, mass=np.empty(0), moments=np.empty(0))
-    raw = basis._raw(rule.points)
-    M = raw.T @ (raw * rule.weights[:, None])
-    if degree >= 2:
-        L = np.linalg.cholesky(M)
-        C = solve_triangular(L, np.eye(len(M)), lower=True)
-        basis.transform = C
-        M = C @ M @ C.T
-    basis.mass = M
+    basis.transform, basis.mass = _orthonormalize(basis._raw(rule.points), rule, degree)
     vals = basis.eval(rule.points)
     basis.moments = rule.weights @ vals
     return basis
@@ -116,22 +119,12 @@ class FaceBasis:
         d = np.asarray(points, dtype=float) - self.midpoint
         return (d @ self.tangent) / self.length
 
-    def _raw(self, points, m=0) -> np.ndarray:
+    def _raw(self, points) -> np.ndarray:
         t = self._coord(points)
-        e = np.arange(self.degree + 1)
-        ok = e >= m
-        coef = _falling(e, m) / self.length ** m
-        vals = np.zeros((len(t), self.dim))
-        idx = np.nonzero(ok)[0]
-        vals[:, idx] = t[:, None] ** (e[idx] - m)[None, :] * coef[idx][None, :]
-        return vals
+        return t[:, None] ** np.arange(self.degree + 1)[None, :]
 
     def eval(self, points) -> np.ndarray:
         raw = self._raw(points)
-        return raw if self.transform is None else raw @ self.transform.T
-
-    def tangential_derivative(self, m: int, points) -> np.ndarray:
-        raw = self._raw(points, m)
         return raw if self.transform is None else raw @ self.transform.T
 
 
@@ -139,13 +132,7 @@ def face_basis_from_points(pa, pb, degree: int) -> FaceBasis:
     basis = FaceBasis(pa=np.asarray(pa, dtype=float), pb=np.asarray(pb, dtype=float),
                       degree=degree, transform=None, mass=np.empty(0))
     rule = segment_rule(pa, pb, 2 * degree)
-    raw = basis._raw(rule.points)
-    M = raw.T @ (raw * rule.weights[:, None])
-    if degree >= 2:
-        L = np.linalg.cholesky(M)
-        basis.transform = solve_triangular(L, np.eye(len(M)), lower=True)
-        M = basis.transform @ M @ basis.transform.T
-    basis.mass = M
+    basis.transform, basis.mass = _orthonormalize(basis._raw(rule.points), rule, degree)
     return basis
 
 

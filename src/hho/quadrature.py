@@ -1,9 +1,9 @@
 """Quadrature rules on polytopal elements and faces.
 
-Cell rules are assembled by mapping a symmetric reference-triangle rule to
-every simplex of the element's centroid fan.  The reference rule is a
-collapsed Gauss-Legendre x Gauss-Jacobi product (all weights positive, any
-requested exactness), symmetrized over the three rotations of the triangle.
+Cell rules are assembled by mapping a reference-triangle rule to every
+simplex of the element's centroid fan.  The reference rule for exactness d
+is the collapsed product of n-point Gauss-Legendre and Gauss-Jacobi(1, 0)
+rules, n = (d + 2) // 2: n^2 nodes, all weights positive, exact to degree d.
 """
 
 from __future__ import annotations
@@ -58,17 +58,8 @@ def reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     wv = 0.25 * wj
     U, V = np.meshgrid(u, v, indexing="ij")
     W = np.outer(wu, wv)
-    x = (U * (1.0 - V)).ravel()
-    y = V.ravel()
-    w = W.ravel()
-    # symmetrize over the cyclic vertex rotations of the triangle
-    pts = np.concatenate([
-        np.column_stack([x, y]),
-        np.column_stack([y, 1.0 - x - y]),
-        np.column_stack([1.0 - x - y, x]),
-    ])
-    wts = np.concatenate([w, w, w]) / 3.0
-    return pts, wts
+    pts = np.column_stack([(U * (1.0 - V)).ravel(), V.ravel()])
+    return pts, W.ravel()
 
 
 def cell_rule(element, exactness: int) -> QuadratureRule:

@@ -24,6 +24,7 @@ INF = math.inf
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 5, 8, 12, 17])
 def test_reference_triangle_rule_exactness(d):
     pts, w = reference_triangle_rule(d)
+    assert len(w) == ((d + 2) // 2) ** 2
     assert (w > 0).all()
     assert w.sum() == pytest.approx(0.5, rel=1e-14)
     for a in range(d + 1):
@@ -38,6 +39,8 @@ def test_cell_rule_unit_square_monomial():
     rule = cell_rule(m.elements[0], 4)
     assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert rule.weights @ rule.points[:, 0] ** 2 == pytest.approx(1 / 3, rel=1e-14)
+    # centroid fan of 4 triangles, 4 x 4 collapsed Gauss nodes each
+    assert len(cell_rule(m.elements[0], 6).weights) == 4 * 16
 
 
 def test_cell_rule_hexagon_measure_and_centroid():
