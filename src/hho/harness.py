@@ -69,7 +69,7 @@ def compute_errors(dm: DofMap, packs, law: LerayLionsLaw, U: np.ndarray,
     V = U - interpolate_global(dm, packs, exact)
     acc1 = accp = accl = 0.0
     for blk in dm.blocks:
-        B = _gather(packs, blk)
+        B = _gather(dm, packs, blk)
         Ue, Ve = U[blk.dofs], V[blk.dofs]
         gv = (Ve @ B.PG.T).reshape(-1, 2)
         acc1 += B.cell_sum(np.hypot(gv[:, 0], gv[:, 1]) ** p)

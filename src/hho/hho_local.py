@@ -14,9 +14,9 @@ Point values of all reconstructions at the element/face quadrature nodes are
 cached.  The bases are scaled monomials centred at the cell centroid and at
 the face midpoints, so every one of these arrays is the same for two
 elements that are translates of each other with the same face orientations.
-`translated_operators` gives such an element the arrays of one built
-element, with its own quadrature points and bases; the arrays are read-only,
-so no element can change its siblings' operators in place.
+One `LocalOperators` serves all such elements (`place`), and shifts the
+quadrature nodes of the first onto each; its arrays are read-only, so no
+caller can change the operators of a whole shape in place.
 
 `interpolate_local`, `stabilization` and `local_norm` act on one element:
 they are the oracles of the block kernels in `solver` and `harness`.
@@ -24,7 +24,7 @@ they are the oracles of the block kernels in `solver` and `harness`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,9 @@ def cell_quad_exactness(k: int, boost: int = 0) -> int:
 
 @dataclass(eq=False)
 class LocalOperators:
+    """Operators of one element shape.  `element_id`, `face_ids`, `rule`,
+    `face_rules` and the bases describe the element they were built on,
+    `elements[0]`; the nodes of member i are its nodes plus `shifts[i]`."""
     element_id: int
     k: int
     n_cell: int
@@ -65,6 +68,11 @@ class LocalOperators:
     cellval_q: np.ndarray           # (nq, n_cell) cell basis at cell quad nodes
     dval_q: list                    # per face: (nfq, ndof) face residual values
     faceval_q: list                 # per face: (nfq, k+1) face basis values
+    # the shape's members, set by `place`
+    mesh: object = field(init=False, repr=False)
+    elements: np.ndarray = field(init=False)    # (n,) ids, ascending
+    shifts: np.ndarray = field(init=False)      # (n, 2) centroid - built's
+    cell_nodes: np.ndarray = field(init=False)  # (n, nq, 2) cell nodes
 
 
 def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> LocalOperators:
@@ -160,17 +168,16 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
                          Gx=Gx, Gy=Gy, P=P, D=D, grad_q=grad_q, pgrad_q=pgrad_q,
                          pval_q=pval_q, cellval_q=Vk, dval_q=dval_q,
                          faceval_q=faceval_q)
-    for a in _shared_arrays(ops):
-        a.flags.writeable = False
-    return ops
+    return place(ops, mesh, [element_id])
 
 
 def _shared_arrays(ops: LocalOperators):
-    """The arrays `translated_operators` hands on unchanged."""
-    yield from (ops.Gx, ops.Gy, ops.P, ops.grad_q, ops.pgrad_q, ops.pval_q,
-                ops.cellval_q, ops.rule.weights)
+    """The arrays that every member of the shape uses."""
+    yield from (ops.elements, ops.shifts, ops.cell_nodes, ops.Gx, ops.Gy,
+                ops.P, ops.grad_q, ops.pgrad_q, ops.pval_q, ops.cellval_q)
     yield from (*ops.D, *ops.dval_q, *ops.faceval_q)
-    yield from (r.weights for r in ops.face_rules)
+    for r in (ops.rule, *ops.face_rules):
+        yield from (r.points, r.weights)
     for b in (ops.basis_k, ops.basis_k1):
         yield from (b.exponents, b.mass, b.moments)
     for b in (ops.basis_k, ops.basis_k1, *ops.face_bases):
@@ -178,25 +185,18 @@ def _shared_arrays(ops: LocalOperators):
             yield b.transform
 
 
-def translated_operators(ops: LocalOperators, mesh,
-                         element_id: int) -> LocalOperators:
-    """Operators of an element that is a translate of `ops`' element with
-    the same face orientations (one `mesh.shape_keys` label): the operator
-    arrays, weights and basis matrices are those of `ops`; the quadrature
-    points and the bases' centres follow the element."""
-    el = mesh.elements[element_id]
-    shift = el.centroid - ops.basis_k.element.centroid
-    fbases = []
-    for fid, fb in zip(el.faces, ops.face_bases):
-        a, b = mesh.faces[fid].vertices
-        fbases.append(replace(fb, pa=mesh.vertices[a], pb=mesh.vertices[b]))
-    return replace(
-        ops, element_id=element_id, face_ids=tuple(el.faces),
-        basis_k=replace(ops.basis_k, element=el),
-        basis_k1=replace(ops.basis_k1, element=el), face_bases=fbases,
-        rule=replace(ops.rule, points=ops.rule.points + shift),
-        face_rules=[replace(r, points=r.points + shift)
-                    for r in ops.face_rules])
+def place(ops: LocalOperators, mesh, elements) -> LocalOperators:
+    """Make `ops` the operators of `elements`: ascending ids of `mesh`,
+    the first the element `ops` was built on, the others translates of it
+    with the same face orientations (one `mesh.shape_keys` label)."""
+    c = np.array([mesh.elements[e].centroid for e in elements])
+    ops.mesh = mesh
+    ops.elements = np.array(elements)
+    ops.shifts = c - c[0]
+    ops.cell_nodes = ops.rule.points + ops.shifts[:, None]
+    for a in _shared_arrays(ops):
+        a.flags.writeable = False
+    return ops
 
 
 def interpolate_local(ops: LocalOperators, field) -> np.ndarray:

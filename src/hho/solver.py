@@ -8,11 +8,12 @@ are masked.
 
 Local operators are shared: `build_packs` builds them once per element
 shape (`mesh.shape_keys`: translates with the same face orientations), and
-every other element of that shape holds the same read-only arrays with its
-own quadrature points.  Element work runs in blocks: `DofMap` groups the
-elements by shape key into runs of at most BLOCK elements, so a block's
-gradient and face-residual operators are one shared matrix each.  Each
-kernel call checks that the block's elements do share them, calls the law
+every element of that shape holds the same read-only `LocalOperators`,
+which shifts the shape's quadrature nodes onto each.  Element work runs in
+blocks: `DofMap` groups the elements by shape key into runs of at most BLOCK
+elements, so a block's gradient and face-residual operators are one shared
+matrix each.  Each kernel call checks that the block's elements do share
+them on the DofMap's mesh, calls the law
 once on all of the block's cell nodes, and forms gradients and residuals as
 one matrix product over the block, Jacobians and the Schur complements of
 static condensation as products and solves broadcast over it.  So do the
@@ -33,21 +34,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from .hho_local import (LocalOperators, build_local_operators, cell_dim,
-                        translated_operators)
+from .hho_local import LocalOperators, build_local_operators, cell_dim, place
 from .law import LerayLionsLaw, power_weight
 
 BLOCK = 32      # elements per kernel call
 
 
-def shape_blocks(keys) -> list[np.ndarray]:
-    """Element ids grouped by key, keys in order of first appearance, in
-    runs of at most BLOCK."""
-    groups: dict = {}
-    for e, key in enumerate(keys):
-        groups.setdefault(key, []).append(e)
-    return [np.array(ids[i:i + BLOCK]) for ids in groups.values()
-            for i in range(0, len(ids), BLOCK)]
+def shape_groups(labels: np.ndarray) -> list[np.ndarray]:
+    """Ascending element ids of each shape label (`mesh.shape_labels`)."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,9 @@ class DofMap:
         owner = np.array([f.owners[0] for f in mesh.faces])
         on_bnd = np.array([f.is_boundary for f in mesh.faces])
         self.blocks = []
-        for ids in shape_blocks(mesh.shape_labels):
+        runs = [ids[i:i + BLOCK] for ids in shape_groups(mesh.shape_labels)
+                for i in range(0, len(ids), BLOCK)]
+        for ids in runs:
             faces = np.array([mesh.elements[e].faces for e in ids])
             self.blocks.append(ElementBlock(
                 ids, np.stack([self._element_dofs[e] for e in ids]),
@@ -100,30 +98,24 @@ class DofMap:
 
 
 def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
-    """Local operators of every element, built once per shape key: the
-    other elements of a key share the first one's arrays."""
-    first: dict = {}
-    packs = []
-    for ei, key in enumerate(mesh.shape_labels):
-        if key in first:
-            packs.append(translated_operators(first[key], mesh, ei))
-        else:
-            first[key] = build_local_operators(mesh, ei, k, boost)
-            packs.append(first[key])
-    return packs
+    """Local operators of every element: one `LocalOperators` per shape
+    label, built on its first element and placed on all of them."""
+    shapes = [place(build_local_operators(mesh, ids[0], k, boost), mesh, ids)
+              for ids in shape_groups(mesh.shape_labels)]
+    return [shapes[s] for s in mesh.shape_labels]
 
 
-def _project_block(packs, blk: ElementBlock, field, faces: np.ndarray,
-                   cells: bool = True):
+def _project_block(dm: DofMap, packs, blk: ElementBlock, field,
+                   faces: np.ndarray, cells: bool = True):
     """L2 projections of a field on a block, from one evaluation of it at
     all their nodes: (E, n_cell) cell coefficients (none unless `cells`) and
     the (n, k+1) coefficients of the n faces set in the (E, nf) mask `faces`,
     in mask order.  The projectors are the shared basis values, weights and
-    mass matrices of the block's first element."""
-    B = _gather(packs, blk)
+    mass matrices of the block's shape."""
+    B = _gather(dm, packs, blk)
     o = packs[blk.elements[0]]
     e, f = np.nonzero(faces)
-    xf = [packs[blk.elements[a]].face_rules[b].points for a, b in zip(e, f)]
+    xf = np.array([r.points for r in o.face_rules])[f] + B.shifts[e, None]
     nc = len(B.x) if cells else 0
     vals = np.asarray(field(np.concatenate([B.x[:nc], *xf])), dtype=float)
     Pc = np.linalg.solve(o.basis_k.mass, (o.cellval_q * B.w[:, None]).T)
@@ -143,7 +135,7 @@ def interpolate_global(dm: DofMap, packs, field) -> np.ndarray:
     projected once, at its first owner."""
     U = np.zeros(dm.ndofs)
     for blk in dm.blocks:
-        cell, face = _project_block(packs, blk, field, blk.owned)
+        cell, face = _project_block(dm, packs, blk, field, blk.owned)
         U[blk.dofs[:, :dm.n_cell]] = cell
         U[dm.block_face_dofs(blk)[blk.owned]] = face
     return U
@@ -154,7 +146,8 @@ def dirichlet_values(dm: DofMap, packs, g) -> tuple[np.ndarray, np.ndarray]:
     idx, vals = [np.empty(0, dtype=int)], [np.empty(0)]
     for blk in dm.blocks:
         if blk.boundary.any():
-            _, face = _project_block(packs, blk, g, blk.boundary, cells=False)
+            _, face = _project_block(dm, packs, blk, g, blk.boundary,
+                                     cells=False)
             idx.append(dm.block_face_dofs(blk)[blk.boundary].ravel())
             vals.append(face.ravel())
     return np.concatenate(idx), np.concatenate(vals)
@@ -166,22 +159,23 @@ def compute_loads(packs, source) -> np.ndarray:
     loads = np.zeros((len(packs), packs[0].n_cell))
     if source is None:
         return loads
-    # the elements of one shape share cellval_q and the weights
-    for ids in shape_blocks([id(ops.cellval_q) for ops in packs]):
-        ops = packs[ids[0]]
-        fv = source(np.concatenate([packs[e].rule.points for e in ids]))
-        loads[ids] = (fv.reshape(len(ids), -1) * ops.rule.weights) @ (
-            ops.cellval_q)
+    for ops in {id(ops): ops for ops in packs}.values():
+        for i in range(0, len(ops.elements), BLOCK):
+            ids = ops.elements[i:i + BLOCK]
+            fv = source(ops.cell_nodes[i:i + BLOCK].reshape(-1, 2))
+            loads[ids] = (fv.reshape(len(ids), -1) * ops.rule.weights) @ (
+                ops.cellval_q)
     return loads
 
 
 class _BlockOps(NamedTuple):
-    """A block's shared operators, and its elements' cell nodes."""
+    """A block's shared operators, and its elements' placement."""
     G: np.ndarray       # (2 nq, ndof) G v at the cell nodes, (x, y) pairs
     D: np.ndarray       # (nf nfq, ndof) d_F v at the face nodes, by face
     PG: np.ndarray      # (2 nq, ndof) grad P v at the cell nodes, (x, y) pairs
     PV: np.ndarray      # (nq, ndof) P v at the cell nodes
     x: np.ndarray       # (E nq, 2) cell nodes of the block's elements
+    shifts: np.ndarray  # (E, 2) the elements' node shifts
     w: np.ndarray       # (nq,) cell weights
     wf: np.ndarray      # (nf, nfq) face weights
     hf: np.ndarray      # (nf,) face lengths
@@ -203,12 +197,14 @@ class _BlockOps(NamedTuple):
         return float(np.sum(self.face_weights(p) * np.abs(du) ** p))
 
 
-def _gather(packs, blk: ElementBlock) -> _BlockOps:
-    ops = [packs[e] for e in blk.elements]
-    o = ops[0]
-    if o.ndof != blk.dofs.shape[1] or any(
-            b.grad_q is not o.grad_q or b.dval_q is not o.dval_q
-            for b in ops[1:]):
+def _gather(dm: DofMap, packs, blk: ElementBlock) -> _BlockOps:
+    o = packs[blk.elements[0]]
+    # a block is a run of its shape's members
+    i = np.searchsorted(o.elements, blk.elements[0])
+    run = slice(i, i + len(blk.elements))
+    if (o.mesh is not dm.mesh or o.ndof != blk.dofs.shape[1]
+            or not np.array_equal(o.elements[run], blk.elements)
+            or any(packs[e] is not o for e in blk.elements[1:])):
         raise ValueError(
             f"elements {blk.elements.tolist()} do not share one operator "
             "set that fits their block: build the packs with build_packs "
@@ -216,8 +212,8 @@ def _gather(packs, blk: ElementBlock) -> _BlockOps:
     return _BlockOps(
         G=o.grad_q.reshape(-1, o.ndof), D=np.concatenate(o.dval_q),
         PG=o.pgrad_q.reshape(-1, o.ndof), PV=o.pval_q,
-        x=np.concatenate([b.rule.points for b in ops]), w=o.rule.weights,
-        wf=np.array([r.weights for r in o.face_rules]),
+        x=o.cell_nodes[run].reshape(-1, 2), shifts=o.shifts[run],
+        w=o.rule.weights, wf=np.array([r.weights for r in o.face_rules]),
         hf=np.array(o.face_lengths))
 
 
@@ -262,7 +258,8 @@ def assemble_residual(dm: DofMap, packs, law, U, loads,
                       eps: float = 0.0) -> np.ndarray:
     idx, vals = [], []
     for blk in dm.blocks:
-        re = _block_residual(_gather(packs, blk), law, U[blk.dofs], eps)
+        B = _gather(dm, packs, blk)
+        re = _block_residual(B, law, U[blk.dofs], eps)
         idx.append(blk.dofs.ravel())
         vals.append(re.ravel())
     r = np.bincount(np.concatenate(idx), np.concatenate(vals),
@@ -288,7 +285,7 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
     rows, cols, vals, back = [], [], [], []
     for blk in dm.blocks:
         gd = blk.dofs
-        Je = _block_jacobian(_gather(packs, blk), law, U[gd], eps)
+        Je = _block_jacobian(_gather(dm, packs, blk), law, U[gd], eps)
         if condense:
             rhs_c = np.concatenate([Je[:, :nk, nk:], r[gd[:, :nk], None]],
                                    axis=2)
@@ -335,7 +332,7 @@ def energy(dm: DofMap, packs, law, U, loads) -> float:
     p = law.p
     total = 0.0
     for blk in dm.blocks:
-        B = _gather(packs, blk)
+        B = _gather(dm, packs, blk)
         g, du = B.values(U[blk.dofs])
         total += B.cell_sum(law.energy_density(g))
         total += B.face_power(du, p) / p
@@ -405,7 +402,7 @@ def continuation_path(p: float) -> tuple:
 def _gradient_scale(dm, packs, U) -> float:
     worst = 1.0
     for blk in dm.blocks:
-        g, _ = _gather(packs, blk).values(U[blk.dofs])
+        g, _ = _gather(dm, packs, blk).values(U[blk.dofs])
         worst = max(worst, float(np.max(np.hypot(g[:, 0], g[:, 1]))))
     return worst
 

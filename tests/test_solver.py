@@ -8,7 +8,7 @@ import pytest
 from hho import mesh as mesh_module
 from hho import solver
 from hho.fields import affine_field, exp_field, sine_product_field
-from hho.harness import manufactured_source
+from hho.harness import compute_errors, manufactured_source
 from hho.hho_local import build_local_operators, stabilization
 from hho.law import LerayLionsLaw, p_laplacian
 from hho.mesh import (FAMILIES, from_polygons, generate, read_mesh,
@@ -27,6 +27,13 @@ def _linear_setup(family="cartesian", level=2, k=1):
     packs = build_packs(mesh, k)
     dm = DofMap(mesh, k)
     return mesh, packs, dm
+
+
+def _element_nodes(mesh, ops, ei):
+    """Cell nodes of element ei: those of the element its operators were
+    built on, moved by the difference of the centroids."""
+    return ops.rule.points + (mesh.elements[ei].centroid
+                              - mesh.elements[ops.element_id].centroid)
 
 
 def test_dofmap_layout():
@@ -48,7 +55,7 @@ def test_interpolate_global_matches_face_blocks():
     # every element sees the same face block for a shared face
     for ei, ops in enumerate(packs):
         gd = dm.element_dofs(ei)
-        for i, fid in enumerate(ops.face_ids):
+        for i, fid in enumerate(mesh.elements[ei].faces):
             off = ops.face_offsets[i]
             assert np.array_equal(U[gd][off:off + 2], U[dm.face_dofs(fid)])
 
@@ -177,7 +184,7 @@ def test_blocks_partition_elements_by_shape():
             first = packs[b.elements[0]]
             for e, gd in zip(b.elements, b.dofs):
                 assert np.array_equal(gd, dm.element_dofs(e))
-                assert packs[e].grad_q is first.grad_q
+                assert packs[e] is first
         assert len(set(shapes)) > 1
         assert len(set(block_keys)) == keys.max() + 1
         if family == "hexagonal":
@@ -353,7 +360,8 @@ def _residual_by_element(dm, packs, law, U, loads, eps):
     r = np.zeros(dm.ndofs)
     for ei, ops in enumerate(packs):
         gd = dm.element_dofs(ei)
-        a = law.flux(ops.rule.points, ops.grad_q @ U[gd], eps)
+        a = law.flux(_element_nodes(dm.mesh, ops, ei), ops.grad_q @ U[gd],
+                     eps)
         re = np.einsum("q,qc,qci->i", ops.rule.weights, a, ops.grad_q)
         re[:ops.n_cell] -= loads[ei]
         for i, dval in enumerate(ops.dval_q):
@@ -375,9 +383,9 @@ def test_blocks_match_element_loop(family, level):
     f_blocks = manufactured_source(u, law, singular_floor=0.5)
     f_loop = manufactured_source(u, law, singular_floor=0.5)
     loads = compute_loads(packs, f_blocks)
-    ref = np.array([ops.cellval_q.T @ (ops.rule.weights
-                                       * f_loop(ops.rule.points))
-                    for ops in packs])
+    ref = np.array([ops.cellval_q.T @ (
+        ops.rule.weights * f_loop(_element_nodes(mesh, ops, ei)))
+        for ei, ops in enumerate(packs)])
     assert f_blocks.singular_hits == f_loop.singular_hits > 0
     assert np.max(np.abs(loads - ref)) <= 1e-13 * np.abs(ref).max()
     U = 0.5 * np.random.default_rng(2).standard_normal(dm.ndofs)
@@ -449,17 +457,18 @@ def _max_rel_gap(a, b) -> float:
 
 def _check_shared_match_element_builds(mesh, k, tol):
     packs = build_packs(mesh, k)
-    assert len({id(ops.grad_q) for ops in packs}) == shape_keys(mesh).max() + 1
+    assert len({id(ops) for ops in packs}) == shape_keys(mesh).max() + 1
     for ei, ops in enumerate(packs):
         ref = build_local_operators(mesh, ei, k)
-        assert ops.element_id == ei and ops.face_ids == ref.face_ids
+        i = np.searchsorted(ops.elements, ei)
+        assert ops.elements[i] == ei and ops.element_id == ops.elements[0]
         pairs = [(ops.Gx, ref.Gx), (ops.Gy, ref.Gy), (ops.P, ref.P),
                  (ops.grad_q, ref.grad_q), (ops.pgrad_q, ref.pgrad_q),
                  (ops.pval_q, ref.pval_q),
-                 (ops.rule.points, ref.rule.points)]
+                 (ops.cell_nodes[i], ref.rule.points)]
         pairs += zip(ops.D, ref.D)
         pairs += zip(ops.dval_q, ref.dval_q)
-        pairs += [(a.points, b.points)
+        pairs += [(a.points + ops.shifts[i], b.points)
                   for a, b in zip(ops.face_rules, ref.face_rules)]
         for a, b in pairs:
             assert _max_rel_gap(a, b) <= tol
@@ -486,9 +495,10 @@ def test_shared_operators_match_element_builds_read_back(family):
 def test_shared_arrays_are_read_only():
     mesh, packs, dm = _linear_setup("triangular", 2, 1)
     sibling = packs[1]
-    assert sum(ops.grad_q is sibling.grad_q for ops in packs) > 1
+    assert sum(ops is sibling for ops in packs) > 1
     for a in (sibling.grad_q, sibling.dval_q[0], sibling.P,
-              sibling.cellval_q, sibling.rule.weights):
+              sibling.cellval_q, sibling.rule.weights, sibling.elements,
+              sibling.shifts):
         with pytest.raises(ValueError):
             a[0] += 1.0
 
@@ -501,11 +511,16 @@ def test_blocks_reject_operators_that_are_not_shared():
     one_by_one = [build_local_operators(mesh, ei, 1)
                   for ei in range(len(mesh.elements))]
     other = DofMap(generate("cartesian", 2), 1)
-    for pk, d in ((one_by_one, dm), (packs, other)):
+    # packs of a finer mesh of the same family
+    finer = build_packs(generate("cartesian", 4), 1)
+    u = sine_product_field(PI, PI)
+    for pk, d in ((one_by_one, dm), (packs, other), (finer, other)):
         with pytest.raises(ValueError, match="do not share one operator set"):
             assemble_residual(d, pk, law, U[:d.ndofs], loads)
         with pytest.raises(ValueError, match="do not share one operator set"):
             _assemble(d, pk, law, U[:d.ndofs], U[:d.ndofs], 0.0, False)
+        with pytest.raises(ValueError, match="do not share one operator set"):
+            compute_errors(d, pk, law, U[:d.ndofs], u)
 
 
 def _count_builds(monkeypatch):
@@ -525,6 +540,7 @@ def test_build_packs_builds_each_shape_once(monkeypatch):
     packs = build_packs(mesh, 1)
     assert sum(calls.values()) == 4
     assert len(packs) == len(mesh.elements) == 512
+    assert len({id(ops) for ops in packs}) == 4
 
 
 def _jittered_mesh(n=4, seed=11):
@@ -585,11 +601,12 @@ def _check_interpolate_matches_l2_project(mesh, k):
     u = exp_field(0.5, 1.0)
     U = interpolate_global(dm, packs, u)
     tol = 1e-13 * np.abs(U).max()
-    for ei, ops in enumerate(packs):
-        want = l2_project(ops.basis_k, u, ops.rule)
+    for ei in range(len(mesh.elements)):
+        ref = build_local_operators(mesh, ei, k)
+        want = l2_project(ref.basis_k, u, ref.rule)
         assert np.max(np.abs(U[dm.cell_dofs(ei)] - want)) <= tol
-        for fid, basis, rule in zip(ops.face_ids, ops.face_bases,
-                                    ops.face_rules):
+        for fid, basis, rule in zip(ref.face_ids, ref.face_bases,
+                                    ref.face_rules):
             want = l2_project(basis, u, rule)
             assert np.max(np.abs(U[dm.face_dofs(fid)] - want)) <= tol
     return dm
