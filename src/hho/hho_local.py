@@ -11,12 +11,15 @@ local unknown vector [cell P^k block | one P^k block per face]:
     P^{k+1}(T), feeding the p-power stabilization.
 
 Point values of all reconstructions at the element/face quadrature nodes are
-cached.  The bases are scaled monomials centred at the cell centroid and at
-the face midpoints, so every one of these arrays is the same for two
-elements that are translates of each other with the same face orientations.
-One `LocalOperators` serves all such elements (`place`), and shifts the
-quadrature nodes of the first onto each; its arrays are read-only, so no
-caller can change the operators of a whole shape in place.
+cached.  Face data is stacked: each per-face field is one (nf, ...) array
+whose first axis runs over the element's faces, in the order of its
+`faces`, and the block kernels in `solver` read it as it is.  The bases are scaled monomials
+centred at the cell centroid and at the face midpoints, so every one of
+these arrays is the same for two elements that are translates of each other
+with the same face orientations.  One `LocalOperators` serves all such
+elements (`place`), and shifts the quadrature nodes of the first onto each;
+its arrays are read-only, so no caller can change the operators of a whole
+shape in place.
 
 `interpolate_local`, `stabilization` and `local_norm` act on one element:
 they are the oracles of the block kernels in `solver` and `harness`.
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .law import power_weight
-from .polybasis import CellBasis, FaceBasis, cell_basis, face_basis, l2_project
+from .polybasis import CellBasis, cell_basis, face_basis, l2_project
 from .quadrature import QuadratureRule, cell_rule, face_rule
 
 
@@ -43,31 +46,34 @@ def cell_quad_exactness(k: int, boost: int = 0) -> int:
 
 @dataclass(eq=False)
 class LocalOperators:
-    """Operators of one element shape.  `element_id`, `face_ids`, `rule`,
-    `face_rules` and the bases describe the element they were built on,
-    `elements[0]`; the nodes of member i are its nodes plus `shifts[i]`."""
-    element_id: int
+    """Operators of one element shape, built on its first element,
+    `elements[0]`: `rule`, the bases and the face nodes are that element's;
+    the nodes of member i are its nodes plus `shifts[i]`.
+
+    Face data is stacked on a first axis of length nf, one entry per face of
+    `mesh.elements[elements[0]].faces`, in that order; the unknowns of face i
+    are entries n_cell + i (k+1) ... n_cell + (i+1) (k+1) - 1 of the local
+    vector."""
     k: int
     n_cell: int
     ndof: int
-    face_ids: tuple[int, ...]
-    face_offsets: tuple[int, ...]
-    face_lengths: tuple[float, ...]
     basis_k: CellBasis
     basis_k1: CellBasis
-    face_bases: list[FaceBasis]
     rule: QuadratureRule
-    face_rules: list[QuadratureRule]
     Gx: np.ndarray                  # (n_k, ndof) x-component of gradient rec.
     Gy: np.ndarray
     P: np.ndarray                   # (n_{k+1}, ndof) potential reconstruction
-    D: list                         # per face: (k+1, ndof) face residual
+    D: np.ndarray                   # (nf, k+1, ndof) face residuals
     grad_q: np.ndarray              # (nq, 2, ndof) G v at cell quad nodes
     pgrad_q: np.ndarray             # (nq, 2, ndof) grad(P v) at cell quad nodes
     pval_q: np.ndarray              # (nq, ndof) P v at cell quad nodes
     cellval_q: np.ndarray           # (nq, n_cell) cell basis at cell quad nodes
-    dval_q: list                    # per face: (nfq, ndof) face residual values
-    faceval_q: list                 # per face: (nfq, k+1) face basis values
+    dval_q: np.ndarray              # (nf, nfq, ndof) face residuals at face nodes
+    faceval_q: np.ndarray           # (nf, nfq, k+1) face bases at face nodes
+    face_points: np.ndarray         # (nf, nfq, 2) face quad nodes
+    face_weights: np.ndarray        # (nf, nfq) face quad weights
+    face_lengths: np.ndarray        # (nf,)
+    face_mass: np.ndarray           # (nf, k+1, k+1) face basis mass matrices
     # the shape's members, set by `place`
     mesh: object = field(init=False, repr=False)
     elements: np.ndarray = field(init=False)    # (n,) ids, ascending
@@ -99,35 +105,26 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
     Cy = Wy.T @ (Vk * w[:, None])
     N1 = Vk.T @ (Vk1 * w[:, None])    # int phi_i w_j
 
-    nfaces = len(el.faces)
-    nf = k + 1
-    ndof = nk + nfaces * nf
-    offs = tuple(nk + i * nf for i in range(nfaces))
-
-    fbases, frules, normals, lengths = [], [], [], []
-    faceval_q, Tk, Tk1 = [], [], []
-    for fid in el.faces:
-        f = mesh.faces[fid]
-        fb = face_basis(mesh, fid, k)
-        fr = face_rule(mesh, fid, exact)
-        fbases.append(fb)
-        frules.append(fr)
-        lengths.append(f.length)
-        normals.append(f.signs[f.owners.index(element_id)] * f.normal)
-        Psi = fb.eval(fr.points)
-        faceval_q.append(Psi)
-        Tk.append(Psi.T @ (bk.eval(fr.points) * fr.weights[:, None]))
-        Tk1.append(Psi.T @ (bk1.eval(fr.points) * fr.weights[:, None]))
+    faces = [mesh.faces[fid] for fid in el.faces]
+    ndof = nk + len(faces) * (k + 1)
+    frules = [face_rule(mesh, fid, exact) for fid in el.faces]
+    fbases = [face_basis(mesh, fid, k) for fid in el.faces]
+    face_points = np.array([r.points for r in frules])
+    face_weights = np.array([r.weights for r in frules])
+    faceval_q = np.array([b.eval(r.points) for b, r in zip(fbases, frules)])
+    face_mass = np.array([b.mass for b in fbases])
+    normals = np.array([f.signs[f.owners.index(element_id)] * f.normal
+                        for f in faces])
+    # int_F psi_i phi_j for the cell bases of degree k and k+1, by face
+    Tk, Tk1 = (np.array([Psi.T @ (b.eval(x) * wf[:, None]) for Psi, x, wf
+                         in zip(faceval_q, face_points, face_weights)])
+               for b in (bk, bk1))
 
     # gradient reconstruction: (G v, e_c phi_i) = -(v_T, d_c phi_i)
     #                                            + sum_F (v_F, phi_i n_c)
-    Bx = np.zeros((nk, ndof))
-    By = np.zeros((nk, ndof))
-    Bx[:, :nk] = -Dx
-    By[:, :nk] = -Dy
-    for i in range(nfaces):
-        Bx[:, offs[i]:offs[i] + nf] = normals[i][0] * Tk[i].T
-        By[:, offs[i]:offs[i] + nf] = normals[i][1] * Tk[i].T
+    TkT = Tk.transpose(2, 0, 1)       # (nk, nf, k+1)
+    Bx = np.hstack([-Dx, (normals[:, 0, None] * TkT).reshape(nk, -1)])
+    By = np.hstack([-Dy, (normals[:, 1, None] * TkT).reshape(nk, -1)])
     Gx = np.linalg.solve(Mk, Bx)
     Gy = np.linalg.solve(Mk, By)
 
@@ -144,13 +141,10 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
     proj_P = np.linalg.solve(Mk, N1 @ P)       # cell L2 projection of P v
     cell_sel = np.zeros((nk, ndof))
     cell_sel[:, :nk] = np.eye(nk)
-    D = []
-    for i in range(nfaces):
-        A1 = np.linalg.solve(fbases[i].mass, Tk1[i])
-        A0 = np.linalg.solve(fbases[i].mass, Tk[i])
-        S = np.zeros((nf, ndof))
-        S[:, offs[i]:offs[i] + nf] = np.eye(nf)
-        D.append(S - A1 @ P - A0 @ (cell_sel - proj_P))
+    A1 = np.linalg.solve(face_mass, Tk1)
+    A0 = np.linalg.solve(face_mass, Tk)
+    S = np.eye(ndof)[nk:].reshape(len(faces), k + 1, ndof)  # face unknowns
+    D = S - A1 @ P - A0 @ (cell_sel - proj_P)
 
     grad_q = np.empty((len(w), 2, ndof))
     grad_q[:, 0, :] = Vk @ Gx
@@ -159,28 +153,26 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
     pgrad_q[:, 0, :] = Wx @ P
     pgrad_q[:, 1, :] = Wy @ P
     pval_q = Vk1 @ P
-    dval_q = [Psi @ Di for Psi, Di in zip(faceval_q, D)]
 
-    ops = LocalOperators(element_id=element_id, k=k, n_cell=nk, ndof=ndof,
-                         face_ids=tuple(el.faces), face_offsets=offs,
-                         face_lengths=tuple(lengths), basis_k=bk, basis_k1=bk1,
-                         face_bases=fbases, rule=rule, face_rules=frules,
-                         Gx=Gx, Gy=Gy, P=P, D=D, grad_q=grad_q, pgrad_q=pgrad_q,
-                         pval_q=pval_q, cellval_q=Vk, dval_q=dval_q,
-                         faceval_q=faceval_q)
+    ops = LocalOperators(k=k, n_cell=nk, ndof=ndof, basis_k=bk, basis_k1=bk1,
+                         rule=rule, Gx=Gx, Gy=Gy, P=P, D=D, grad_q=grad_q,
+                         pgrad_q=pgrad_q, pval_q=pval_q, cellval_q=Vk,
+                         dval_q=faceval_q @ D, faceval_q=faceval_q,
+                         face_points=face_points, face_weights=face_weights,
+                         face_lengths=np.array([f.length for f in faces]),
+                         face_mass=face_mass)
     return place(ops, mesh, [element_id])
 
 
 def _shared_arrays(ops: LocalOperators):
     """The arrays that every member of the shape uses."""
     yield from (ops.elements, ops.shifts, ops.cell_nodes, ops.Gx, ops.Gy,
-                ops.P, ops.grad_q, ops.pgrad_q, ops.pval_q, ops.cellval_q)
-    yield from (*ops.D, *ops.dval_q, *ops.faceval_q)
-    for r in (ops.rule, *ops.face_rules):
-        yield from (r.points, r.weights)
+                ops.P, ops.D, ops.grad_q, ops.pgrad_q, ops.pval_q,
+                ops.cellval_q, ops.dval_q, ops.faceval_q, ops.face_points,
+                ops.face_weights, ops.face_lengths, ops.face_mass,
+                ops.rule.points, ops.rule.weights)
     for b in (ops.basis_k, ops.basis_k1):
         yield from (b.exponents, b.mass, b.moments)
-    for b in (ops.basis_k, ops.basis_k1, *ops.face_bases):
         if b.transform is not None:
             yield b.transform
 
@@ -200,25 +192,25 @@ def place(ops: LocalOperators, mesh, elements) -> LocalOperators:
 
 
 def interpolate_local(ops: LocalOperators, field) -> np.ndarray:
-    """I_T: cell and face L2 projections of a field."""
-    u = np.zeros(ops.ndof)
-    u[:ops.n_cell] = l2_project(ops.basis_k, field, ops.rule)
-    for i, off in enumerate(ops.face_offsets):
-        u[off:off + ops.k + 1] = l2_project(ops.face_bases[i], field,
-                                            ops.face_rules[i])
-    return u
+    """I_T: cell and face L2 projections of a field, on the element `ops`
+    was built on, with face rules and bases of its own."""
+    mesh, exact = ops.mesh, ops.rule.exactness
+    return np.concatenate(
+        [l2_project(ops.basis_k, field, ops.rule)]
+        + [l2_project(face_basis(mesh, fid, ops.k), field,
+                      face_rule(mesh, fid, exact))
+           for fid in mesh.elements[ops.elements[0]].faces])
 
 
 def stabilization(ops: LocalOperators, u: np.ndarray, v: np.ndarray, p: float,
                   eps: float = 0.0) -> float:
     """s_T(u, v) = sum_F h_F^{1-p} int_F |d_F u|^{p-2} d_F u d_F v."""
     total = 0.0
-    for i in range(len(ops.face_ids)):
-        du = ops.dval_q[i] @ u
-        dv = du if v is u else ops.dval_q[i] @ v
-        wq = ops.face_rules[i].weights
+    for dq, wq, h in zip(ops.dval_q, ops.face_weights, ops.face_lengths):
+        du = dq @ u
+        dv = du if v is u else dq @ v
         sw = power_weight(du * du + eps * eps, (p - 2.0) / 2.0)
-        total += ops.face_lengths[i] ** (1.0 - p) * float(wq @ (sw * du * dv))
+        total += h ** (1.0 - p) * float(wq @ (sw * du * dv))
     return total
 
 

@@ -64,10 +64,6 @@ class DofMap:
         self.n_face = k + 1
         self.cell_span = len(mesh.elements) * self.n_cell
         self.ndofs = self.cell_span + len(mesh.faces) * self.n_face
-        self._element_dofs = [
-            np.concatenate([self.cell_dofs(ei),
-                            *map(self.face_dofs, el.faces)])
-            for ei, el in enumerate(mesh.elements)]
         owner = np.array([f.owners[0] for f in mesh.faces])
         on_bnd = np.array([f.is_boundary for f in mesh.faces])
         self.blocks = []
@@ -75,8 +71,11 @@ class DofMap:
                 for i in range(0, len(ids), BLOCK)]
         for ids in runs:
             faces = np.array([mesh.elements[e].faces for e in ids])
+            cell = ids[:, None] * self.n_cell + np.arange(self.n_cell)
+            face = (self.cell_span + faces[..., None] * self.n_face
+                    + np.arange(self.n_face))
             self.blocks.append(ElementBlock(
-                ids, np.stack([self._element_dofs[e] for e in ids]),
+                ids, np.hstack([cell, face.reshape(len(ids), -1)]),
                 owned=owner[faces] == ids[:, None], boundary=on_bnd[faces]))
         bnd = np.flatnonzero(on_bnd)
         self.boundary_dofs = (self.cell_span + self.n_face * bnd[:, None]
@@ -90,7 +89,8 @@ class DofMap:
         return np.arange(off, off + self.n_face)
 
     def element_dofs(self, ei: int) -> np.ndarray:
-        return self._element_dofs[ei]
+        return np.concatenate([self.cell_dofs(ei), *map(
+            self.face_dofs, self.mesh.elements[ei].faces)])
 
     def block_face_dofs(self, blk: ElementBlock) -> np.ndarray:
         """(E, nf, k+1) unknowns of a block's faces, in local order."""
@@ -115,13 +115,13 @@ def _project_block(dm: DofMap, packs, blk: ElementBlock, field,
     B = _gather(dm, packs, blk)
     o = packs[blk.elements[0]]
     e, f = np.nonzero(faces)
-    xf = np.array([r.points for r in o.face_rules])[f] + B.shifts[e, None]
+    xf = o.face_points[f] + B.shifts[e, None]
     nc = len(B.x) if cells else 0
-    vals = np.asarray(field(np.concatenate([B.x[:nc], *xf])), dtype=float)
+    vals = np.asarray(field(np.concatenate([B.x[:nc], xf.reshape(-1, 2)])),
+                      dtype=float)
     Pc = np.linalg.solve(o.basis_k.mass, (o.cellval_q * B.w[:, None]).T)
-    Pf = np.array([np.linalg.solve(b.mass, (v * r.weights[:, None]).T).T
-                   for b, v, r in zip(o.face_bases, o.faceval_q,
-                                      o.face_rules)])[f]
+    Pf = np.linalg.solve(o.face_mass, (o.faceval_q * B.wf[..., None])
+                         .transpose(0, 2, 1)).transpose(0, 2, 1)[f]
     fv = vals[nc:].reshape(len(f), B.wf.shape[1])
     # node by node with elementwise products: a face's coefficients do not
     # depend on the other faces of the call, so dirichlet_values equals
@@ -210,11 +210,10 @@ def _gather(dm: DofMap, packs, blk: ElementBlock) -> _BlockOps:
             "set that fits their block: build the packs with build_packs "
             "on the mesh of the DofMap")
     return _BlockOps(
-        G=o.grad_q.reshape(-1, o.ndof), D=np.concatenate(o.dval_q),
+        G=o.grad_q.reshape(-1, o.ndof), D=o.dval_q.reshape(-1, o.ndof),
         PG=o.pgrad_q.reshape(-1, o.ndof), PV=o.pval_q,
         x=o.cell_nodes[run].reshape(-1, 2), shifts=o.shifts[run],
-        w=o.rule.weights, wf=np.array([r.weights for r in o.face_rules]),
-        hf=np.array(o.face_lengths))
+        w=o.rule.weights, wf=o.face_weights, hf=o.face_lengths)
 
 
 def _block_residual(B: _BlockOps, law: LerayLionsLaw, Ue: np.ndarray,
@@ -293,7 +292,7 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
                 Xy = np.linalg.solve(Je[:, :nk, :nk], rhs_c)
             except np.linalg.LinAlgError:
                 # a singular cell block gives a NaN step, as spsolve does
-                # for a singular full system; the line search rejects it
+                # for a singular full system; the Newton stage ends on it
                 Xy = np.full_like(rhs_c, np.nan)
             X, y = Xy[:, :, :-1], Xy[:, :, -1]
             back.append((X, y))
@@ -433,8 +432,10 @@ def _newton_stage(dm, packs, law, U, loads, cfg: NewtonConfig) -> StageReport:
         t2 = time.perf_counter()
         t_asm += t1 - t0
         t_lin += t2 - t1
-        if np.max(np.abs(delta)) <= 1e-13 * (1.0 + np.max(np.abs(U))):
-            # step at roundoff scale: the residual floor has been reached
+        if (not np.all(np.isfinite(delta))
+                or np.max(np.abs(delta)) <= 1e-13 * (1.0 + np.max(np.abs(U)))):
+            # a non-finite step comes from a singular system and leads
+            # nowhere; a step at roundoff scale has reached the residual floor
             converged = rn <= STALL_TOL
             break
         t = 1.0

@@ -249,7 +249,7 @@ def _errors_by_element(dm, packs, p, U, exact):
         w = ops.rule.weights
         # the element's nodes: those of the built element, moved
         x = ops.rule.points + (els[ei].centroid
-                               - els[ops.element_id].centroid)
+                               - els[ops.elements[0]].centroid)
         gdiff = ops.pgrad_q @ Ue - exact.gradient(x)
         accp += float(w @ np.hypot(gdiff[:, 0], gdiff[:, 1]) ** p)
         accp += stabilization(ops, Ue, Ue, p)

@@ -19,12 +19,12 @@ def gradient_seminorm(ops, v, p):
     gx = ops.basis_k.partial(1, 0, pts) @ v[:ops.n_cell]
     gy = ops.basis_k.partial(0, 1, pts) @ v[:ops.n_cell]
     acc = float(ops.rule.weights @ np.hypot(gx, gy) ** p)
-    for i, off in enumerate(ops.face_offsets):
-        rule = ops.face_rules[i]
-        jump = (ops.faceval_q[i] @ v[off:off + ops.k + 1]
-                - ops.basis_k.eval(rule.points) @ v[:ops.n_cell])
+    vf = v[ops.n_cell:].reshape(-1, ops.k + 1)
+    for i, x in enumerate(ops.face_points):
+        jump = (ops.faceval_q[i] @ vf[i]
+                - ops.basis_k.eval(x) @ v[:ops.n_cell])
         acc += ops.face_lengths[i] ** (1.0 - p) * float(
-            rule.weights @ np.abs(jump) ** p)
+            ops.face_weights[i] @ np.abs(jump) ** p)
     return acc ** (1.0 / p)
 
 
@@ -102,11 +102,17 @@ def test_dof_layout():
              key=lambda i: len(mesh.elements[i].faces))
     k = 2
     ops = build_local_operators(mesh, ei, k)
-    nf = len(ops.face_ids)
+    nf = len(mesh.elements[ei].faces)
+    nfq = len(ops.face_weights[0])
     assert ops.n_cell == cell_dim(k) == 6
     assert ops.ndof == ops.n_cell + nf * (k + 1)
-    assert ops.face_offsets == tuple(ops.n_cell + i * (k + 1) for i in range(nf))
-    assert len(ops.D) == len(ops.dval_q) == nf
+    shapes = {"D": (nf, k + 1, ops.ndof), "dval_q": (nf, nfq, ops.ndof),
+              "faceval_q": (nf, nfq, k + 1), "face_points": (nf, nfq, 2),
+              "face_weights": (nf, nfq), "face_lengths": (nf,),
+              "face_mass": (nf, k + 1, k + 1)}
+    for name, shape in shapes.items():
+        a = getattr(ops, name)
+        assert isinstance(a, np.ndarray) and a.shape == shape, name
 
 
 @pytest.mark.parametrize("p", [1.75, 2.0, 3.0])
@@ -130,8 +136,7 @@ def test_stabilization_p2_matches_mass_matrix_form(family, k):
         u = rng.standard_normal(ops.ndof)
         v = rng.standard_normal(ops.ndof)
         want = 0.0
-        for i in range(len(ops.face_ids)):
-            M = ops.face_bases[i].mass
+        for i, M in enumerate(ops.face_mass):
             want += (ops.D[i] @ u) @ M @ (ops.D[i] @ v) / ops.face_lengths[i]
         got = stabilization(ops, u, v, 2.0)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
@@ -144,12 +149,10 @@ def test_stabilization_p3_matches_direct_accumulation():
     u = rng.standard_normal(ops.ndof)
     v = rng.standard_normal(ops.ndof)
     want = 0.0
-    for i in range(len(ops.face_ids)):
-        rule = ops.face_rules[i]
+    for i, wq in enumerate(ops.face_weights):
         du = ops.faceval_q[i] @ (ops.D[i] @ u)
         dv = ops.faceval_q[i] @ (ops.D[i] @ v)
-        acc = math.fsum(w * abs(a) * a * b
-                        for w, a, b in zip(rule.weights, du, dv))
+        acc = math.fsum(w * abs(a) * a * b for w, a, b in zip(wq, du, dv))
         want += ops.face_lengths[i] ** (-2.0) * acc
     assert stabilization(ops, u, v, 3.0) == pytest.approx(want, rel=1e-13)
 

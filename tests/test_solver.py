@@ -13,7 +13,8 @@ from hho.hho_local import build_local_operators, stabilization
 from hho.law import LerayLionsLaw, p_laplacian
 from hho.mesh import (FAMILIES, from_polygons, generate, read_mesh,
                       shape_keys, write_mesh)
-from hho.polybasis import l2_project
+from hho.polybasis import face_basis, l2_project
+from hho.quadrature import face_rule
 from hho.solver import (BLOCK, DofMap, NewtonConfig, _assemble,
                         assemble_residual, assemble_system, build_packs,
                         compute_loads, continuation_path, dirichlet_values,
@@ -33,7 +34,7 @@ def _element_nodes(mesh, ops, ei):
     """Cell nodes of element ei: those of the element its operators were
     built on, moved by the difference of the centroids."""
     return ops.rule.points + (mesh.elements[ei].centroid
-                              - mesh.elements[ops.element_id].centroid)
+                              - mesh.elements[ops.elements[0]].centroid)
 
 
 def test_dofmap_layout():
@@ -56,7 +57,7 @@ def test_interpolate_global_matches_face_blocks():
     for ei, ops in enumerate(packs):
         gd = dm.element_dofs(ei)
         for i, fid in enumerate(mesh.elements[ei].faces):
-            off = ops.face_offsets[i]
+            off = ops.n_cell + 2 * i
             assert np.array_equal(U[gd][off:off + 2], U[dm.face_dofs(fid)])
 
 
@@ -368,7 +369,7 @@ def _residual_by_element(dm, packs, law, U, loads, eps):
             du = dval @ U[gd]
             sw = (du * du + eps * eps) ** ((p - 2.0) / 2.0)
             re += ops.face_lengths[i] ** (1.0 - p) * (
-                dval.T @ (ops.face_rules[i].weights * sw * du))
+                dval.T @ (ops.face_weights[i] * sw * du))
         r[gd] += re
     r[dm.boundary_dofs] = 0.0
     return r
@@ -451,6 +452,29 @@ def test_singular_cell_block_ends_in_a_clean_failure(monkeypatch):
     assert not rep.converged and rep.newton_iters == 0
 
 
+def test_nan_step_ends_the_stage_at_once(monkeypatch):
+    # a full step through a singular system is NaN: the stage stops on it,
+    # with no line search along it
+    mesh, packs, dm = _linear_setup("cartesian", 2, 1)
+    monkeypatch.setattr(solver, "spsolve",
+                        lambda J, b: np.full(len(b), np.nan))
+    calls = Counter()
+    residual = solver.assemble_residual
+
+    def counted(*args, **kwargs):
+        calls["residual"] += 1
+        return residual(*args, **kwargs)
+    monkeypatch.setattr(solver, "assemble_residual", counted)
+    u = sine_product_field(PI, PI)
+    U, rep, _, _ = newton_solve(mesh, 1, p_laplacian(2.0),
+                                source=(2 * PI ** 2) * u,
+                                packs=packs, dm=dm)
+    (stage,) = rep.stages
+    assert not rep.converged and not stage.converged
+    assert np.array_equal(U, np.zeros(dm.ndofs))     # finite, not moved
+    assert stage.damping_events == 0 and calls["residual"] <= 2
+
+
 def _max_rel_gap(a, b) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -461,15 +485,19 @@ def _check_shared_match_element_builds(mesh, k, tol):
     for ei, ops in enumerate(packs):
         ref = build_local_operators(mesh, ei, k)
         i = np.searchsorted(ops.elements, ei)
-        assert ops.elements[i] == ei and ops.element_id == ops.elements[0]
+        assert ops.elements[i] == ei
+        # built on its first member: the cell rule is centred on it
+        w = ops.rule.weights
+        assert np.allclose(w @ ops.rule.points / w.sum(),
+                           mesh.elements[ops.elements[0]].centroid,
+                           rtol=0.0, atol=1e-12)
         pairs = [(ops.Gx, ref.Gx), (ops.Gy, ref.Gy), (ops.P, ref.P),
                  (ops.grad_q, ref.grad_q), (ops.pgrad_q, ref.pgrad_q),
                  (ops.pval_q, ref.pval_q),
                  (ops.cell_nodes[i], ref.rule.points)]
         pairs += zip(ops.D, ref.D)
         pairs += zip(ops.dval_q, ref.dval_q)
-        pairs += [(a.points + ops.shifts[i], b.points)
-                  for a, b in zip(ops.face_rules, ref.face_rules)]
+        pairs.append((ops.face_points + ops.shifts[i], ref.face_points))
         for a, b in pairs:
             assert _max_rel_gap(a, b) <= tol
 
@@ -498,9 +526,17 @@ def test_shared_arrays_are_read_only():
     assert sum(ops is sibling for ops in packs) > 1
     for a in (sibling.grad_q, sibling.dval_q[0], sibling.P,
               sibling.cellval_q, sibling.rule.weights, sibling.elements,
-              sibling.shifts):
+              sibling.shifts, sibling.face_points, sibling.face_weights,
+              sibling.face_lengths, sibling.face_mass):
         with pytest.raises(ValueError):
             a[0] += 1.0
+    # the kernels read the shape's arrays as they are, without copies
+    blk = next(b for b in dm.blocks if packs[b.elements[0]] is sibling)
+    B = solver._gather(dm, packs, blk)
+    for view, shared in ((B.G, sibling.grad_q), (B.D, sibling.dval_q),
+                         (B.wf, sibling.face_weights),
+                         (B.hf, sibling.face_lengths)):
+        assert np.shares_memory(view, shared)
 
 
 def test_blocks_reject_operators_that_are_not_shared():
@@ -605,9 +641,9 @@ def _check_interpolate_matches_l2_project(mesh, k):
         ref = build_local_operators(mesh, ei, k)
         want = l2_project(ref.basis_k, u, ref.rule)
         assert np.max(np.abs(U[dm.cell_dofs(ei)] - want)) <= tol
-        for fid, basis, rule in zip(ref.face_ids, ref.face_bases,
-                                    ref.face_rules):
-            want = l2_project(basis, u, rule)
+        for fid in mesh.elements[ei].faces:
+            want = l2_project(face_basis(mesh, fid, k), u,
+                              face_rule(mesh, fid, ref.rule.exactness))
             assert np.max(np.abs(U[dm.face_dofs(fid)] - want)) <= tol
     return dm
 
