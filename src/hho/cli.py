@@ -9,8 +9,17 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the user sets one: the dense calls act on small
+# per-shape and per-block matrices, where a thread pool adds CPU time and no
+# speed.  BLAS reads these when numpy first loads, so this precedes it.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 from . import harness, law as law_mod, mesh as mesh_mod
 from .polybasis import INF, projector_rate_study

@@ -22,6 +22,16 @@ interpolation, the Dirichlet data and `harness.compute_errors`.
 The Newton loop supports backtracking damping, regularization of the flux
 Jacobian near vanishing gradients, continuation in the exponent p starting
 from the linear problem, and optional static condensation of the cell blocks.
+
+Each Newton step factors its matrix, full or condensed, with SuperLU in
+symmetric mode (`spsolve`): a minimum degree ordering of A + A^T and the
+diagonal entries as pivots.  A monotone Leray-Lions flux gives a Jacobian
+whose symmetric part is positive definite once the boundary rows and columns
+are replaced by the identity; for the p-Laplacian it is the Hessian of the
+convex discrete energy, symmetric positive definite.  Every principal
+submatrix of such a matrix is nonsingular, so in any symmetric order no
+diagonal pivot vanishes and no row exchange is needed.  A singular factor
+gives a NaN step, which ends the stage.
 """
 
 from __future__ import annotations
@@ -32,12 +42,27 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .hho_local import LocalOperators, build_local_operators, cell_dim, place
 from .law import LerayLionsLaw, power_weight
 
 BLOCK = 32      # elements per kernel call
+
+
+def spsolve(J, b: np.ndarray) -> np.ndarray:
+    """Solve J x = b for a CSC Newton matrix; all NaN if J is singular.
+
+    J has a positive definite symmetric part (see the module docstring), so
+    SuperLU orders A + A^T by minimum degree and keeps the diagonal pivots.
+    Row exchanges on that ordering, SuperLU's default, make the fill
+    explode: 80 times the nonzeros of J on triangular level 4, k = 1."""
+    try:
+        lu = splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:        # "Factor is exactly singular", NaN entries
+        return np.full(len(b), np.nan)
+    return lu.solve(b)
 
 
 def shape_groups(labels: np.ndarray) -> list[np.ndarray]:
@@ -269,8 +294,9 @@ def assemble_residual(dm: DofMap, packs, law, U, loads,
 
 
 def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
-    """Masked Newton matrix (identity rows/cols on boundary dofs) and its
-    right-hand side, given the masked residual r at the same U and eps.
+    """Masked Newton matrix (identity rows/cols on boundary dofs), in the
+    CSC format `spsolve` factors, and its right-hand side, given the masked
+    residual r at the same U and eps.
 
     With `condense`, each element's cell block is eliminated before the
     scatter, so the system couples face unknowns only; the returned
@@ -291,8 +317,9 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
             try:
                 Xy = np.linalg.solve(Je[:, :nk, :nk], rhs_c)
             except np.linalg.LinAlgError:
-                # a singular cell block gives a NaN step, as spsolve does
-                # for a singular full system; the Newton stage ends on it
+                # a singular cell block gives a NaN Schur complement, which
+                # spsolve cannot factor: a NaN step, as from a singular full
+                # system, and the Newton stage ends on it
                 Xy = np.full_like(rhs_c, np.nan)
             X, y = Xy[:, :, :-1], Xy[:, :, -1]
             back.append((X, y))
@@ -305,16 +332,17 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
         rows.append(np.repeat(gd, nl, axis=1).ravel())
         cols.append(np.tile(gd, nl).ravel())
         vals.append(Je.ravel())
-    J = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
     bnd = dm.boundary_dofs - off
     rhs[bnd] = 0.0
-    keep = np.ones(n)
-    keep[bnd] = 0.0
-    K = sp.diags(keep)
-    J = K @ J @ K + sp.diags(1.0 - keep)
-    return rhs, J.tocsr(), back
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    free = np.ones(n, dtype=bool)
+    free[bnd] = False
+    inner = free[rows] & free[cols]
+    J = sp.coo_matrix((np.concatenate([vals[inner], np.ones(len(bnd))]),
+                       (np.concatenate([rows[inner], bnd]),
+                        np.concatenate([cols[inner], bnd]))),
+                      shape=(n, n)).tocsc()
+    return rhs, J, back
 
 
 def assemble_system(dm: DofMap, packs, law, U, loads, eps: float = 0.0):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +220,24 @@ def test_cli_check_laws(capsys):
     assert lines[0].startswith("jacobian vs finite differences:")
     assert [ln.split()[0] for ln in lines[1:]] == applicable_inequalities(1.75)
     assert all(ln.endswith("PASS") for ln in lines[1:])
+
+
+@pytest.mark.parametrize("user, pinned", [(None, "1"), ("3", "3")])
+def test_cli_pins_blas_to_one_thread_unless_set(user, pinned):
+    # in a fresh interpreter, as `hho` starts: importing the CLI sets the
+    # thread counts before numpy loads, and keeps a user's own value
+    import hho
+    from hho.cli import BLAS_THREAD_VARS
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if user is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, user))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(hho.__file__).parents[1]), env.get("PYTHONPATH")]))
+    code = ("import os, hho.cli; "
+            f"print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == [pinned] * 3
 
 
 def test_cli_condensed_run_matches_full(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hho import mesh as mesh_module
 from hho import solver
@@ -435,7 +437,6 @@ def test_stage_reports_time_the_newton_phases():
                for st in rep.stages) <= rep.wall_time
 
 
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_singular_cell_block_ends_in_a_clean_failure(monkeypatch):
     # a condensed step through a singular cell block is NaN, like a full
     # step through a singular system: the stage reports non-convergence
@@ -450,6 +451,43 @@ def test_singular_cell_block_ends_in_a_clean_failure(monkeypatch):
                                 config=NewtonConfig(condense=True),
                                 packs=packs, dm=dm)
     assert not rep.converged and rep.newton_iters == 0
+
+
+@pytest.mark.parametrize("J", [
+    sp.diags([1.0, 0.0, 1.0], format="csc"),
+    sp.csc_matrix(np.array([[1.0, np.nan, 0.0], [np.nan, 2.0, 0.0],
+                            [0.0, 0.0, 1.0]])),
+], ids=["singular", "nan-entries"])
+def test_spsolve_returns_nan_on_a_matrix_it_cannot_factor(J):
+    # an exactly singular matrix, and the NaN matrix that a singular
+    # condensed cell block leaves: SuperLU fails on both, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solver.spsolve(J, np.ones(3))
+    assert x.shape == (3,) and np.all(np.isnan(x))
+
+
+def test_newton_factor_keeps_fill_low(monkeypatch):
+    # the minimum degree ordering of A + A^T holds only with diagonal
+    # pivots: with SuperLU's row exchanges the factor holds 80 times the
+    # nonzeros of J here, with its default COLAMD ordering 6 times
+    mesh, packs, dm = _linear_setup("triangular", 4, 1)
+    law = p_laplacian(1.75)
+    u = sine_product_field(PI, PI)
+    loads = compute_loads(packs, manufactured_source(u, law))
+    r, J = assemble_system(dm, packs, law, interpolate_global(dm, packs, u),
+                           loads)
+    factors = []
+    splu = solver.splu
+
+    def captured(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+    monkeypatch.setattr(solver, "splu", captured)
+    x = solver.spsolve(J, -r)
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz <= 4 * J.nnz
+    assert np.linalg.norm(J @ x + r) <= 1e-12 * np.linalg.norm(r)
 
 
 def test_nan_step_ends_the_stage_at_once(monkeypatch):
