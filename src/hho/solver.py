@@ -10,14 +10,20 @@ Local operators are shared: `build_packs` builds them once per element
 shape (`mesh.shape_keys`: translates with the same face orientations), and
 every element of that shape holds the same read-only `LocalOperators`,
 which shifts the shape's quadrature nodes onto each.  Element work runs in
-blocks: `DofMap` groups the elements by shape key into runs of at most BLOCK
-elements, so a block's gradient and face-residual operators are one shared
-matrix each.  Each kernel call checks that the block's elements do share
-them on the DofMap's mesh, calls the law
-once on all of the block's cell nodes, and forms gradients and residuals as
-one matrix product over the block, Jacobians and the Schur complements of
-static condensation as products and solves broadcast over it.  So do the
-interpolation, the Dirichlet data and `harness.compute_errors`.
+blocks: `DofMap` splits the elements of each shape key into even runs whose
+(E, ndof, ndof) element matrices hold at most JACOBIAN_ENTRIES entries (or
+one element), so a block's gradient and face-residual operators are one
+shared matrix each.  Each kernel call checks that the block's elements do
+share them on the DofMap's mesh, calls the law once on all of the block's
+cell nodes, and forms gradients and residuals as one matrix product over the
+block, Jacobians and the Schur complements of static condensation as
+products and solves broadcast over it.  So do the interpolation, the
+Dirichlet data and `harness.compute_errors`.
+
+The masked Newton matrix has one sparsity pattern per mode, full or
+condensed, which `DofMap.pattern` builds on first use (`matrix_pattern`);
+each assembly gathers the element (or Schur) matrices and sums them into
+the pattern's CSC `data` with one `bincount`.
 
 The Newton loop supports backtracking damping, regularization of the flux
 Jacobian near vanishing gradients, continuation in the exponent p starting
@@ -47,7 +53,9 @@ from scipy.sparse.linalg import splu
 from .hho_local import LocalOperators, build_local_operators, cell_dim, place
 from .law import LerayLionsLaw, power_weight
 
-BLOCK = 32      # elements per kernel call
+# entries of a block's (E, ndof, ndof) element matrices: a budget on the
+# kernels' working set, which sets the number E of elements per call
+JACOBIAN_ENTRIES = 2 ** 15
 
 
 def spsolve(J, b: np.ndarray) -> np.ndarray:
@@ -71,6 +79,15 @@ def shape_groups(labels: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
+def budget_runs(n: int, ndof: int) -> list[slice]:
+    """Even runs over the n elements of one shape, each holding at most
+    JACOBIAN_ENTRIES entries of (ndof, ndof) element matrices, or one
+    element."""
+    m = -(-n // max(1, JACOBIAN_ENTRIES // ndof ** 2))
+    edges = np.arange(m + 1) * n // m
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
 @dataclass(frozen=True)
 class ElementBlock:
     elements: np.ndarray    # (E,) ids of elements with one shape key
@@ -92,8 +109,9 @@ class DofMap:
         owner = np.array([f.owners[0] for f in mesh.faces])
         on_bnd = np.array([f.is_boundary for f in mesh.faces])
         self.blocks = []
-        runs = [ids[i:i + BLOCK] for ids in shape_groups(mesh.shape_labels)
-                for i in range(0, len(ids), BLOCK)]
+        runs = [ids[run] for ids in shape_groups(mesh.shape_labels)
+                for run in budget_runs(len(ids), self.n_cell + self.n_face
+                                       * len(mesh.elements[ids[0]].faces))]
         for ids in runs:
             faces = np.array([mesh.elements[e].faces for e in ids])
             cell = ids[:, None] * self.n_cell + np.arange(self.n_cell)
@@ -105,6 +123,13 @@ class DofMap:
         bnd = np.flatnonzero(on_bnd)
         self.boundary_dofs = (self.cell_span + self.n_face * bnd[:, None]
                               + np.arange(self.n_face)).ravel()
+        self._patterns = {}
+
+    def pattern(self, condense: bool) -> MatrixPattern:
+        """The masked Newton matrix's pattern for one mode, built once."""
+        if condense not in self._patterns:
+            self._patterns[condense] = matrix_pattern(self, condense)
+        return self._patterns[condense]
 
     def cell_dofs(self, ei: int) -> np.ndarray:
         return np.arange(ei * self.n_cell, (ei + 1) * self.n_cell)
@@ -120,6 +145,88 @@ class DofMap:
     def block_face_dofs(self, blk: ElementBlock) -> np.ndarray:
         """(E, nf, k+1) unknowns of a block's faces, in local order."""
         return blk.dofs[:, self.n_cell:].reshape(*blk.owned.shape, -1)
+
+
+class MatrixPattern(NamedTuple):
+    """CSC structure of a masked Newton matrix, and where the entries of the
+    blocks' element matrices go in its `data`."""
+    indptr: np.ndarray      # (n + 1,)
+    indices: np.ndarray     # (nnz,) rows, ascending within each column
+    slots: np.ndarray       # 1 + data position of each entry of the blocks'
+                            # (E, nl, nl) matrices, laid end to end in block
+                            # order; 0 where a boundary row or column masks it
+    diagonal: np.ndarray    # data positions of the boundary diagonal
+
+
+def matrix_pattern(dm: DofMap, condense: bool) -> MatrixPattern:
+    """Pattern of the masked Newton matrix, full or condensed (face rows and
+    columns only), with the identity on the boundary unknowns.
+
+    The unknowns come in groups, an element's cell block and each face's
+    block, and two groups couple densely where one element holds both.  So
+    the pattern is found from (row group, column group) keys, (nf + 1)^2 per
+    element (nf^2 condensed) instead of ndof^2; every column of a group has
+    the same rows, and each entry's position follows by arithmetic."""
+    nk, nb, span = dm.n_cell, dm.n_face, dm.cell_span
+    off = span if condense else 0
+    n = dm.ndofs - off
+    dof = np.arange(off, dm.ndofs)
+    head = np.where(dof < span, dof - dof % nk, dof - (dof - span) % nb) - off
+    free = np.ones(n, dtype=bool)
+    bnd = dm.boundary_dofs - off
+    free[bnd] = False
+    local = [blk.dofs[:, nk:] - off if condense else blk.dofs
+             for blk in dm.blocks]
+    # key col * n + row of each pair of an element's group heads; -1 masked
+    keys = []
+    for d in local:
+        h = d[:, head[d[0]] == d[0]]
+        ok = free[h]
+        keys.append(np.where(ok[:, None, :] & ok[:, :, None],
+                             h[:, None, :] * n + h[:, :, None], -1).ravel())
+    pairs, pair_of = np.unique(np.concatenate(keys), return_inverse=True)
+    masked = int(pairs[0] < 0)
+    pairs, pair_of = pairs[masked:], pair_of - masked
+    row, col = pairs % n, pairs // n
+    rsize = np.where(row < span - off, nk, nb)
+    # a column's rows are its group's pairs' row groups, in order
+    first = np.flatnonzero(np.diff(col, prepend=-1))
+    above = np.cumsum(rsize) - rsize
+    above -= np.repeat(above[first], np.diff(np.r_[first, len(col)]))
+    length = np.zeros(n, dtype=int)
+    length[col[first]] = np.add.reduceat(rsize, first)
+    indptr = np.concatenate([[0], np.cumsum(np.where(free, length[head], 1))])
+    nnz = indptr[-1]
+    # 1 + offset of each key's pair in its column; low enough for a masked
+    # key that its entries' slots stay below 1
+    top = np.full(len(pair_of), -(nnz + nk + nb))
+    kept = pair_of >= 0
+    top[kept] = above[pair_of[kept]] + 1
+    slots = np.empty(sum(d.size * d.shape[1] for d in local), dtype=int)
+    indices = np.empty(nnz + 1, dtype=np.intc)  # [0] takes the masked ones
+    indices[indptr[bnd] + 1] = bnd
+    at_key = at_slot = 0
+    for d in local:
+        E, nl = d.shape
+        lead = head[d[0]] == d[0]
+        g = np.cumsum(lead) - 1                 # group of each local unknown
+        nh = g[-1] + 1
+        out = slots[at_slot:at_slot + E * nl * nl].reshape(E, nl, nl)
+        # entry (i, j): the pair's top, the row's offset in its group and
+        # the start of column j
+        np.add(top[at_key:at_key + E * nh * nh].reshape(E, nh, nh)
+               [:, g[:, None], g],
+               (d[0] - head[d[0]])[:, None], out=out)
+        out += indptr[d][:, None, :]
+        np.maximum(out, 0, out=out)
+        indices[out] = d[:, :, None]
+        at_key += E * nh * nh
+        at_slot += out.size
+    pattern = MatrixPattern(indptr.astype(np.intc), indices[1:], slots,
+                            indptr[bnd])
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
 
 
 def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
@@ -185,9 +292,9 @@ def compute_loads(packs, source) -> np.ndarray:
     if source is None:
         return loads
     for ops in {id(ops): ops for ops in packs}.values():
-        for i in range(0, len(ops.elements), BLOCK):
-            ids = ops.elements[i:i + BLOCK]
-            fv = source(ops.cell_nodes[i:i + BLOCK].reshape(-1, 2))
+        for run in budget_runs(len(ops.elements), ops.ndof):   # the blocks
+            ids = ops.elements[run]
+            fv = source(ops.cell_nodes[run].reshape(-1, 2))
             loads[ids] = (fv.reshape(len(ids), -1) * ops.rule.weights) @ (
                 ops.cellval_q)
     return loads
@@ -306,8 +413,9 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
     nk = dm.n_cell
     off = dm.cell_span if condense else 0
     n = dm.ndofs - off
+    pat = dm.pattern(condense)
     rhs = r[off:].copy()
-    rows, cols, vals, back = [], [], [], []
+    vals, back = [], []
     for blk in dm.blocks:
         gd = blk.dofs
         Je = _block_jacobian(_gather(dm, packs, blk), law, U[gd], eps)
@@ -323,25 +431,17 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
                 Xy = np.full_like(rhs_c, np.nan)
             X, y = Xy[:, :, :-1], Xy[:, :, -1]
             back.append((X, y))
-            gd = gd[:, nk:] - off
-            rhs -= np.bincount(gd.ravel(),
+            rhs -= np.bincount((gd[:, nk:] - off).ravel(),
                                (Je[:, nk:, :nk] @ y[:, :, None]).ravel(),
                                minlength=n)
             Je = Je[:, nk:, nk:] - Je[:, nk:, :nk] @ X
-        nl = gd.shape[1]
-        rows.append(np.repeat(gd, nl, axis=1).ravel())
-        cols.append(np.tile(gd, nl).ravel())
         vals.append(Je.ravel())
-    bnd = dm.boundary_dofs - off
-    rhs[bnd] = 0.0
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    free = np.ones(n, dtype=bool)
-    free[bnd] = False
-    inner = free[rows] & free[cols]
-    J = sp.coo_matrix((np.concatenate([vals[inner], np.ones(len(bnd))]),
-                       (np.concatenate([rows[inner], bnd]),
-                        np.concatenate([cols[inner], bnd]))),
-                      shape=(n, n)).tocsc()
+    rhs[dm.boundary_dofs - off] = 0.0
+    # slot 0 collects the masked entries
+    data = np.bincount(pat.slots, np.concatenate(vals),
+                       minlength=len(pat.indices) + 1)[1:]
+    data[pat.diagonal] = 1.0
+    J = sp.csc_matrix((data, pat.indices, pat.indptr), shape=(n, n))
     return rhs, J, back
 
 

@@ -17,10 +17,11 @@ from hho.mesh import (FAMILIES, from_polygons, generate, read_mesh,
                       shape_keys, write_mesh)
 from hho.polybasis import face_basis, l2_project
 from hho.quadrature import face_rule
-from hho.solver import (BLOCK, DofMap, NewtonConfig, _assemble,
+from hho.solver import (JACOBIAN_ENTRIES, DofMap, NewtonConfig, _assemble,
                         assemble_residual, assemble_system, build_packs,
                         compute_loads, continuation_path, dirichlet_values,
-                        energy, interpolate_global, newton_solve)
+                        energy, interpolate_global, newton_solve,
+                        shape_groups)
 
 PI = math.pi
 
@@ -166,22 +167,29 @@ def test_global_jacobian_matches_finite_differences(p):
     _check_jacobian_fd("triangular", 1, p)
 
 
-# hexagonal level 3: 120 elements with 3, 4 and 6 faces, the 6-face ones
-# over three blocks; locally refined level 2: 4 and 5 faces
+# hexagonal level 3: 120 elements with 3, 4 and 6 faces in 17 shapes;
+# locally refined level 2: 4 and 5 faces
 MIXED_SHAPES = [("hexagonal", 3), ("locally_refined", 2)]
 
 
 def test_blocks_partition_elements_by_shape():
-    for family, level in MIXED_SHAPES:
-        mesh, packs, dm = _linear_setup(family, level, 1)
+    # at k = 3 the 64 inner hexagons of level 3 fill three blocks
+    for family, level, k in [*((f, lv, 1) for f, lv in MIXED_SHAPES),
+                             ("hexagonal", 3, 3)]:
+        mesh, packs, dm = _linear_setup(family, level, k)
         keys = shape_keys(mesh)
         seen = np.concatenate([b.elements for b in dm.blocks])
         assert np.array_equal(np.sort(seen), np.arange(len(mesh.elements)))
         shapes, block_keys = [], []
         for b in dm.blocks:
             nf = {len(mesh.elements[e].faces) for e in b.elements}
-            assert len(nf) == 1 and 0 < len(b.elements) <= BLOCK
+            assert len(nf) == 1 and len(b.elements) > 0
             assert len(set(keys[b.elements])) == 1     # one shape key
+            ndof = b.dofs.shape[1]
+            assert ndof == dm.n_cell + dm.n_face * min(nf)
+            # within the budget, or one element that alone exceeds it
+            assert (len(b.elements) * ndof ** 2 <= JACOBIAN_ENTRIES
+                    or len(b.elements) == 1)
             block_keys.append(keys[b.elements[0]])
             shapes += nf
             first = packs[b.elements[0]]
@@ -192,8 +200,23 @@ def test_blocks_partition_elements_by_shape():
         assert len(set(block_keys)) == keys.max() + 1
         if family == "hexagonal":
             assert shapes.count(6) > 1
+        if k == 3:
             # one shape key over several blocks
             assert len(block_keys) > len(set(block_keys))
+
+
+def test_blocks_fill_the_budget():
+    # triangular level 4 at k = 1: 512 elements in 4 shapes, in fewer blocks
+    # than runs of 32 elements would make
+    mesh = generate("triangular", 4)
+    dm = DofMap(mesh, 1)
+    groups = shape_groups(mesh.shape_labels)
+    assert len(groups) == 4
+    assert len(dm.blocks) < sum(-(-len(g) // 32) for g in groups)
+    # an element matrix over the budget (ndof = 184 at k = 15) is a block
+    big = DofMap(mesh, 15)
+    assert big.blocks[0].dofs.shape[1] ** 2 > JACOBIAN_ENTRIES
+    assert all(len(b.elements) == 1 for b in big.blocks)
 
 
 @pytest.mark.parametrize("family,level", MIXED_SHAPES)
@@ -421,6 +444,132 @@ def test_assemble_calls_the_law_once_per_block():
         _assemble(dm, packs, law, U, r, 1e-8, condense)
         assert calls["flux"] == 0
         assert calls["flux_jacobian"] <= len(dm.blocks)
+
+
+def _coo_newton_matrix(dm, packs, law, U, eps, condense):
+    """Reference: the masked Newton matrix from COO triplets, element by
+    element, summed by scipy's conversion to CSC."""
+    nk = dm.n_cell
+    off = dm.cell_span if condense else 0
+    n = dm.ndofs - off
+    free = np.ones(n, dtype=bool)
+    free[dm.boundary_dofs - off] = False
+    rows, cols, vals = [], [], []
+    for blk in dm.blocks:
+        Je = solver._block_jacobian(solver._gather(dm, packs, blk), law,
+                                    U[blk.dofs], eps)
+        gd = blk.dofs
+        if condense:        # the Schur complement of the cell blocks
+            Je = Je[:, nk:, nk:] - Je[:, nk:, :nk] @ np.linalg.solve(
+                Je[:, :nk, :nk], Je[:, :nk, nk:])
+            gd = gd[:, nk:] - off
+        for d, A in zip(gd, Je):
+            keep = np.outer(free[d], free[d])
+            r, c = np.meshgrid(d, d, indexing="ij")
+            rows.append(r[keep])
+            cols.append(c[keep])
+            vals.append(A[keep])
+    bnd = dm.boundary_dofs - off
+    rows.append(bnd)
+    cols.append(bnd)
+    vals.append(np.ones(len(bnd)))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                 np.concatenate(cols))),
+                         shape=(n, n)).tocsc()
+
+
+# the mixed shapes, and hexagonal level 3 at k = 3, whose inner hexagons
+# span three blocks
+PATTERN_MESHES = [(f, lv, 1) for f, lv in MIXED_SHAPES] + [
+    ("triangular", 3, 1), ("hexagonal", 3, 3)]
+
+
+@pytest.mark.parametrize("family,level,k", PATTERN_MESHES)
+@pytest.mark.parametrize("condense", [False, True])
+def test_fixed_pattern_matches_coo_assembly(family, level, k, condense):
+    mesh, packs, dm = _linear_setup(family, level, k)
+    law = p_laplacian(1.75)
+    loads = compute_loads(packs, exp_field(1.0, -0.5))
+    U = 0.5 * np.random.default_rng(8).standard_normal(dm.ndofs)
+    r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
+    _, J, _ = _assemble(dm, packs, law, U, r, 1e-8, condense)
+    ref = _coo_newton_matrix(dm, packs, law, U, 1e-8, condense)
+    assert J.format == "csc" and J.has_canonical_format
+    assert np.array_equal(J.indptr, ref.indptr)
+    assert np.array_equal(J.indices, ref.indices)
+    assert np.max(np.abs(J.data - ref.data)) <= 1e-14 * np.abs(ref.data).max()
+    # the boundary rows and columns hold the diagonal 1 and nothing else
+    bnd = dm.boundary_dofs - (dm.cell_span if condense else 0)
+    eye = sp.identity(J.shape[0], format="csc")[:, bnd]
+    assert (J[:, bnd] != eye).nnz == 0 and J[:, bnd].nnz == len(bnd)
+    assert (J.tocsr()[bnd] != eye.T).nnz == 0 and J.tocsr()[bnd].nnz == len(bnd)
+
+
+def test_newton_pattern_is_built_once_per_mode(monkeypatch):
+    builds = Counter()
+    build = solver.matrix_pattern
+
+    def counted(dm, condense):
+        builds[id(dm), condense] += 1
+        return build(dm, condense)
+    monkeypatch.setattr(solver, "matrix_pattern", counted)
+    mesh, packs, dm = _linear_setup("triangular", 2, 1)
+    u = sine_product_field(PI, PI)
+    law = p_laplacian(1.75)
+    f = manufactured_source(u, law)
+    _, rep, _, _ = newton_solve(mesh, 1, law, source=f, dirichlet=u,
+                                packs=packs, dm=dm)
+    # two stages of continuation, p = 2 then 7/4, with one build
+    assert rep.converged and len(rep.stages) == 2 and rep.newton_iters > 4
+    assert builds == {(id(dm), False): 1}
+    _, rep, _, _ = newton_solve(mesh, 1, law, source=f, dirichlet=u,
+                                config=NewtonConfig(condense=True),
+                                packs=packs, dm=dm)
+    assert rep.converged
+    assert builds == {(id(dm), False): 1, (id(dm), True): 1}
+    other = DofMap(mesh, 1)
+    _, rep, _, _ = newton_solve(mesh, 1, law, source=f, dirichlet=u,
+                                packs=packs, dm=other)
+    assert rep.converged and builds[id(other), False] == 1
+    assert sum(builds.values()) == 3
+    # a cached pattern does not let packs of another mesh through
+    U = np.zeros(dm.ndofs)
+    with pytest.raises(ValueError, match="do not share one operator set"):
+        _assemble(dm, build_packs(generate("triangular", 3), 1), law, U, U,
+                  0.0, False)
+
+
+def test_exhausted_line_search_ends_the_stage(monkeypatch):
+    # along the negated Newton step of a linear problem the residual grows
+    # by 1 + t: every damping down to MIN_STEP fails, 17 trials, and the
+    # failed step counts no iteration.  The stage has converged only if its
+    # residual was under STALL_TOL already.
+    mesh, packs, dm = _linear_setup("cartesian", 2, 1)
+    law = p_laplacian(2.0)
+    u = sine_product_field(PI, PI)
+    f = (2 * PI ** 2) * u
+    U_star, rep, _, _ = newton_solve(mesh, 1, law, source=f, packs=packs,
+                                     dm=dm)
+    assert rep.converged
+    spsolve = solver.spsolve
+    monkeypatch.setattr(solver, "spsolve", lambda J, b: -spsolve(J, b))
+    U, rep, _, _ = newton_solve(mesh, 1, law, source=f, packs=packs, dm=dm)
+    (stage,) = rep.stages
+    assert stage.damping_events == 17 and stage.iterations == 0
+    assert stage.residual_norm > solver.STALL_TOL
+    assert not stage.converged and not rep.converged
+    assert rep.newton_iters == 0 and np.array_equal(U, np.zeros(dm.ndofs))
+    # the same failure with a residual between atol and STALL_TOL
+    loads = compute_loads(packs, f)
+    v = np.random.default_rng(7).standard_normal(dm.ndofs)
+    v[dm.boundary_dofs] = 0.0
+    rv = np.linalg.norm(assemble_residual(dm, packs, law, U_star + v, loads))
+    U = U_star + 1e-7 / rv * v
+    cfg = NewtonConfig()
+    stage = solver._newton_stage(dm, packs, law, U, loads, cfg)
+    assert cfg.atol < stage.residual_norm <= solver.STALL_TOL
+    assert stage.damping_events == 17 and stage.iterations == 0
+    assert stage.converged
 
 
 def test_stage_reports_time_the_newton_phases():
