@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,53 @@ RHO_LEVEL1 = {
     "locally_refined": 0.20710678118654752,
     "hexagonal": 0.06023762777118495,
 }
+
+
+# sha256 of `write_mesh(m)` and of `m.shape_labels.tobytes()` for every
+# family at levels 1-4, recorded before the mesh became flat arrays: the
+# face order, endpoints, owners, coordinates and shape keys stay the same
+MESH_DIGESTS = {
+    ("triangular", 1): ("811bb2d029acde5cf0cf55c70876438330d189cde4faba1b6a0f17425a236b7d",
+                      "3015e7d02e815c203e713692d2c69cd98607cc7b5270807e686e262ef9247d5d"),
+    ("triangular", 2): ("46e5943e035f86e24070db10a1b00ef772ad684e167fc2ae3aaf2cb44cc6e7d7",
+                      "c6137224a6ac98eff940de0c747b38e801cc91ffe478518d3ec94b175e4e11ce"),
+    ("triangular", 3): ("2601b1bbf4d0bfe6527006d92b9bce2ec06a75d81235329f100573039b30c836",
+                      "fd63f7ea2dc1533a084754791cf57f6f19d88120bc2b582d6f5e1ea5737901e3"),
+    ("triangular", 4): ("dc650af893db100e0f7b8eb147a75f6f0c7a893247fd0744d0dd58c37e507fb9",
+                      "88613a24b8586e9757ef7302196335fe00af8edd3e87212547f1f655fee01bfa"),
+    ("cartesian", 1): ("fa3240ba03185ad52d4191b4fc445864e6269496c64c2ff9460697252d6e0d1a",
+                     "a1e03200f1f82ad2c1cec8795c271aaecf98f5aa2d151d2229ec5fa0c177cf77"),
+    ("cartesian", 2): ("8b5339915e9e74dab41a3e9c81581fde66d049166218a2e2b2081d61509317eb",
+                     "a1ed45de18732e859c6f5ad67b337cecea1aee9a15a7e2ddbf277b3fe27e90a2"),
+    ("cartesian", 3): ("dd2215a6c799f38acafd18fecd901dbed2390a1df34198addb17bf5e2ebb4acc",
+                     "ef7d4651b5b2eadc79b2ab14cdab725934121b555645b9bd08b30f0397b113e0"),
+    ("cartesian", 4): ("126d9f88f6654fe6084c1bc38a2db5c21647e3aaa6e9606dc721e99aca23bac7",
+                     "48e5dae0b9856229586c465264c21ab4aad457bcbd4b6cda263665cc368e801b"),
+    ("locally_refined", 1): ("c54caee13f19e154102e74dcb3de41064499bf7e9ebbe0f5479d797ffc902cd1",
+                           "81845a01dafa45c9b26e10a7af52a92e8604d5d8ef690f1e3ccdcfe3b5c6ae98"),
+    ("locally_refined", 2): ("633ec09619e233860d5daec1935062cab0a95ab679cafc50ef24abee08b5845d",
+                           "4acbe212cd387f414540bc6049e1d99495ea4c9763fe30a748e6d8954437d477"),
+    ("locally_refined", 3): ("78d14846c2ad9589cb1f1a6d1661e373829d2eeefe6a80944b5af86deb849ae1",
+                           "2f1207b6fbd7be85050aceac95e0efb8ec832027c9ca4fb8a029a93937038242"),
+    ("locally_refined", 4): ("0e4dccc8743e9e25da09cb0c37c1493c21d4283b5a14e6b415c5686da4138e8d",
+                           "7d51386a85ab4165227d2e96da597fdd0c26c2e93eada946c13e640c4096ac19"),
+    ("hexagonal", 1): ("2ca612dbe254f17f102cfac921daf368d10f19ba76676a13b1e59bf7a12bcf71",
+                     "700a4498438a801b5781533040bce85a20ae4bfe08866f7552ff33e172923b0a"),
+    ("hexagonal", 2): ("837d12069101a65f4fb8ed6263d72eac0325a5d3e03fcd4dfc10b81dfe965f2b",
+                     "9c0020e069390f123588cd0cefbbfc751452e6d1e822b65f65709ca17417e934"),
+    ("hexagonal", 3): ("d58019bdb2a4623e297c19582ad0f946af811358733c1598f12a871bd35c4737",
+                     "9eaacc3d6ce4838fca28d9b8e4a1c9b2c86ea449f35e67ea6497d1206ab20d1e"),
+    ("hexagonal", 4): ("0b378dc47a15c3de0f1f3df87d36aee2892ec2b56952e8a063b46863e7c965b2",
+                     "c1cf7f959525cbec1fce31be44d07bd39f3960c42175dd7f8169ad1d565c7fe9"),
+}
+
+
+@pytest.mark.parametrize("family, level", sorted(MESH_DIGESTS))
+def test_generated_meshes_match_recorded_digests(family, level):
+    m = generate(family, level)
+    text, labels = MESH_DIGESTS[family, level]
+    assert hashlib.sha256(write_mesh(m).encode()).hexdigest() == text
+    assert hashlib.sha256(m.shape_labels.tobytes()).hexdigest() == labels
 
 
 def test_cartesian_level2_counts():
