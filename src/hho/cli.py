@@ -9,6 +9,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -97,18 +98,34 @@ def _cmd_check_laws(args) -> int:
     return 0 if ok else 1
 
 
+def _checked(kind, ok, need: str):
+    """argparse type: a `kind` value for which `ok` holds (`need` says what)."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{need}, got {text}")
+        return value
+    parse.__name__ = kind.__name__      # argparse's "invalid int value" errors
+    return parse
+
+
+_POSITIVE = _checked(int, lambda n: n >= 1, "must be at least 1")
+_EXPONENT = _checked(float, lambda p: 1 < p < math.inf, "p must be finite and exceed 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hho")
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="convergence study")
     run.add_argument("--family", choices=FAMILY_CHOICES, default="triangular")
-    run.add_argument("--degree", type=int, default=1, metavar="K")
-    run.add_argument("--p", type=float, default=2.0)
+    run.add_argument("--degree", type=_checked(int, lambda k: k >= 0, "must be at least 0"),
+                     default=1, metavar="K")
+    run.add_argument("--p", type=_EXPONENT, default=2.0)
     run.add_argument("--case", choices=harness.CASES, default="trigonometric")
-    run.add_argument("--levels", type=int, default=4,
+    run.add_argument("--levels", type=_POSITIVE, default=4,
                      help="number of refinement levels")
-    run.add_argument("--start-level", type=int, default=2)
+    run.add_argument("--start-level", type=_POSITIVE, default=2)
     run.add_argument("--out", default="out")
     run.add_argument("--condense", action="store_true",
                      help="statically condense cell unknowns")
@@ -126,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_projector_rates)
 
     cl = sub.add_parser("check-laws", help="flux structure checks")
-    cl.add_argument("--p", type=float, required=True)
+    cl.add_argument("--p", type=_EXPONENT, required=True)
     cl.add_argument("--n", type=int, default=100_000)
     cl.add_argument("--seed", type=int, default=12345)
     cl.set_defaults(func=_cmd_check_laws)

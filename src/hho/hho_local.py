@@ -105,16 +105,16 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
     Cy = Wy.T @ (Vk * w[:, None])
     N1 = Vk.T @ (Vk1 * w[:, None])    # int phi_i w_j
 
-    faces = [mesh.faces[fid] for fid in el.faces]
-    ndof = nk + len(faces) * (k + 1)
+    fids = np.array(el.faces)
+    ndof = nk + len(fids) * (k + 1)
     frules = [face_rule(mesh, fid, exact) for fid in el.faces]
     fbases = [face_basis(mesh, fid, k) for fid in el.faces]
     face_points = np.array([r.points for r in frules])
     face_weights = np.array([r.weights for r in frules])
     faceval_q = np.array([b.eval(r.points) for b, r in zip(fbases, frules)])
     face_mass = np.array([b.mass for b in fbases])
-    normals = np.array([f.signs[f.owners.index(element_id)] * f.normal
-                        for f in faces])
+    sign = mesh.face_signs[fids, (mesh.face_owners[fids, 1] == element_id) * 1]
+    normals = sign[:, None] * mesh.face_normals[fids]
     # int_F psi_i phi_j for the cell bases of degree k and k+1, by face
     Tk, Tk1 = (np.array([Psi.T @ (b.eval(x) * wf[:, None]) for Psi, x, wf
                          in zip(faceval_q, face_points, face_weights)])
@@ -143,7 +143,7 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
     cell_sel[:, :nk] = np.eye(nk)
     A1 = np.linalg.solve(face_mass, Tk1)
     A0 = np.linalg.solve(face_mass, Tk)
-    S = np.eye(ndof)[nk:].reshape(len(faces), k + 1, ndof)  # face unknowns
+    S = np.eye(ndof)[nk:].reshape(len(fids), k + 1, ndof)   # face unknowns
     D = S - A1 @ P - A0 @ (cell_sel - proj_P)
 
     grad_q = np.empty((len(w), 2, ndof))
@@ -159,7 +159,7 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
                          pgrad_q=pgrad_q, pval_q=pval_q, cellval_q=Vk,
                          dval_q=faceval_q @ D, faceval_q=faceval_q,
                          face_points=face_points, face_weights=face_weights,
-                         face_lengths=np.array([f.length for f in faces]),
+                         face_lengths=mesh.face_lengths[fids],
                          face_mass=face_mass)
     return place(ops, mesh, [element_id])
 
@@ -181,7 +181,7 @@ def place(ops: LocalOperators, mesh, elements) -> LocalOperators:
     """Make `ops` the operators of `elements`: ascending ids of `mesh`,
     the first the element `ops` was built on, the others translates of it
     with the same face orientations (one `mesh.shape_keys` label)."""
-    c = np.array([mesh.elements[e].centroid for e in elements])
+    c = mesh.centroids[elements]
     ops.mesh = mesh
     ops.elements = np.array(elements)
     ops.shifts = c - c[0]

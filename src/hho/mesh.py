@@ -1,15 +1,18 @@
 """Polytopal meshes of the unit square.
 
-Meshes are flat element/face incidence structures with precomputed geometry
-(centroids, diameters, outward normals, centroid-fan submeshes).  Four
-structured families are provided; hanging nodes are represented by splitting
-the coarse edge, so the face skeleton always matches between neighbours.
+A mesh is a set of flat, read-only arrays: per cell its CCW vertex cycle
+and face ids (CSR rows), centroid, area and diameter; per face its
+endpoints, owners, signs, unit normal, midpoint and length.  Four structured
+families are provided; hanging nodes are represented by splitting the coarse
+edge, so the face skeleton always matches between neighbours.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -31,49 +34,55 @@ class MeshFormatError(Exception):
     """Malformed mesh text input."""
 
 
-@dataclass(eq=False)
-class Face:
-    vertices: tuple[int, int]        # endpoint ids; their order orients the normal
-    owners: tuple[int, ...]          # one (boundary) or two (interface) element ids
-    signs: tuple[int, ...]           # n_TF = sign * normal for each owner
-    normal: np.ndarray               # unit normal, tangent rotated by -90 degrees
-    midpoint: np.ndarray
-    length: float
-
-    @property
-    def is_boundary(self) -> bool:
-        return len(self.owners) == 1
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Element:
+    """One cell of a mesh, read from its arrays on access (`mesh.elements`)."""
     vertices: tuple[int, ...]        # CCW cycle; may contain hanging (collinear) nodes
     faces: tuple[int, ...]           # global face ids in cycle order
+    points: np.ndarray               # (n, 2) vertex coordinates in cycle order
     centroid: np.ndarray
     area: float
     diameter: float
-    simplices: np.ndarray            # (nsimplex, 3, 2) positively oriented triangles
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PolytopalMesh:
     vertices: np.ndarray             # (nv, 2)
-    elements: list[Element]
-    faces: list[Face]
+    cell_ptr: np.ndarray             # (nE + 1,) cycle e is [cell_ptr[e], cell_ptr[e + 1])
+    cell_vertices: np.ndarray        # CCW cycles; may contain hanging (collinear) nodes
+    cell_faces: np.ndarray           # face ids; face i of a cycle joins its vertices i, i + 1
+    centroids: np.ndarray            # (nE, 2)
+    areas: np.ndarray                # (nE,)
+    diameters: np.ndarray            # (nE,)
+    face_vertices: np.ndarray        # (nF, 2) endpoint ids; their order orients the normal
+    face_owners: np.ndarray          # (nF, 2) element ids; -1 second on the boundary
+    face_signs: np.ndarray           # (nF, 2) n_TF = sign * normal per owner; 0 for -1
+    face_normals: np.ndarray         # (nF, 2) unit, the tangent rotated by -90 degrees
+    face_midpoints: np.ndarray       # (nF, 2)
+    face_lengths: np.ndarray         # (nF,)
     h_max: float
     family: str | None = None
     level: int | None = None
 
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), np.ndarray):
+                getattr(self, f.name).flags.writeable = False
+
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return len(self.areas)
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return len(self.face_lengths)
 
-    def boundary_faces(self) -> list[int]:
-        return [i for i, f in enumerate(self.faces) if f.is_boundary]
+    @property
+    def elements(self) -> _ElementViews:
+        return _ElementViews(self)
+
+    def boundary_faces(self) -> np.ndarray:
+        return np.flatnonzero(self.face_owners[:, 1] < 0)
 
     @cached_property
     def shape_labels(self) -> np.ndarray:
@@ -81,6 +90,22 @@ class PolytopalMesh:
         labels = shape_keys(self)
         labels.flags.writeable = False
         return labels
+
+
+@dataclass(frozen=True)
+class _ElementViews(Sequence):
+    """The cells of a mesh as `Element`s, each built when indexed."""
+    mesh: PolytopalMesh
+
+    def __len__(self) -> int:
+        return self.mesh.n_elements
+
+    def __getitem__(self, e) -> Element:
+        m, e = self.mesh, range(len(self))[e]
+        rows = slice(m.cell_ptr[e], m.cell_ptr[e + 1])
+        cyc = m.cell_vertices[rows]
+        return Element(tuple(cyc.tolist()), tuple(m.cell_faces[rows].tolist()),
+                       m.vertices[cyc], m.centroids[e], m.areas[e], float(m.diameters[e]))
 
 
 @dataclass
@@ -93,142 +118,157 @@ class RegularityReport:
     n_faces: int
 
 
-def _polygon_area_centroid(pts: np.ndarray) -> tuple[float, np.ndarray]:
-    x, y = pts[:, 0], pts[:, 1]
-    xs, ys = np.roll(x, -1), np.roll(y, -1)
-    cross = x * ys - xs * y
-    area = 0.5 * cross.sum()
-    if abs(area) < 1e-14:
-        raise MeshValidationError("degenerate polygon (area ~ 0)")
-    cx = ((x + xs) * cross).sum() / (6.0 * area)
-    cy = ((y + ys) * cross).sum() / (6.0 * area)
-    return area, np.array([cx, cy])
+def _raise_first(checks, error=MeshValidationError):
+    """Raise `error` for the first entity that fails one of `checks`, (mask
+    over the entities, message) in the order they apply, with the message of
+    the first it fails: a format string of the index or a function of it."""
+    bad = np.array([mask for mask, _ in checks], dtype=bool)
+    hit = bad.any(axis=0)
+    if hit.any():
+        i = int(np.argmax(hit))
+        msg = checks[int(np.argmax(bad[:, i]))][1]
+        raise error(msg(i) if callable(msg) else msg.format(i))
 
 
-def _fan_simplices(pts: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    n = len(pts)
-    if n == 3:
-        return pts[None, :, :].copy()
-    tris = np.empty((n, 3, 2))
-    for i in range(n):
-        tris[i, 0] = centroid
-        tris[i, 1] = pts[i]
-        tris[i, 2] = pts[(i + 1) % n]
-    return tris
+def _count_groups(ptr: np.ndarray):
+    """For each vertex count n: the elements with n vertices and the (E, n)
+    positions of their cycles in the CSR arrays."""
+    counts = np.diff(ptr)
+    for n in np.unique(counts):
+        ids = np.flatnonzero(counts == n)
+        yield ids, ptr[ids, None] + np.arange(n)
 
 
-def _tri_area(tri: np.ndarray) -> float:
-    return 0.5 * ((tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-                  - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1]))
+def _cycle_geometry(vertices, ptr, cyc):
+    """Signed areas, first moments times 6 |T| and diameters of the cycles.
+    Each sum runs along a row in cycle order, one vertex count at a time."""
+    area, diameter = np.empty((2, len(ptr) - 1))
+    moment = np.empty((len(ptr) - 1, 2))
+    for ids, rows in _count_groups(ptr):
+        p = vertices[cyc[rows]]                     # (E, n, 2)
+        x, y = p[..., 0], p[..., 1]
+        xs, ys = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        cross = x * ys - xs * y
+        area[ids] = 0.5 * cross.sum(axis=1)
+        moment[ids, 0] = ((x + xs) * cross).sum(axis=1)
+        moment[ids, 1] = ((y + ys) * cross).sum(axis=1)
+        d = p[:, :, None] - p[:, None, :]
+        diameter[ids] = np.hypot(d[..., 0], d[..., 1]).max(axis=(1, 2))
+    return area, moment, diameter
+
+
+def _next_in_cycle(ptr: np.ndarray) -> np.ndarray:
+    """CSR position of the vertex after each one in its cycle."""
+    nxt = np.arange(1, ptr[-1] + 1)
+    nxt[ptr[1:] - 1] = ptr[:-1]
+    return nxt
 
 
 def from_polygons(vertices, cells, family=None, level=None,
                   face_spec=None) -> PolytopalMesh:
-    """Build a mesh from vertex coordinates and CCW vertex cycles.
+    """Build a mesh from vertex coordinates and CCW vertex cycles (a list,
+    or an (nE, n) array of cycles of n vertices).
 
-    ``face_spec`` optionally fixes the face list (endpoint order and owner
-    order per face, as read from a file); otherwise faces are enumerated in
-    first-encounter order over element cycles.
+    ``face_spec`` optionally fixes the face list, endpoint and owner order as
+    rows (a, b, owner, owner or -1) read from a file; otherwise faces are
+    enumerated in first-encounter order over element cycles.
     """
-    vertices = np.asarray(vertices, dtype=float)
+    vertices = np.array(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshValidationError("vertices must be an (n, 2) array")
+    _raise_first([(~np.isfinite(vertices).all(axis=1),
+                   "vertex {}: non-finite coordinate")])
     nv = len(vertices)
 
-    cycles = []
-    for ci, cyc in enumerate(cells):
-        cyc = [int(v) for v in cyc]
-        if len(cyc) < 3:
-            raise MeshValidationError(f"element {ci}: fewer than 3 vertices")
-        if len(set(cyc)) != len(cyc):
-            raise MeshValidationError(f"element {ci}: repeated vertex in cycle")
-        for v in cyc:
-            if not 0 <= v < nv:
-                raise MeshValidationError(f"element {ci}: vertex id {v} out of range")
-        cycles.append(cyc)
-
-    # edge -> (owner, traversal direction) incidence
-    edge_use: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for ci, cyc in enumerate(cycles):
-        for li in range(len(cyc)):
-            a, b = cyc[li], cyc[(li + 1) % len(cyc)]
-            key = (a, b) if a < b else (b, a)
-            edge_use.setdefault(key, []).append((ci, li, +1 if a < b else -1))
-
-    for key, uses in edge_use.items():
-        if len(uses) > 2:
-            raise MeshValidationError(f"edge {key} shared by more than two elements")
-        if len(uses) == 2 and uses[0][2] == uses[1][2]:
-            raise MeshValidationError(f"edge {key} traversed in the same direction twice")
-
-    if face_spec is not None:
-        ordered = []
-        seen = set()
-        for fi, (a, b, owners) in enumerate(face_spec):
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_use:
-                raise MeshFormatError(f"face {fi}: edge ({a}, {b}) not found in any element")
-            if key in seen:
-                raise MeshFormatError(f"face {fi}: duplicate edge ({a}, {b})")
-            seen.add(key)
-            derived = sorted(u[0] for u in edge_use[key])
-            if sorted(owners) != derived:
-                raise MeshFormatError(
-                    f"face {fi}: owners {sorted(owners)} inconsistent with elements {derived}")
-            ordered.append(((a, b), tuple(owners)))
-        if len(ordered) != len(edge_use):
-            raise MeshFormatError("face list does not cover every element edge")
+    if isinstance(cells, np.ndarray):
+        counts = np.full(len(cells), cells.shape[1])
+        cyc = cells.astype(np.int64).ravel()
     else:
-        ordered = []
-        seen = set()
-        for ci, cyc in enumerate(cycles):
-            for li in range(len(cyc)):
-                a, b = cyc[li], cyc[(li + 1) % len(cyc)]
-                key = (a, b) if a < b else (b, a)
-                if key in seen:
-                    continue
-                seen.add(key)
-                owners = tuple(u[0] for u in edge_use[key])
-                ordered.append(((a, b), owners))
+        counts = np.fromiter(map(len, cells), np.int64, len(cells))
+        cyc = np.fromiter(itertools.chain.from_iterable(cells), np.int64,
+                          counts.sum())
+    ne = len(counts)
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    cell = np.repeat(np.arange(ne), counts)
+    order = np.lexsort((cyc, cell))
+    twice = cell[order][1:][(cyc[order][1:] == cyc[order][:-1])
+                            & (cell[order][1:] == cell[order][:-1])]
+    out = (cyc < 0) | (cyc >= nv)
+    _raise_first([
+        (counts < 3, "element {}: fewer than 3 vertices"),
+        (np.isin(np.arange(ne), twice), "element {}: repeated vertex in cycle"),
+        (np.bincount(cell[out], minlength=ne) > 0,
+         lambda e: f"element {e}: vertex id "
+                   f"{cyc[ptr[e] + np.argmax(out[ptr[e]:ptr[e + 1]])]} out of range"),
+    ])
 
-    face_id = {}
-    faces = []
-    for fi, ((a, b), owners) in enumerate(ordered):
-        key = (a, b) if a < b else (b, a)
-        face_id[key] = fi
-        pa, pb = vertices[a], vertices[b]
-        t = pb - pa
-        length = float(np.hypot(t[0], t[1]))
-        if length < 1e-14:
-            raise MeshValidationError(f"face {fi}: zero length")
-        normal = np.array([t[1], -t[0]]) / length
-        # sign of each owner from its traversal direction of (a -> b)
-        dir_of = {u[0]: u[2] for u in edge_use[key]}
-        file_dir = +1 if a < b else -1
-        signs = tuple(+1 if dir_of[o] == file_dir else -1 for o in owners)
-        faces.append(Face(vertices=(a, b), owners=owners, signs=signs,
-                          normal=normal, midpoint=0.5 * (pa + pb), length=length))
+    # edges: one key per unordered vertex pair, numbered by first encounter
+    a, b = cyc, cyc[_next_in_cycle(ptr)]
+    forward = a < b
+    keys, first, edge_of, uses = np.unique(
+        np.minimum(a, b) * nv + np.maximum(a, b), return_index=True,
+        return_inverse=True, return_counts=True)
+    met = np.argsort(first)                         # edges by first encounter
+    by_edge = np.argsort(edge_of, kind="stable")    # half-edges, edge by edge
+    start = np.cumsum(uses) - uses
+    h0 = by_edge[start]                             # an edge's first use ...
+    h1 = by_edge[np.minimum(start + 1, len(cyc) - 1)]          # ... its second
+    owners = np.column_stack([cell[h0], np.where(uses == 2, cell[h1], -1)])
+    edge = lambda u: (int(keys[u] // nv), int(keys[u] % nv))
+    _raise_first([
+        ((uses > 2)[met],
+         lambda j: f"edge {edge(met[j])} shared by more than two elements"),
+        (((uses == 2) & (forward[h0] == forward[h1]))[met],
+         lambda j: f"edge {edge(met[j])} traversed in the same direction twice"),
+    ])
 
-    elements = []
-    for ci, cyc in enumerate(cycles):
-        pts = vertices[np.array(cyc)]
-        area, centroid = _polygon_area_centroid(pts)
-        if area <= 0:
-            raise MeshValidationError(f"element {ci}: cycle is not counter-clockwise")
-        dia = 0.0
-        for i in range(len(pts)):
-            d = np.hypot(pts[:, 0] - pts[i, 0], pts[:, 1] - pts[i, 1]).max()
-            dia = max(dia, float(d))
-        fids = tuple(face_id[(cyc[i], cyc[(i + 1) % len(cyc)]) if cyc[i] < cyc[(i + 1) % len(cyc)]
-                             else (cyc[(i + 1) % len(cyc)], cyc[i])]
-                     for i in range(len(cyc)))
-        elements.append(Element(vertices=tuple(cyc), faces=fids, centroid=centroid,
-                                area=area, diameter=dia,
-                                simplices=_fan_simplices(pts, centroid)))
+    if face_spec is None:
+        face_vertices = np.column_stack([a[h0], b[h0]])[met]
+        face_owners, face_edge = owners[met], met
+    else:
+        spec = np.array(face_spec, dtype=np.int64).reshape(-1, 4)
+        fa, fb = spec[:, 0], spec[:, 1]
+        skey = np.minimum(fa, fb) * nv + np.maximum(fa, fb)
+        u = np.minimum(np.searchsorted(keys, skey), len(keys) - 1)
+        _, once, again = np.unique(skey, return_index=True, return_inverse=True)
+        listed = lambda row: sorted(int(o) for o in row if o >= 0)
+        _raise_first([
+            (keys[u] != skey,
+             lambda f: f"face {f}: edge ({fa[f]}, {fb[f]}) not found in any element"),
+            (once[again] != np.arange(len(spec)),
+             lambda f: f"face {f}: duplicate edge ({fa[f]}, {fb[f]})"),
+            ((np.sort(spec[:, 2:], axis=1) != np.sort(owners[u], axis=1)).any(axis=1),
+             lambda f: f"face {f}: owners {listed(spec[f, 2:])} inconsistent "
+                       f"with elements {listed(owners[u[f]])}"),
+        ], error=MeshFormatError)
+        if len(spec) != len(keys):
+            raise MeshFormatError("face list does not cover every element edge")
+        face_vertices, face_owners, face_edge = spec[:, :2], spec[:, 2:], u
+    face_of_edge = np.empty(len(keys), dtype=np.int64)
+    face_of_edge[face_edge] = np.arange(len(keys))
+    cell_faces = face_of_edge[edge_of]
 
-    h_max = max(e.diameter for e in elements)
-    return PolytopalMesh(vertices=vertices, elements=elements, faces=faces,
-                         h_max=h_max, family=family, level=level)
+    # each owner's sign: + where it runs along the face as its endpoints do
+    signs = np.zeros(face_owners.shape, dtype=np.int8)
+    along = forward == (face_vertices[:, 0] < face_vertices[:, 1])[cell_faces]
+    signs[cell_faces, (face_owners[cell_faces, 1] == cell).astype(int)] = \
+        np.where(along, 1, -1)
+
+    pa, pb = vertices[face_vertices[:, 0]], vertices[face_vertices[:, 1]]
+    t = pb - pa
+    length = np.hypot(t[:, 0], t[:, 1])
+    _raise_first([(length < 1e-14, "face {}: zero length")])
+
+    area, moment, diameter = _cycle_geometry(vertices, ptr, cyc)
+    _raise_first([(abs(area) < 1e-14, "degenerate polygon (area ~ 0)"),
+                  (area <= 0, "element {}: cycle is not counter-clockwise")])
+    return PolytopalMesh(
+        vertices=vertices, cell_ptr=ptr, cell_vertices=cyc, cell_faces=cell_faces,
+        centroids=moment / (6.0 * area)[:, None], areas=area, diameters=diameter,
+        face_vertices=face_vertices, face_owners=face_owners, face_signs=signs,
+        face_normals=np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None],
+        face_midpoints=0.5 * (pa + pb), face_lengths=length,
+        h_max=float(diameter.max()), family=family, level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +289,21 @@ def shape_keys(mesh: PolytopalMesh) -> np.ndarray:
     (it fixes the face basis tangent).  Elements that share a key then have
     the same local operators up to roundoff.
     """
-    labels = np.empty(len(mesh.elements), dtype=int)
-    seen: dict = {}
-    for ei, el in enumerate(mesh.elements):
-        exp = math.frexp(el.diameter)[1]
-        off = mesh.vertices[list(el.vertices)] - el.centroid
-        grid = np.rint(np.ldexp(off, SHAPE_BITS - exp)).astype(np.int64)
-        heads = bytes(mesh.faces[f].vertices[0] == v
-                      for f, v in zip(el.faces, el.vertices))
-        key = (len(el.vertices), exp, grid.tobytes(), heads)
-        labels[ei] = seen.setdefault(key, len(seen))
-    return labels
+    labels = np.empty(mesh.n_elements, dtype=int)
+    firsts = []                 # first element of each key, count by count
+    for ids, rows in _count_groups(mesh.cell_ptr):
+        cyc = mesh.cell_vertices[rows]
+        exp = np.frexp(mesh.diameters[ids])[1]
+        off = mesh.vertices[cyc] - mesh.centroids[ids, None]
+        grid = np.rint(np.ldexp(off, (SHAPE_BITS - exp)[:, None, None])).astype(np.int64)
+        heads = mesh.face_vertices[mesh.cell_faces[rows], 0] == cyc
+        key = np.column_stack([exp, grid.reshape(len(ids), -1), heads])
+        _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                      return_inverse=True)
+        labels[ids] = sum(map(len, firsts)) + inverse.ravel()
+        firsts.append(ids[first])
+    rank = np.argsort(np.argsort(np.concatenate(firsts)))
+    return rank[labels]
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +317,28 @@ def _guard_budget(estimate: int, family: str, level: int):
             f"(budget {_ELEMENT_BUDGET})")
 
 
-def _grid_vertices(n: int) -> np.ndarray:
+def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of the (n + 1)^2 lattice of the unit square, x fastest, and
+    the id of the lower-left corner of each of its n^2 squares, x fastest."""
     xs = np.linspace(0.0, 1.0, n + 1)
-    vv = np.empty(((n + 1) ** 2, 2))
-    for j in range(n + 1):
-        for i in range(n + 1):
-            vv[j * (n + 1) + i] = (xs[i], xs[j])
-    return vv
+    corners = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    return np.column_stack([np.tile(xs, n + 1), np.repeat(xs, n + 1)]), corners
 
 
 def _gen_cartesian(level: int) -> PolytopalMesh:
     n = 2 ** level
     _guard_budget(n * n, "cartesian", level)
-    vid = lambda i, j: j * (n + 1) + i
-    cells = [[vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)]
-             for j in range(n) for i in range(n)]
-    return from_polygons(_grid_vertices(n), cells, family="cartesian", level=level)
+    vertices, c = _grid(n)
+    cells = c[:, None] + [0, 1, n + 2, n + 1]
+    return from_polygons(vertices, cells, family="cartesian", level=level)
 
 
 def _gen_triangular(level: int) -> PolytopalMesh:
     n = 2 ** level
     _guard_budget(2 * n * n, "triangular", level)
-    vid = lambda i, j: j * (n + 1) + i
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-            cells.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return from_polygons(_grid_vertices(n), cells, family="triangular", level=level)
+    vertices, c = _grid(n)
+    cells = (c[:, None, None] + [[0, 1, n + 2], [0, n + 2, n + 1]]).reshape(-1, 3)
+    return from_polygons(vertices, cells, family="triangular", level=level)
 
 
 def _gen_locally_refined(level: int) -> PolytopalMesh:
@@ -308,80 +346,49 @@ def _gen_locally_refined(level: int) -> PolytopalMesh:
     # into four, leaving hanging nodes along the refinement front.
     n = 2 ** level
     _guard_budget(2 * n * n, "locally_refined", level)
-    m = 2 * n   # fine lattice resolution
-    bank: dict[tuple[int, int], int] = {}
-    coords: list[tuple[float, float]] = []
-
-    def vid(I, J):
-        key = (I, J)
-        if key not in bank:
-            bank[key] = len(coords)
-            coords.append((I / m, J / m))
-        return bank[key]
-
-    def refined(i, j):
-        return 0 <= i < n // 2 and 0 <= j < n // 2
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            if refined(i, j):
-                for b in (2 * j, 2 * j + 1):
-                    for a in (2 * i, 2 * i + 1):
-                        cells.append([vid(a, b), vid(a + 1, b),
-                                      vid(a + 1, b + 1), vid(a, b + 1)])
-            else:
-                I, J = 2 * i, 2 * j
-                corners = [(I, J), (I + 2, J), (I + 2, J + 2), (I, J + 2)]
-                nbrs = [(i, j - 1), (i + 1, j), (i, j + 1), (i - 1, j)]
-                cyc = []
-                for c in range(4):
-                    a = corners[c]
-                    b = corners[(c + 1) % 4]
-                    cyc.append(vid(*a))
-                    if refined(*nbrs[c]):
-                        cyc.append(vid((a[0] + b[0]) // 2, (a[1] + b[1]) // 2))
-                cells.append(cyc)
-    return from_polygons(np.array(coords), cells, family="locally_refined", level=level)
+    j, i = np.divmod(np.arange(n * n), n)
+    split = lambda i, j: (0 <= i) & (i < n // 2) & (0 <= j) & (j < n // 2)
+    # each base cell as four rows of up to eight fine lattice points: the four
+    # quads of a split cell, or the coarse cycle with the midpoint of each
+    # side whose cell across is split
+    quad = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    quads = [[(a + x, b + y) for x, y in quad] + quad for b in (0, 1) for a in (0, 1)]
+    cycle = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
+    fine = split(i, j)[:, None, None]
+    lattice = 2 * np.column_stack([i, j])[:, None, None] + np.where(
+        fine[..., None], quads, [cycle] + 3 * [quad + quad])
+    sides = np.column_stack([split(i, j - 1), split(i + 1, j), split(i, j + 1), split(i - 1, j)])
+    used = np.where(fine, np.arange(8) < 4, np.arange(4)[:, None] == 0)
+    used[:, 0, 1::2] &= fine[:, 0] | sides
+    _, first, vid = np.unique(lattice[used] @ [1, 2 * n + 1], return_index=True,
+                                 return_inverse=True)
+    vid = np.argsort(np.argsort(first))[vid]      # numbered by first use
+    size = used.sum(axis=2).ravel()
+    cells = np.split(vid, np.cumsum(size[size > 0])[:-1])
+    return from_polygons(lattice[used][np.sort(first)] / (2 * n), cells,
+                         family="locally_refined", level=level)
 
 
-def _clip_axis(poly: list[np.ndarray], axis: int, bound: float, keep_below: bool):
-    out: list[np.ndarray] = []
-    for i in range(len(poly)):
-        cur, nxt = poly[i], poly[(i + 1) % len(poly)]
-        cin = (cur[axis] <= bound) if keep_below else (cur[axis] >= bound)
-        nin = (nxt[axis] <= bound) if keep_below else (nxt[axis] >= bound)
-        if cin:
-            out.append(cur)
-        if cin != nin:
-            t = (bound - cur[axis]) / (nxt[axis] - cur[axis])
-            q = cur + t * (nxt - cur)
-            q[axis] = bound   # land exactly on the domain side
-            out.append(q)
-    return out
-
-
-class _PointBank:
-    """Deduplicates nearly identical points (tolerance-bucketed)."""
-
-    def __init__(self, tol=1e-9):
-        self.tol = tol
-        self.map: dict[tuple[int, int], int] = {}
-        self.coords: list[tuple[float, float]] = []
-
-    def index(self, x: float, y: float) -> int:
-        kx, ky = round(x / self.tol), round(y / self.tol)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                idx = self.map.get((kx + dx, ky + dy))
-                if idx is not None:
-                    px, py = self.coords[idx]
-                    if abs(px - x) <= self.tol and abs(py - y) <= self.tol:
-                        return idx
-        idx = len(self.coords)
-        self.coords.append((x, y))
-        self.map[(kx, ky)] = idx
-        return idx
+def _clip(P: np.ndarray, count: np.ndarray, axis: int, bound: float,
+          keep_below: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Clip the polygons P[e, :count[e]] to one side of x_axis = bound, all
+    at once (Sutherland-Hodgman): a vertex stays if inside, and an edge that
+    crosses the line adds its crossing."""
+    k = np.arange(P.shape[1])
+    live = k < count[:, None]
+    nxt = np.take_along_axis(P, np.where(k + 1 < count[:, None], k + 1, 0)[..., None], axis=1)
+    inside = (lambda x: x <= bound) if keep_below else (lambda x: x >= bound)
+    cin, nin = inside(P[..., axis]) & live, inside(nxt[..., axis])
+    with np.errstate(divide="ignore", invalid="ignore"):   # on edges along the line
+        t = (bound - P[..., axis]) / (nxt[..., axis] - P[..., axis])
+        q = P + t[..., None] * (nxt - P)
+    q[..., axis] = bound   # land exactly on the domain side
+    keep = np.stack([cin, live & (cin != nin)], axis=2).reshape(len(P), -1)
+    order = np.argsort(~keep, axis=1, kind="stable")
+    count = keep.sum(axis=1)
+    out = np.take_along_axis(np.stack([P, q], axis=2).reshape(len(P), -1, 2),
+                             order[:, :count.max(), None], axis=1)
+    return out, count
 
 
 def _gen_hexagonal(level: int) -> PolytopalMesh:
@@ -392,48 +399,42 @@ def _gen_hexagonal(level: int) -> PolytopalMesh:
     _guard_budget(int(1.0 / (1.5 * s) * 1.0 / (math.sqrt(3) * s)) + 4, "hexagonal", level)
     sq3 = math.sqrt(3.0)
     ox, oy = -0.31237 * s, -0.41731 * s
-    snap = 0.35 * s
-    imin = math.floor((-s - ox) / (1.5 * s)) - 1
-    imax = math.ceil((1 + s - ox) / (1.5 * s)) + 1
-    angles = [k * math.pi / 3.0 for k in range(6)]
-    corner = np.array([(s * math.cos(a), s * math.sin(a)) for a in angles])
+    i, j = (a.ravel() for a in np.meshgrid(
+        np.arange(math.floor((-s - ox) / (1.5 * s)) - 1, math.ceil((1 + s - ox) / (1.5 * s)) + 2),
+        np.arange(math.floor((-s - oy) / (sq3 * s)) - 1, math.ceil((1 + s - oy) / (sq3 * s)) + 2),
+        indexing="ij"))
+    corner = np.array([(s * math.cos(a), s * math.sin(a)) for a in np.arange(6) * math.pi / 3.0])
+    P = np.column_stack([ox + 1.5 * s * i, oy + sq3 * s * (j + 0.5 * (i % 2))])[:, None] + corner
+    for bound in (0.0, 1.0):
+        P[abs(P - bound) < 0.35 * s] = bound
+    count = np.full(len(P), 6)
+    for axis, bound, keep_below in ((0, 0.0, False), (0, 1.0, True),
+                                    (1, 0.0, False), (1, 1.0, True)):
+        P, count = _clip(P, count, axis, bound, keep_below)
 
-    def _snap(q):
-        for axis in (0, 1):
-            for bound in (0.0, 1.0):
-                if abs(q[axis] - bound) < snap:
-                    q[axis] = bound
-        return q
-
-    bank = _PointBank()
-    cells = []
-    for i in range(imin, imax + 1):
-        jmin = math.floor((-s - oy) / (sq3 * s)) - 1
-        jmax = math.ceil((1 + s - oy) / (sq3 * s)) + 1
-        for j in range(jmin, jmax + 1):
-            cx = ox + 1.5 * s * i
-            cy = oy + sq3 * s * (j + 0.5 * (i % 2))
-            poly = [_snap(np.array([cx, cy]) + corner[k]) for k in range(6)]
-            for axis, bound, keep_below in ((0, 0.0, False), (0, 1.0, True),
-                                            (1, 0.0, False), (1, 1.0, True)):
-                poly = _clip_axis(poly, axis, bound, keep_below)
-                if not poly:
-                    break
-            if not poly or len(poly) < 3:
-                continue
-            pts = np.array(poly)
-            area = 0.5 * (pts[:, 0] * np.roll(pts[:, 1], -1)
-                          - np.roll(pts[:, 0], -1) * pts[:, 1]).sum()
-            if area < 1e-10 * s * s:
-                continue
-            cyc = []
-            for q in poly:
-                vi = bank.index(q[0], q[1])
-                if not cyc or (vi != cyc[-1] and vi != cyc[0]):
-                    cyc.append(vi)
-            if len(cyc) >= 3:
-                cells.append(cyc)
-    return from_polygons(np.array(bank.coords), cells, family="hexagonal", level=level)
+    # drop slivers
+    P, count = P[count >= 3], count[count >= 3]
+    pts = P[np.arange(P.shape[1]) < count[:, None]]
+    big = _cycle_geometry(pts, np.r_[0, np.cumsum(count)], np.arange(len(pts)))[0] >= 1e-10 * s * s
+    pts, count = pts[np.repeat(big, count)], count[big]
+    # number the points by first use, merging the copies of a point that
+    # differ by roundoff: points closer than 1e-9 in x, then in y
+    close = lambda o, x: np.diff(x[o], prepend=-np.inf) <= 1e-9
+    by_x = np.argsort(pts[:, 0], kind="stable")
+    column = np.empty(len(pts), dtype=int)
+    column[by_x] = np.cumsum(~close(by_x, pts[:, 0]))
+    by_y = np.lexsort((pts[:, 1], column))
+    point = np.empty(len(pts), dtype=int)
+    point[by_y] = np.cumsum(~close(by_y, pts[:, 1]) | ~close(by_y, column))
+    _, first, vid = np.unique(point, return_index=True, return_inverse=True)
+    vid = np.argsort(np.argsort(first))[vid]
+    # a cycle skips a vertex that repeats the one before it or its first
+    cut = np.cumsum(count) - count
+    start, pos = np.repeat(cut, count), np.arange(len(vid))
+    keep = (pos == start) | ((vid != vid[pos - 1]) & (vid != vid[start]))
+    cycles = np.split(vid[keep], np.cumsum(np.add.reduceat(keep, cut))[:-1])
+    return from_polygons(pts[np.sort(first)], [c for c in cycles if len(c) >= 3],
+                         family="hexagonal", level=level)
 
 
 _GENERATORS = {
@@ -457,101 +458,105 @@ def generate(family: str, level: int) -> PolytopalMesh:
 # validation
 
 
-def _on_boundary_segment(pa, pb, tol=1e-12) -> bool:
-    for axis, bound in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)):
-        if abs(pa[axis] - bound) <= tol and abs(pb[axis] - bound) <= tol:
-            return True
-    return False
+def _on_boundary_segment(pa, pb, tol=1e-12) -> np.ndarray:
+    """Which segments [pa, pb] lie on a side of the unit square."""
+    on = lambda bound: (abs(pa - bound) <= tol) & (abs(pb - bound) <= tol)
+    return (on(0.0) | on(1.0)).any(axis=1)
 
 
 def validate(mesh: PolytopalMesh) -> RegularityReport:
     """Check structural/geometric invariants; return mesh-regularity ratios.
 
-    Raises MeshValidationError naming the offending entity on failure.
+    Raises MeshValidationError naming the first offending face or element.
     """
-    V = mesh.vertices
-    total_area = 0.0
-    simplex_ratio = math.inf
-    size_ratio = math.inf
+    V, ptr, cyc, cf = mesh.vertices, mesh.cell_ptr, mesh.cell_vertices, mesh.cell_faces
+    fv, own, sgn = mesh.face_vertices, mesh.face_owners, mesh.face_signs
+    normal, area, ne = mesh.face_normals, mesh.areas, mesh.n_elements
+    if len(cf) != len(cyc):     # the first element whose faces run short or over
+        e = min(np.searchsorted(ptr, min(len(cf), len(cyc)), side="right") - 1, ne - 1)
+        raise MeshValidationError(f"element {e}: face count != vertex count")
 
-    for fi, f in enumerate(mesh.faces):
-        if len(f.owners) not in (1, 2):
-            raise MeshValidationError(f"face {fi}: has {len(f.owners)} owners")
-        if len(f.owners) == 2 and f.owners[0] == f.owners[1]:
-            raise MeshValidationError(f"face {fi}: repeated owner")
-        if abs(np.hypot(*f.normal) - 1.0) > 1e-14:
-            raise MeshValidationError(f"face {fi}: normal not unit")
-        pa, pb = V[f.vertices[0]], V[f.vertices[1]]
-        t = pb - pa
-        L = np.hypot(*t)
-        if abs(L - f.length) > 1e-12 * max(1.0, L):
-            raise MeshValidationError(f"face {fi}: stored length mismatch")
-        if np.hypot(*(f.normal - np.array([t[1], -t[0]]) / L)) > 1e-12:
-            raise MeshValidationError(f"face {fi}: normal inconsistent with endpoints")
-        if len(f.owners) == 2 and f.signs[0] * f.signs[1] != -1:
-            raise MeshValidationError(f"face {fi}: interface signs not opposite")
-        if len(f.owners) == 1 and not _on_boundary_segment(pa, pb):
-            raise MeshValidationError(f"face {fi}: single-owner face not on the boundary")
+    pa, pb = V[fv[:, 0]], V[fv[:, 1]]
+    t = pb - pa
+    L = np.hypot(t[:, 0], t[:, 1])
+    interface = own[:, 1] >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rotated = np.column_stack([t[:, 1], -t[:, 0]]) / L[:, None]
+    _raise_first([
+        (own[:, 0] < 0, "face {}: no first owner"),
+        (interface & (own[:, 0] == own[:, 1]), "face {}: repeated owner"),
+        (abs(np.hypot(normal[:, 0], normal[:, 1]) - 1.0) > 1e-14,
+         "face {}: normal not unit"),
+        (abs(L - mesh.face_lengths) > 1e-12 * np.maximum(1.0, L),
+         "face {}: stored length mismatch"),
+        (np.hypot(*(normal - rotated).T) > 1e-12,
+         "face {}: normal inconsistent with endpoints"),
+        (interface & (sgn[:, 0] * sgn[:, 1] != -1),
+         "face {}: interface signs not opposite"),
+        (~interface & ~_on_boundary_segment(pa, pb),
+         "face {}: single-owner face not on the boundary"),
+    ])
 
-    for ci, el in enumerate(mesh.elements):
-        pts = V[np.array(el.vertices)]
-        area, _ = _polygon_area_centroid(pts)
-        if area <= 0:
-            raise MeshValidationError(f"element {ci}: not counter-clockwise")
-        if abs(area - el.area) > 1e-12 * area:
-            raise MeshValidationError(f"element {ci}: stored area mismatch")
-        total_area += el.area
+    # each cycle edge a -> b of element `cell` against its face f
+    cell = np.repeat(np.arange(ne), np.diff(ptr))
+    a, b, f = cyc, cyc[_next_in_cycle(ptr)], cf
+    edge = V[b] - V[a]
+    run = np.hypot(edge[:, 0], edge[:, 1])
+    slot = (own[f, 1] == cell).astype(int)
+    n_tf = sgn[f, slot][:, None] * normal[f]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        outward = np.column_stack([edge[:, 1], -edge[:, 0]]) / run[:, None]
+    edge_bad = np.array([
+        (np.minimum(a, b) != fv[f].min(axis=1)) | (np.maximum(a, b) != fv[f].max(axis=1)),
+        own[f, slot] != cell,
+        np.hypot(*(n_tf - outward).T) > 1e-12,    # n_TF is rot(-90) of a -> b
+    ])
 
-        n = len(el.vertices)
-        if len(el.faces) != n:
-            raise MeshValidationError(f"element {ci}: face count != vertex count")
-        perim = 0.0
-        flux = np.zeros(2)
-        fsum = 0.0
-        for li in range(n):
-            a, b = el.vertices[li], el.vertices[(li + 1) % n]
-            perim += np.hypot(*(V[b] - V[a]))
-            f = mesh.faces[el.faces[li]]
-            if set(f.vertices) != {a, b}:
-                raise MeshValidationError(
-                    f"element {ci}: face {el.faces[li]} does not match edge ({a}, {b})")
-            if ci not in f.owners:
-                raise MeshValidationError(
-                    f"element {ci}: not listed as owner of face {el.faces[li]}")
-            s = f.signs[f.owners.index(ci)]
-            n_tf = s * f.normal
-            # outward for a CCW cycle means n_TF = rot(-90) of the traversal tangent
-            tt = (V[b] - V[a]) / np.hypot(*(V[b] - V[a]))
-            if np.hypot(*(n_tf - np.array([tt[1], -tt[0]]))) > 1e-12:
-                raise MeshValidationError(
-                    f"element {ci}: face {el.faces[li]} normal not outward")
-            flux += f.length * n_tf
-            fsum += f.length
-        if abs(fsum - perim) > 1e-12 * perim:
-            raise MeshValidationError(f"element {ci}: faces do not partition the boundary")
-        if np.hypot(*flux) > 1e-12 * max(1.0, perim):
-            raise MeshValidationError(f"element {ci}: nonzero normal flux sum")
+    def edge_message(e):
+        h = ptr[e] + np.argmax(edge_bad[:, ptr[e]:ptr[e + 1]].any(axis=0))
+        return [f"element {e}: face {f[h]} does not match edge ({a[h]}, {b[h]})",
+                f"element {e}: not listed as owner of face {f[h]}",
+                f"element {e}: face {f[h]} normal not outward",
+                ][np.argmax(edge_bad[:, h])]
 
-        s_areas = 0.0
-        for si in range(len(el.simplices)):
-            tri = el.simplices[si]
-            a2 = _tri_area(tri)
-            if a2 <= 0:
-                raise MeshValidationError(f"element {ci}: simplex {si} not positive")
-            s_areas += a2
-            e01 = np.hypot(*(tri[1] - tri[0]))
-            e12 = np.hypot(*(tri[2] - tri[1]))
-            e20 = np.hypot(*(tri[0] - tri[2]))
-            h_s = max(e01, e12, e20)
-            r_s = 2.0 * a2 / (e01 + e12 + e20)
-            simplex_ratio = min(simplex_ratio, r_s / h_s)
-            size_ratio = min(size_ratio, h_s / el.diameter)
-        if abs(s_areas - el.area) > 1e-12 * el.area:
-            raise MeshValidationError(f"element {ci}: submesh areas do not sum to |T|")
+    perim = np.bincount(cell, run, ne)
+    flux = np.column_stack([np.bincount(cell, mesh.face_lengths[f] * n_tf[:, c], ne)
+                            for c in (0, 1)])
 
+    # the simplices: a triangle itself, else (centroid, a, b) for each edge
+    tri = (np.diff(ptr) == 3)[cell]
+    keep = ~tri | (np.arange(len(cyc)) == ptr[cell])
+    S = np.where(tri[:, None, None], V[np.column_stack([a, b, cyc[ptr[cell] + 2]])],
+                 np.stack([mesh.centroids[cell], V[a], V[b]], axis=1))[keep]
+    fan_cell = cell[keep]
+    e01, e12, e20 = (np.hypot(*(S[:, j] - S[:, i]).T) for i, j in ((0, 1), (1, 2), (2, 0)))
+    a2 = 0.5 * ((S[:, 1, 0] - S[:, 0, 0]) * (S[:, 2, 1] - S[:, 0, 1])
+                - (S[:, 2, 0] - S[:, 0, 0]) * (S[:, 1, 1] - S[:, 0, 1]))
+    fan_ptr = np.searchsorted(fan_cell, np.arange(ne))
+
+    computed = _cycle_geometry(V, ptr, cyc)[0]
+    _raise_first([
+        (abs(computed) < 1e-14, "element {}: degenerate polygon (area ~ 0)"),
+        (computed <= 0, "element {}: not counter-clockwise"),
+        (abs(computed - area) > 1e-12 * computed, "element {}: stored area mismatch"),
+        (np.bincount(cell, edge_bad.any(axis=0), ne) > 0, edge_message),
+        (abs(np.bincount(cell, mesh.face_lengths[f], ne) - perim) > 1e-12 * perim,
+         "element {}: faces do not partition the boundary"),
+        (np.hypot(*flux.T) > 1e-12 * np.maximum(1.0, perim),
+         "element {}: nonzero normal flux sum"),
+        (np.bincount(fan_cell, a2 <= 0, ne) > 0,
+         lambda e: f"element {e}: simplex "
+                   f"{np.argmax(a2[fan_ptr[e]:] <= 0)} not positive"),
+        (abs(np.bincount(fan_cell, a2, ne) - area) > 1e-12 * area,
+         "element {}: submesh areas do not sum to |T|"),
+    ])
+    total_area = float(area.sum())
     if abs(total_area - 1.0) > 1e-10:
         raise MeshValidationError(f"element areas sum to {total_area}, not 1")
 
+    h_s = np.maximum(np.maximum(e01, e12), e20)
+    simplex_ratio = float((2.0 * a2 / (e01 + e12 + e20) / h_s).min())
+    size_ratio = float((h_s / mesh.diameters[fan_cell]).min())
     return RegularityReport(rho=min(simplex_ratio, size_ratio),
                             simplex_ratio=simplex_ratio, size_ratio=size_ratio,
                             h_max=mesh.h_max, n_elements=mesh.n_elements,
@@ -564,17 +569,13 @@ def validate(mesh: PolytopalMesh) -> RegularityReport:
 
 def write_mesh(mesh: PolytopalMesh) -> str:
     lines = ["polymesh 2d v1", f"vertices {len(mesh.vertices)}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
+    lines += (f"{x!r} {y!r}" for x, y in mesh.vertices.tolist())
     lines.append(f"elements {mesh.n_elements}")
-    for el in mesh.elements:
-        lines.append(" ".join(str(v) for v in el.vertices))
+    cyc, ptr = mesh.cell_vertices.tolist(), mesh.cell_ptr.tolist()
+    lines += (" ".join(map(str, cyc[s:e])) for s, e in zip(ptr[:-1], ptr[1:]))
     lines.append(f"faces {mesh.n_faces}")
-    for f in mesh.faces:
-        a, b = f.vertices
-        oa = f.owners[0]
-        ob = f.owners[1] if len(f.owners) == 2 else -1
-        lines.append(f"{a} {b} {oa} {ob}")
+    lines += (f"{a} {b} {oa} {ob}" for a, b, oa, ob in
+              np.column_stack([mesh.face_vertices, mesh.face_owners]).tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -592,75 +593,57 @@ def _expect_count(tok: list[str], name: str, ln: int) -> int:
 
 def read_mesh(text: str) -> PolytopalMesh:
     """Parse the plain-text mesh format and rebuild all derived geometry."""
-    raw = text.splitlines()
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(raw) if ln.strip()]
-    pos = 0
+    rows = iter([(i + 1, s.strip()) for i, s in enumerate(text.splitlines()) if s.strip()])
 
     def take():
-        nonlocal pos
-        if pos >= len(rows):
+        row = next(rows, None)
+        if row is None:
             raise MeshFormatError("unexpected end of input")
-        ln, s = rows[pos]
-        pos += 1
-        return ln, s
+        return row
+
+    def section(name, kind, bad, form, check):
+        """The rows after the line '<name> <count>', each a list of `kind`
+        of the width of `form` (any width if None), passed to `check`."""
+        ln, s = take()
+        out = []
+        for _ in range(_expect_count(s.split(), name, ln)):
+            ln, s = take()
+            tok = s.split()
+            if form is not None and len(tok) != len(form.split()):
+                raise MeshFormatError(f"line {ln}: expected '{form}'")
+            try:
+                out.append([kind(t) for t in tok])
+            except ValueError:
+                raise MeshFormatError(f"line {ln}: {bad}") from None
+            if msg := check(*out[-1]):
+                raise MeshFormatError(f"line {ln}: {msg}")
+        return out
+
+    vertex = lambda x, y: None if math.isfinite(x) and math.isfinite(y) else "bad coordinate"
+
+    def element(*cyc):
+        if len(cyc) < 3:
+            return "element with fewer than 3 vertices"
+        return next((f"vertex id {v} out of range" for v in cyc if not 0 <= v < nv), None)
+
+    def face(a, b, oa, ob):
+        if not (0 <= a < nv and 0 <= b < nv):
+            return "face vertex out of range"
+        if not 0 <= oa < len(cells):
+            return f"owner {oa} out of range"
+        if ob != -1 and not 0 <= ob < len(cells):
+            return f"owner {ob} out of range"
 
     ln, header = take()
     if header != "polymesh 2d v1":
         raise MeshFormatError(f"line {ln}: bad header {header!r}")
-
-    ln, s = take()
-    nv = _expect_count(s.split(), "vertices", ln)
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        ln, s = take()
-        tok = s.split()
-        if len(tok) != 2:
-            raise MeshFormatError(f"line {ln}: expected 'x y'")
-        try:
-            verts[i] = (float(tok[0]), float(tok[1]))
-        except ValueError:
-            raise MeshFormatError(f"line {ln}: bad coordinate") from None
-
-    ln, s = take()
-    ne = _expect_count(s.split(), "elements", ln)
-    cells = []
-    for i in range(ne):
-        ln, s = take()
-        try:
-            cyc = [int(t) for t in s.split()]
-        except ValueError:
-            raise MeshFormatError(f"line {ln}: bad vertex id") from None
-        if len(cyc) < 3:
-            raise MeshFormatError(f"line {ln}: element with fewer than 3 vertices")
-        for v in cyc:
-            if not 0 <= v < nv:
-                raise MeshFormatError(f"line {ln}: vertex id {v} out of range")
-        cells.append(cyc)
-
-    ln, s = take()
-    nf = _expect_count(s.split(), "faces", ln)
-    face_spec = []
-    for i in range(nf):
-        ln, s = take()
-        tok = s.split()
-        if len(tok) != 4:
-            raise MeshFormatError(f"line {ln}: expected 'v0 v1 ownerA ownerB'")
-        try:
-            a, b, oa, ob = (int(t) for t in tok)
-        except ValueError:
-            raise MeshFormatError(f"line {ln}: bad face entry") from None
-        if not (0 <= a < nv and 0 <= b < nv):
-            raise MeshFormatError(f"line {ln}: face vertex out of range")
-        if not 0 <= oa < ne:
-            raise MeshFormatError(f"line {ln}: owner {oa} out of range")
-        if ob != -1 and not 0 <= ob < ne:
-            raise MeshFormatError(f"line {ln}: owner {ob} out of range")
-        owners = (oa,) if ob == -1 else (oa, ob)
-        face_spec.append((a, b, owners))
-    if pos != len(rows):
-        raise MeshFormatError(f"line {rows[pos][0]}: trailing content")
-
+    verts = section("vertices", float, "bad coordinate", "x y", vertex)
+    nv = len(verts)
+    cells = section("elements", int, "bad vertex id", None, element)
+    faces = section("faces", int, "bad face entry", "v0 v1 ownerA ownerB", face)
+    if (extra := next(rows, None)) is not None:
+        raise MeshFormatError(f"line {extra[0]}: trailing content")
     try:
-        return from_polygons(verts, cells, face_spec=face_spec)
+        return from_polygons(np.reshape(verts, (nv, 2)), cells, face_spec=faces)
     except MeshValidationError as exc:
         raise MeshFormatError(str(exc)) from exc

@@ -137,9 +137,8 @@ def face_basis_from_points(pa, pb, degree: int) -> FaceBasis:
 
 
 def face_basis(mesh: PolytopalMesh, face_id: int, degree: int) -> FaceBasis:
-    f = mesh.faces[face_id]
-    return face_basis_from_points(mesh.vertices[f.vertices[0]],
-                                  mesh.vertices[f.vertices[1]], degree)
+    pa, pb = mesh.vertices[mesh.face_vertices[face_id]]
+    return face_basis_from_points(pa, pb, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +220,10 @@ def face_broken_seminorm(field: ScalarField, m: int, p: float,
                          exactness: int) -> float:
     """Broken W^{m,p} seminorm of field over the boundary skeleton of one
     element (tangential derivatives of order m, face by face)."""
-    el = mesh.elements[element_id]
     acc = 0.0
-    for fid in el.faces:
-        f = mesh.faces[fid]
-        pa = mesh.vertices[f.vertices[0]]
-        pb = mesh.vertices[f.vertices[1]]
-        tau = (pb - pa) / f.length
+    for fid in mesh.elements[element_id].faces:
+        pa, pb = mesh.vertices[mesh.face_vertices[fid]]
+        tau = (pb - pa) / mesh.face_lengths[fid]
         rule = segment_rule(pa, pb, exactness)
         vals = _tangential_partial(field, m, tau)(rule.points)
         acc = _lp_accumulate(p, rule.weights, vals, acc)
@@ -238,8 +234,7 @@ def trace_seminorm_scaled(field: ScalarField, m: int, p: float,
                           mesh: PolytopalMesh, element_id: int,
                           exactness: int) -> float:
     """h_T^{1/p} |field|_{W^{m,p} broken over the element's faces}."""
-    el = mesh.elements[element_id]
-    factor = 1.0 if p == INF else el.diameter ** (1.0 / p)
+    factor = 1.0 if p == INF else mesh.diameters[element_id] ** (1.0 / p)
     return factor * face_broken_seminorm(field, m, p, mesh, element_id, exactness)
 
 

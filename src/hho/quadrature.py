@@ -1,9 +1,11 @@
 """Quadrature rules on polytopal elements and faces.
 
 Cell rules are assembled by mapping a reference-triangle rule to every
-simplex of the element's centroid fan.  The reference rule for exactness d
-is the collapsed product of n-point Gauss-Legendre and Gauss-Jacobi(1, 0)
-rules, n = (d + 2) // 2: n^2 nodes, all weights positive, exact to degree d.
+simplex of the element's centroid fan, which `cell_rule` builds from the
+element's vertices (a triangle is its own fan).  The reference rule for
+exactness d is the collapsed product of n-point Gauss-Legendre and
+Gauss-Jacobi(1, 0) rules, n = (d + 2) // 2: n^2 nodes, all weights
+positive, exact to degree d.
 """
 
 from __future__ import annotations
@@ -63,13 +65,14 @@ def reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cell_rule(element, exactness: int) -> QuadratureRule:
-    """Quadrature over a polytopal element via its simplicial submesh."""
+    """Quadrature over a polytopal element (`mesh.elements[e]`) via its
+    centroid fan: the triangles (centroid, vertex i, vertex i + 1)."""
     _check_exactness(exactness)
     ref_pts, ref_w = reference_triangle_rule(exactness)
-    tris = element.simplices
-    v0 = tris[:, 0]
-    e1 = tris[:, 1] - v0
-    e2 = tris[:, 2] - v0
+    p = element.points
+    v0, v1, v2 = ((p[None, 0], p[None, 1], p[None, 2]) if len(p) == 3
+                  else (element.centroid[None], p, np.roll(p, -1, axis=0)))
+    e1, e2 = v1 - v0, v2 - v0
     jac = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
     pts = (v0[:, None, :] + ref_pts[None, :, 0, None] * e1[:, None, :]
            + ref_pts[None, :, 1, None] * e2[:, None, :])
@@ -93,7 +96,5 @@ def segment_rule(pa, pb, exactness: int) -> QuadratureRule:
 
 
 def face_rule(mesh, face_id: int, exactness: int) -> QuadratureRule:
-    f = mesh.faces[face_id]
-    pa = mesh.vertices[f.vertices[0]]
-    pb = mesh.vertices[f.vertices[1]]
+    pa, pb = mesh.vertices[mesh.face_vertices[face_id]]
     return segment_rule(pa, pb, exactness)

@@ -104,16 +104,17 @@ class DofMap:
         self.k = k
         self.n_cell = cell_dim(k)
         self.n_face = k + 1
-        self.cell_span = len(mesh.elements) * self.n_cell
-        self.ndofs = self.cell_span + len(mesh.faces) * self.n_face
-        owner = np.array([f.owners[0] for f in mesh.faces])
-        on_bnd = np.array([f.is_boundary for f in mesh.faces])
+        self.cell_span = mesh.n_elements * self.n_cell
+        self.ndofs = self.cell_span + mesh.n_faces * self.n_face
+        owner = mesh.face_owners[:, 0]
+        on_bnd = mesh.face_owners[:, 1] < 0
+        nf = np.diff(mesh.cell_ptr)
         self.blocks = []
         runs = [ids[run] for ids in shape_groups(mesh.shape_labels)
-                for run in budget_runs(len(ids), self.n_cell + self.n_face
-                                       * len(mesh.elements[ids[0]].faces))]
+                for run in budget_runs(len(ids), self.n_cell
+                                       + self.n_face * nf[ids[0]])]
         for ids in runs:
-            faces = np.array([mesh.elements[e].faces for e in ids])
+            faces = mesh.cell_faces[mesh.cell_ptr[ids, None] + np.arange(nf[ids[0]])]
             cell = ids[:, None] * self.n_cell + np.arange(self.n_cell)
             face = (self.cell_span + faces[..., None] * self.n_face
                     + np.arange(self.n_face))

@@ -194,6 +194,20 @@ def test_cli_run_and_outputs(tmp_path, capsys):
     assert (out / "mesh_level2.txt").read_text().startswith("polymesh 2d v1")
 
 
+@pytest.mark.parametrize("args", [["--levels", "0"], ["--start-level", "0"],
+                                  ["--degree", "-1"], ["--p", "1"]])
+def test_cli_run_rejects_bad_arguments(tmp_path, capsys, args):
+    # a usage error before any work: no empty study reported as converged,
+    # no traceback
+    from hho.cli import main
+    out = tmp_path / "study"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out", str(out)] + args)
+    assert exc.value.code == 2
+    assert "usage: hho run" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_projector_rates(tmp_path, capsys):
     from hho.cli import main
     out = tmp_path / "rates"

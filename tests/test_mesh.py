@@ -1,13 +1,14 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from hho import mesh as hmesh
 from hho.mesh import (FAMILIES, MeshFormatError, MeshResourceError,
                       MeshValidationError, from_polygons, generate, read_mesh,
                       shape_keys, validate, write_mesh)
+from hho.quadrature import cell_rule, reference_triangle_rule
 
 # level-1 regularity ratios recorded at build time (regression baselines)
 RHO_LEVEL1 = {
@@ -117,26 +118,42 @@ def test_regularity_baseline_level1(family):
     assert rep.rho == pytest.approx(RHO_LEVEL1[family], rel=1e-12)
 
 
+def _tri_area(p0, p1, p2):
+    return 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1])
+                  - (p2[0] - p0[0]) * (p1[1] - p0[1]))
+
+
 def test_submesh_triangle_is_identity():
+    # a triangle's cell rule is the reference rule mapped onto it
     m = generate("triangular", 1)
+    ref, ref_w = reference_triangle_rule(4)
     for e in m.elements:
-        assert e.simplices.shape == (1, 3, 2)
-        assert hmesh._tri_area(e.simplices[0]) == pytest.approx(e.area, rel=1e-13)
+        p0, p1, p2 = e.points
+        rule = cell_rule(e, 4)
+        assert np.allclose(rule.points, p0 + np.outer(ref[:, 0], p1 - p0)
+                           + np.outer(ref[:, 1], p2 - p0), rtol=0, atol=1e-15)
+        assert rule.weights.sum() == pytest.approx(e.area, rel=1e-13)
 
 
 def test_submesh_fan_on_quad():
+    # a square's cell rule maps the reference rule onto the four triangles
+    # (centroid, vertex i, vertex i + 1)
     m = generate("cartesian", 1)
     e = m.elements[0]
-    assert e.simplices.shape == (4, 3, 2)
-    areas = [hmesh._tri_area(t) for t in e.simplices]
+    rule = cell_rule(e, 2)
+    w = rule.weights.reshape(4, -1)
+    areas = [_tri_area(e.centroid, e.points[i], e.points[(i + 1) % 4])
+             for i in range(4)]
     assert all(a > 0 for a in areas)
+    assert (w > 0).all()
+    assert np.allclose(w.sum(axis=1), areas, rtol=1e-13, atol=0)
     assert sum(areas) == pytest.approx(e.area, rel=1e-13)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_boundary_skeleton_length(family):
     m = generate(family, 2)
-    blen = sum(m.faces[i].length for i in m.boundary_faces())
+    blen = m.face_lengths[m.boundary_faces()].sum()
     assert blen == pytest.approx(4.0, abs=1e-12)
 
 
@@ -146,31 +163,53 @@ def test_outward_normal_flux_sums_to_zero(family):
     for ci, e in enumerate(m.elements):
         acc = np.zeros(2)
         for fi in e.faces:
-            f = m.faces[fi]
-            acc += f.length * f.signs[f.owners.index(ci)] * f.normal
+            slot = list(m.face_owners[fi]).index(ci)
+            acc += m.face_lengths[fi] * m.face_signs[fi, slot] * m.face_normals[fi]
         assert np.hypot(*acc) < 1e-12
+
+
+def _tampered(m, name, index, factor):
+    """`m` with entry `index` of a writable copy of its array `name` scaled
+    by `factor`."""
+    a = getattr(m, name).copy()
+    a[index] *= factor
+    return dataclasses.replace(m, **{name: a})
 
 
 def test_validate_catches_tampered_normal():
     m = generate("cartesian", 1)
-    m.faces[3].normal = m.faces[3].normal * 1.1
-    with pytest.raises(MeshValidationError):
-        validate(m)
+    bad = _tampered(m, "face_normals", 3, 1.1)
+    with pytest.raises(MeshValidationError, match="face 3: normal not unit"):
+        validate(bad)
 
 
 def test_validate_catches_tampered_area():
     m = generate("triangular", 1)
-    m.elements[2].area *= 1.5
-    with pytest.raises(MeshValidationError):
-        validate(m)
+    bad = _tampered(m, "areas", 2, 1.5)
+    with pytest.raises(MeshValidationError, match="element 2: stored area"):
+        validate(bad)
 
 
 def test_validate_catches_flipped_sign():
     m = generate("cartesian", 1)
-    f = m.faces[0]
-    f.signs = tuple(-s for s in f.signs)
+    bad = _tampered(m, "face_signs", 0, -1)
     with pytest.raises(MeshValidationError):
-        validate(m)
+        validate(bad)
+
+
+def test_mesh_arrays_are_read_only():
+    m = generate("triangular", 1)
+    labels = m.shape_labels
+    for name in ("vertices", "cell_ptr", "cell_vertices", "cell_faces",
+                 "centroids", "areas", "diameters", "face_vertices",
+                 "face_owners", "face_signs", "face_normals", "face_midpoints",
+                 "face_lengths"):
+        assert not getattr(m, name).flags.writeable, name
+    with pytest.raises(ValueError):
+        m.areas[2] *= 1.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.areas = m.areas * 1.5
+    assert m.shape_labels is labels
 
 
 def test_generate_rejects_unknown_family_and_level():
@@ -198,25 +237,12 @@ def test_from_polygons_rejects_degenerate():
 
 
 def _meshes_equal(a, b):
-    if not np.array_equal(a.vertices, b.vertices):
-        return False
-    if len(a.elements) != len(b.elements) or len(a.faces) != len(b.faces):
-        return False
-    for ea, eb in zip(a.elements, b.elements):
-        if ea.vertices != eb.vertices or ea.faces != eb.faces:
-            return False
-        if not (np.array_equal(ea.centroid, eb.centroid) and ea.area == eb.area
-                and ea.diameter == eb.diameter
-                and np.array_equal(ea.simplices, eb.simplices)):
-            return False
-    for fa, fb in zip(a.faces, b.faces):
-        if fa.vertices != fb.vertices or fa.owners != fb.owners or fa.signs != fb.signs:
-            return False
-        if not (np.array_equal(fa.normal, fb.normal)
-                and np.array_equal(fa.midpoint, fb.midpoint)
-                and fa.length == fb.length):
-            return False
-    return True
+    """Every array of the two meshes equal, to the last bit, and h_max."""
+    arrays = [f.name for f in dataclasses.fields(a)
+              if isinstance(getattr(a, f.name), np.ndarray)]
+    return a.h_max == b.h_max and all(
+        getattr(a, n).shape == getattr(b, n).shape
+        and getattr(a, n).tobytes() == getattr(b, n).tobytes() for n in arrays)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -254,11 +280,26 @@ def test_read_handwritten_fixture():
     validate(m)
     # diagonal normal follows the file's endpoint order (0 -> 2); element 1
     # traverses that edge forward, so the normal is outward for it
-    diag = m.faces[2]
-    assert diag.owners == (0, 1)
-    assert diag.signs == (-1, 1)
+    assert list(m.face_vertices[2]) == [0, 2]
+    assert list(m.face_owners[2]) == [0, 1]
+    assert list(m.face_signs[2]) == [-1, 1]
     n = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    assert np.allclose(diag.normal, n, atol=1e-15)
+    assert np.allclose(m.face_normals[2], n, atol=1e-15)
+
+
+def test_read_rejects_non_finite_coordinate():
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(MeshFormatError, match="line 4: bad coordinate"):
+            read_mesh(TWO_TRIANGLES.replace("1.0 0.0", f"{bad} 0.0", 1))
+
+
+def test_from_polygons_rejects_non_finite_vertex():
+    verts = [(0.0, 0.0), (1.0, 0.0), (1.0, np.inf), (0.0, 1.0)]
+    with pytest.raises(MeshValidationError, match="vertex 2: non-finite"):
+        from_polygons(verts, [[0, 1, 2, 3]])
+    verts[2] = (np.nan, 1.0)
+    with pytest.raises(MeshValidationError, match="vertex 2: non-finite"):
+        from_polygons(verts, [[0, 1, 2, 3]])
 
 
 @pytest.mark.parametrize("mutate, lineno", [
@@ -303,7 +344,7 @@ def test_shape_keys_follow_translation_size_and_face_orientation():
     e = 5
     fid = m.elements[e].faces[0]
     twins = [t for t in np.flatnonzero(keys == keys[e])
-             if t not in m.faces[fid].owners]
+             if t not in m.face_owners[fid]]
     assert twins
     flipped = shape_keys(_flip_face(m, fid))
     assert len({flipped[t] for t in twins}) == 1

@@ -348,4 +348,4 @@ def test_face_rule_uses_face_geometry():
     m = generate("cartesian", 1)
     fid = m.boundary_faces()[0]
     rule = face_rule(m, fid, 3)
-    assert rule.weights.sum() == pytest.approx(m.faces[fid].length, rel=1e-14)
+    assert rule.weights.sum() == pytest.approx(m.face_lengths[fid], rel=1e-14)

@@ -42,14 +42,14 @@ def _element_nodes(mesh, ops, ei):
 
 def test_dofmap_layout():
     mesh, packs, dm = _linear_setup("locally_refined", 2, 1)
-    ne = len(mesh.elements)
-    nf = len(mesh.faces)
+    ne = mesh.n_elements
+    nf = mesh.n_faces
     assert dm.ndofs == 3 * ne + 2 * nf
     for ei, ops in enumerate(packs):
         gd = dm.element_dofs(ei)
         assert len(gd) == ops.ndof
         assert np.array_equal(gd[:3], dm.cell_dofs(ei))
-    nbnd = sum(1 for f in mesh.faces if f.is_boundary)
+    nbnd = len(mesh.boundary_faces())
     assert len(dm.boundary_dofs) == 2 * nbnd
 
 
