@@ -5,7 +5,7 @@ import pytest
 
 from hho.law import (INEQUALITY_IDS, REL_TOL, applicable_inequalities,
                      check_all_inequalities, check_inequality, jacobian_check,
-                     p_laplacian)
+                     p_laplacian, power_weight)
 
 X0 = np.zeros((1, 2))
 
@@ -150,3 +150,27 @@ def test_lipschitz_constant_formula_used():
     rep = check_inequality(p_laplacian(1.75), "alip_p2", n=5000, seed=3)
     g, b = rep.constants["gamma"], rep.constants["beta"]
     assert rep.constants["C"] == pytest.approx(2 * g + 2 ** 0.75 * b + b, rel=1e-14)
+
+
+def _flux_jacobian_by_outer_product(p, xi, eps):
+    """Reference: w I + (p - 2) w4 xi xi^T."""
+    n2 = xi[..., 0] ** 2 + xi[..., 1] ** 2 + eps * eps
+    w = power_weight(n2, (p - 2.0) / 2.0)
+    w4 = power_weight(n2, (p - 4.0) / 2.0)
+    outer = xi[..., :, None] * xi[..., None, :]
+    return (w[..., None, None] * np.eye(2)
+            + (p - 2.0) * w4[..., None, None] * outer)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.75, 2.0, 3.0, 8.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_flux_jacobian_equals_outer_product_form(p, eps):
+    law = p_laplacian(p)
+    rng = np.random.default_rng(17)
+    xi = rng.standard_normal((300, 2)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+    xi[::7] = 0.0
+    xi[1::11, 0] = 0.0
+    for pts in (xi, xi.reshape(20, 15, 2)):
+        J = law.flux_jacobian(np.zeros_like(pts), pts, eps)
+        assert J.shape == pts.shape + (2,)
+        assert np.array_equal(J, _flux_jacobian_by_outer_product(p, pts, eps))

@@ -420,6 +420,40 @@ def test_blocks_match_element_loop(family, level):
     assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.abs(r_ref).max()
 
 
+def _jacobian_of_element(mesh, ops, ei, law, u, eps):
+    """Reference: one element's Jacobian from the point values of its
+    gradient reconstruction and face residuals."""
+    p = law.p
+    Da = law.flux_jacobian(_element_nodes(mesh, ops, ei), ops.grad_q @ u, eps)
+    Je = np.einsum("q,qai,qab,qbj->ij", ops.rule.weights, ops.grad_q, Da,
+                   ops.grad_q)
+    for dval, wf, h in zip(ops.dval_q, ops.face_weights, ops.face_lengths):
+        du = dval @ u
+        n2 = du * du + eps * eps
+        jw = n2 ** ((p - 2.0) / 2.0) + (p - 2.0) * n2 ** ((p - 4.0) / 2.0) * du * du
+        Je += h ** (1.0 - p) * (dval.T @ ((wf * jw)[:, None] * dval))
+    return Je
+
+
+@pytest.mark.parametrize("family,level,k", [*((f, lv, 1) for f, lv
+                                              in MIXED_SHAPES),
+                                            ("hexagonal", 3, 3)])
+@pytest.mark.parametrize("p", [1.75, 2.0, 3.0])
+def test_block_jacobian_matches_element_loop(family, level, k, p):
+    mesh, packs, dm = _linear_setup(family, level, k)
+    law = p_laplacian(p)
+    eps = 1e-8
+    U = 0.5 * np.random.default_rng(6).standard_normal(dm.ndofs)
+    got, ref = [], []
+    for blk in dm.blocks:
+        got.append(solver._block_jacobian(solver._gather(dm, packs, blk), law,
+                                          U[blk.dofs], eps))
+        ref.append([_jacobian_of_element(mesh, packs[e], e, law, U[gd], eps)
+                    for e, gd in zip(blk.elements, blk.dofs)])
+    scale = max(np.abs(r).max() for r in ref)
+    assert max(np.abs(g - r).max() for g, r in zip(got, ref)) <= 1e-13 * scale
+
+
 def test_assemble_calls_the_law_once_per_block():
     # the Newton matrix reuses the residual at the same iterate: no flux
     # call, and at most one flux Jacobian call per block of elements
