@@ -11,15 +11,16 @@ local unknown vector [cell P^k block | one P^k block per face]:
     P^{k+1}(T), feeding the p-power stabilization.
 
 Point values of all reconstructions at the element/face quadrature nodes are
-cached.  Face data is stacked: each per-face field is one (nf, ...) array
-whose first axis runs over the element's faces, in the order of its
-`faces`, and the block kernels in `solver` read it as it is.  The bases are scaled monomials
-centred at the cell centroid and at the face midpoints, so every one of
-these arrays is the same for two elements that are translates of each other
-with the same face orientations.  One `LocalOperators` serves all such
-elements (`place`), and shifts the quadrature nodes of the first onto each;
-its arrays are read-only, so no caller can change the operators of a whole
-shape in place.
+cached, and so are the pair products of the degree-k cell and face bases
+there, which the Newton Jacobian works with.  Face data is stacked: each
+per-face field is one (nf, ...) array whose first axis runs over the
+element's faces, in the order of its `faces`, and the block kernels in
+`solver` read it as it is.  The bases are scaled monomials centred at the
+cell centroid and at the face midpoints, so every one of these arrays is the
+same for two elements that are translates of each other with the same face
+orientations.  One `LocalOperators` serves all such elements (`place`), and
+shifts the quadrature nodes of the first onto each; its arrays are
+read-only, so no caller can change the operators of a whole shape in place.
 
 `interpolate_local`, `stabilization` and `local_norm` act on one element:
 they are the oracles of the block kernels in `solver` and `harness`.
@@ -60,8 +61,7 @@ class LocalOperators:
     basis_k: CellBasis
     basis_k1: CellBasis
     rule: QuadratureRule
-    Gx: np.ndarray                  # (n_k, ndof) x-component of gradient rec.
-    Gy: np.ndarray
+    Gc: np.ndarray                  # (2 n_k, ndof) gradient rec. [Gx; Gy]
     P: np.ndarray                   # (n_{k+1}, ndof) potential reconstruction
     D: np.ndarray                   # (nf, k+1, ndof) face residuals
     grad_q: np.ndarray              # (nq, 2, ndof) G v at cell quad nodes
@@ -74,11 +74,23 @@ class LocalOperators:
     face_weights: np.ndarray        # (nf, nfq) face quad weights
     face_lengths: np.ndarray        # (nf,)
     face_mass: np.ndarray           # (nf, k+1, k+1) face basis mass matrices
+    cell_pairs: np.ndarray          # (nq, n_k^2) w phi_i phi_j at cell quad nodes
+    face_pairs: np.ndarray          # (nf, nfq, (k+1)^2) psi_i psi_j at face nodes
     # the shape's members, set by `place`
     mesh: object = field(init=False, repr=False)
     elements: np.ndarray = field(init=False)    # (n,) ids, ascending
     shifts: np.ndarray = field(init=False)      # (n, 2) centroid - built's
     cell_nodes: np.ndarray = field(init=False)  # (n, nq, 2) cell nodes
+
+    @property
+    def Gx(self) -> np.ndarray:
+        """(n_k, ndof) x-component of the gradient reconstruction."""
+        return self.Gc[:self.n_cell]
+
+    @property
+    def Gy(self) -> np.ndarray:
+        """(n_k, ndof) y-component of the gradient reconstruction."""
+        return self.Gc[self.n_cell:]
 
 
 def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> LocalOperators:
@@ -125,8 +137,8 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
     TkT = Tk.transpose(2, 0, 1)       # (nk, nf, k+1)
     Bx = np.hstack([-Dx, (normals[:, 0, None] * TkT).reshape(nk, -1)])
     By = np.hstack([-Dy, (normals[:, 1, None] * TkT).reshape(nk, -1)])
-    Gx = np.linalg.solve(Mk, Bx)
-    Gy = np.linalg.solve(Mk, By)
+    Gc = np.concatenate([np.linalg.solve(Mk, Bx), np.linalg.solve(Mk, By)])
+    Gx, Gy = Gc[:nk], Gc[nk:]
 
     # potential reconstruction: stiffness solve against the reconstructed
     # gradient, constant fixed by the cell mean
@@ -153,24 +165,30 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
     pgrad_q[:, 0, :] = Wx @ P
     pgrad_q[:, 1, :] = Wy @ P
     pval_q = Vk1 @ P
+    # pair products of the degree-k bases, which the Newton Jacobian
+    # contracts the flux Jacobian and face weights against
+    cell_pairs = ((w[:, None] * Vk)[:, :, None] * Vk[:, None]).reshape(len(w), -1)
+    face_pairs = (faceval_q[..., None] * faceval_q[..., None, :]).reshape(
+        *face_weights.shape, -1)
 
     ops = LocalOperators(k=k, n_cell=nk, ndof=ndof, basis_k=bk, basis_k1=bk1,
-                         rule=rule, Gx=Gx, Gy=Gy, P=P, D=D, grad_q=grad_q,
+                         rule=rule, Gc=Gc, P=P, D=D, grad_q=grad_q,
                          pgrad_q=pgrad_q, pval_q=pval_q, cellval_q=Vk,
                          dval_q=faceval_q @ D, faceval_q=faceval_q,
                          face_points=face_points, face_weights=face_weights,
                          face_lengths=mesh.face_lengths[fids],
-                         face_mass=face_mass)
+                         face_mass=face_mass, cell_pairs=cell_pairs,
+                         face_pairs=face_pairs)
     return place(ops, mesh, [element_id])
 
 
 def _shared_arrays(ops: LocalOperators):
     """The arrays that every member of the shape uses."""
-    yield from (ops.elements, ops.shifts, ops.cell_nodes, ops.Gx, ops.Gy,
-                ops.P, ops.D, ops.grad_q, ops.pgrad_q, ops.pval_q,
-                ops.cellval_q, ops.dval_q, ops.faceval_q, ops.face_points,
-                ops.face_weights, ops.face_lengths, ops.face_mass,
-                ops.rule.points, ops.rule.weights)
+    yield from (ops.elements, ops.shifts, ops.cell_nodes, ops.Gc, ops.P,
+                ops.D, ops.grad_q, ops.pgrad_q, ops.pval_q, ops.cellval_q,
+                ops.dval_q, ops.faceval_q, ops.face_points, ops.face_weights,
+                ops.face_lengths, ops.face_mass, ops.cell_pairs,
+                ops.face_pairs, ops.rule.points, ops.rule.weights)
     for b in (ops.basis_k, ops.basis_k1):
         yield from (b.exponents, b.mass, b.moments)
         if b.transform is not None:

@@ -62,10 +62,13 @@ def p_laplacian(p: float) -> LerayLionsLaw:
         xi = np.asarray(xi, dtype=float)
         n2 = xi[..., 0] ** 2 + xi[..., 1] ** 2 + eps * eps
         w = power_weight(n2, (p - 2.0) / 2.0)
-        w4 = power_weight(n2, (p - 4.0) / 2.0)
-        eye = np.eye(2)
-        outer = xi[..., :, None] * xi[..., None, :]
-        return w[..., None, None] * eye + (p - 2.0) * w4[..., None, None] * outer
+        w4 = (p - 2.0) * power_weight(n2, (p - 4.0) / 2.0)
+        x0, x1 = xi[..., 0], xi[..., 1]
+        J = np.empty(xi.shape + (2,))
+        J[..., 0, 0] = w + w4 * (x0 * x0)
+        J[..., 1, 1] = w + w4 * (x1 * x1)
+        J[..., 0, 1] = J[..., 1, 0] = w4 * (x0 * x1)
+        return J
 
     def energy_density(xi):
         xi = np.asarray(xi, dtype=float)

@@ -298,10 +298,13 @@ def shape_keys(mesh: PolytopalMesh) -> np.ndarray:
         grid = np.rint(np.ldexp(off, (SHAPE_BITS - exp)[:, None, None])).astype(np.int64)
         heads = mesh.face_vertices[mesh.cell_faces[rows], 0] == cyc
         key = np.column_stack([exp, grid.reshape(len(ids), -1), heads])
-        _, first, inverse = np.unique(key, axis=0, return_index=True,
-                                      return_inverse=True)
-        labels[ids] = sum(map(len, firsts)) + inverse.ravel()
-        firsts.append(ids[first])
+        # equal rows are adjacent in a stable sort over the key columns,
+        # each group led by its first appearance
+        order = np.lexsort(key.T)
+        row = key[order]
+        lead = np.r_[True, np.any(row[1:] != row[:-1], axis=1)]
+        labels[ids[order]] = sum(map(len, firsts)) + np.cumsum(lead) - 1
+        firsts.append(ids[order[lead]])
     rank = np.argsort(np.argsort(np.concatenate(firsts)))
     return rank[labels]
 

@@ -748,7 +748,8 @@ def test_shared_arrays_are_read_only():
     for a in (sibling.grad_q, sibling.dval_q[0], sibling.P,
               sibling.cellval_q, sibling.rule.weights, sibling.elements,
               sibling.shifts, sibling.face_points, sibling.face_weights,
-              sibling.face_lengths, sibling.face_mass):
+              sibling.face_lengths, sibling.face_mass, sibling.Gc,
+              sibling.cell_pairs, sibling.face_pairs):
         with pytest.raises(ValueError):
             a[0] += 1.0
     # the kernels read the shape's arrays as they are, without copies
@@ -756,7 +757,9 @@ def test_shared_arrays_are_read_only():
     B = solver._gather(dm, packs, blk)
     for view, shared in ((B.G, sibling.grad_q), (B.D, sibling.dval_q),
                          (B.wf, sibling.face_weights),
-                         (B.hf, sibling.face_lengths)):
+                         (B.hf, sibling.face_lengths), (B.Gc, sibling.Gc),
+                         (B.Dc, sibling.D), (B.cell_pairs, sibling.cell_pairs),
+                         (B.face_pairs, sibling.face_pairs)):
         assert np.shares_memory(view, shared)
 
 
