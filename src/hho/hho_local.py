@@ -167,7 +167,8 @@ def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> Loca
     pval_q = Vk1 @ P
     # pair products of the degree-k bases, which the Newton Jacobian
     # contracts the flux Jacobian and face weights against
-    cell_pairs = ((w[:, None] * Vk)[:, :, None] * Vk[:, None]).reshape(len(w), -1)
+    cell_pairs = ((w[:, None] * Vk)[:, :, None] * Vk[:, None]).reshape(
+        len(w), -1)
     face_pairs = (faceval_q[..., None] * faceval_q[..., None, :]).reshape(
         *face_weights.shape, -1)
 

@@ -109,7 +109,8 @@ def test_dof_layout():
     shapes = {"D": (nf, k + 1, ops.ndof), "dval_q": (nf, nfq, ops.ndof),
               "faceval_q": (nf, nfq, k + 1), "face_points": (nf, nfq, 2),
               "face_weights": (nf, nfq), "face_lengths": (nf,),
-              "face_mass": (nf, k + 1, k + 1), "Gc": (2 * ops.n_cell, ops.ndof),
+              "face_mass": (nf, k + 1, k + 1),
+              "Gc": (2 * ops.n_cell, ops.ndof),
               "cell_pairs": (len(ops.rule.weights), ops.n_cell ** 2),
               "face_pairs": (nf, nfq, (k + 1) ** 2)}
     for name, shape in shapes.items():

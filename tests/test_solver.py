@@ -430,7 +430,8 @@ def _jacobian_of_element(mesh, ops, ei, law, u, eps):
     for dval, wf, h in zip(ops.dval_q, ops.face_weights, ops.face_lengths):
         du = dval @ u
         n2 = du * du + eps * eps
-        jw = n2 ** ((p - 2.0) / 2.0) + (p - 2.0) * n2 ** ((p - 4.0) / 2.0) * du * du
+        jw = (n2 ** ((p - 2.0) / 2.0)
+              + (p - 2.0) * n2 ** ((p - 4.0) / 2.0) * du * du)
         Je += h ** (1.0 - p) * (dval.T @ ((wf * jw)[:, None] * dval))
     return Je
 
