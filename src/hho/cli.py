@@ -110,6 +110,9 @@ def _checked(kind, ok, need: str):
 
 
 _POSITIVE = _checked(int, lambda n: n >= 1, "must be at least 1")
+_NONNEGATIVE = _checked(int, lambda n: n >= 0, "must be at least 0")
+_TOLERANCE = _checked(float, lambda t: 0 < t < math.inf,
+                      "must be finite and exceed 0")
 _EXPONENT = _checked(float, lambda p: 1 < p < math.inf, "p must be finite and exceed 1")
 
 
@@ -119,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="convergence study")
     run.add_argument("--family", choices=FAMILY_CHOICES, default="triangular")
-    run.add_argument("--degree", type=_checked(int, lambda k: k >= 0, "must be at least 0"),
-                     default=1, metavar="K")
+    run.add_argument("--degree", type=_NONNEGATIVE, default=1, metavar="K")
     run.add_argument("--p", type=_EXPONENT, default=2.0)
     run.add_argument("--case", choices=harness.CASES, default="trigonometric")
     run.add_argument("--levels", type=_POSITIVE, default=4,
@@ -129,23 +131,23 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="out")
     run.add_argument("--condense", action="store_true",
                      help="statically condense cell unknowns")
-    run.add_argument("--newton-tol", type=float, default=1e-10)
-    run.add_argument("--quad-boost", type=int, default=0,
+    run.add_argument("--newton-tol", type=_TOLERANCE, default=1e-10)
+    run.add_argument("--quad-boost", type=_NONNEGATIVE, default=0,
                      help="extra quadrature exactness")
     run.add_argument("--write-meshes", action="store_true")
     run.set_defaults(func=_cmd_run)
 
     pr = sub.add_parser("projector-rates", help="projector approximation orders")
-    pr.add_argument("--degree", type=int, default=2, metavar="L")
+    pr.add_argument("--degree", type=_NONNEGATIVE, default=2, metavar="L")
     pr.add_argument("--out", default="out")
-    pr.add_argument("--exactness", type=int, default=30)
-    pr.add_argument("--tol", type=float, default=0.2)
+    pr.add_argument("--exactness", type=_NONNEGATIVE, default=30)
+    pr.add_argument("--tol", type=_TOLERANCE, default=0.2)
     pr.set_defaults(func=_cmd_projector_rates)
 
     cl = sub.add_parser("check-laws", help="flux structure checks")
     cl.add_argument("--p", type=_EXPONENT, required=True)
-    cl.add_argument("--n", type=int, default=100_000)
-    cl.add_argument("--seed", type=int, default=12345)
+    cl.add_argument("--n", type=_POSITIVE, default=100_000)
+    cl.add_argument("--seed", type=_NONNEGATIVE, default=12345)
     cl.set_defaults(func=_cmd_check_laws)
     return ap
 

@@ -18,8 +18,8 @@ import numpy as np
 from .fields import ScalarField, exp_field, sine_product_field
 from .law import LerayLionsLaw
 from .mesh import generate
-from .solver import (DofMap, NewtonConfig, SolveReport, _gather,
-                     interpolate_global, newton_solve)
+from .solver import (DofMap, NewtonConfig, SolveReport, interpolate_global,
+                     newton_solve, shared_operators)
 
 CASES = ("exponential", "trigonometric")
 
@@ -68,16 +68,18 @@ def compute_errors(dm: DofMap, packs, law: LerayLionsLaw, U: np.ndarray,
     p = law.p
     V = U - interpolate_global(dm, packs, exact)
     acc1 = accp = accl = 0.0
-    for blk in dm.blocks:
-        B = _gather(dm, packs, blk)
+    for blk, ops in shared_operators(dm, packs):
         Ue, Ve = U[blk.dofs], V[blk.dofs]
-        gv = (Ve @ B.PG.T).reshape(-1, 2)
-        acc1 += B.cell_sum(np.hypot(gv[:, 0], gv[:, 1]) ** p)
-        acc1 += B.face_power(Ve @ B.D.T, p)
-        gd = (Ue @ B.PG.T).reshape(-1, 2) - exact.gradient(B.x)
-        accp += B.cell_sum(np.hypot(gd[:, 0], gd[:, 1]) ** p)
-        accp += B.face_power(Ue @ B.D.T, p)
-        accl += B.cell_sum(((Ue @ B.PV.T).ravel() - exact(B.x)) ** 2)
+        PG = ops.pgrad_q.reshape(-1, ops.ndof)
+        D = ops.dval_q.reshape(-1, ops.ndof)
+        x = ops.cell_nodes[blk.run].reshape(-1, 2)
+        gv = (Ve @ PG.T).reshape(-1, 2)
+        acc1 += ops.cell_sum(np.hypot(gv[:, 0], gv[:, 1]) ** p)
+        acc1 += ops.face_power(Ve @ D.T, p)
+        gd = (Ue @ PG.T).reshape(-1, 2) - exact.gradient(x)
+        accp += ops.cell_sum(np.hypot(gd[:, 0], gd[:, 1]) ** p)
+        accp += ops.face_power(Ue @ D.T, p)
+        accl += ops.cell_sum(((Ue @ ops.pval_q.T).ravel() - exact(x)) ** 2)
     return ErrorBundle(err_1ph=acc1 ** (1.0 / p), err_pot=accp ** (1.0 / p),
                        err_l2=math.sqrt(accl))
 

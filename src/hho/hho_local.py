@@ -92,6 +92,27 @@ class LocalOperators:
         """(n_k, ndof) y-component of the gradient reconstruction."""
         return self.Gc[self.n_cell:]
 
+    def values(self, Ue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients (E nq, 2) and face residuals (E, nf nfq) of the (E,
+        ndof) local vectors Ue of E members."""
+        return ((Ue @ self.grad_q.reshape(-1, self.ndof).T).reshape(-1, 2),
+                Ue @ self.dval_q.reshape(-1, self.ndof).T)
+
+    def cell_sum(self, vals: np.ndarray) -> float:
+        """sum of w vals over the (E nq,) cell nodes of E members."""
+        w = self.rule.weights
+        return float(np.sum(vals.reshape(-1, len(w)) @ w))
+
+    def face_scale(self, p: float) -> np.ndarray:
+        """(nf nfq,) weights h_F^{1-p} w of the face nodes."""
+        return (self.face_weights * self.face_lengths[:, None] ** (1.0 - p)
+                ).ravel()
+
+    def face_power(self, du: np.ndarray, p: float) -> float:
+        """sum_F h_F^{1-p} int_F |du|^p over the faces of E members, from
+        their (E, nf nfq) face residuals du."""
+        return float(np.sum(self.face_scale(p) * np.abs(du) ** p))
+
 
 def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> LocalOperators:
     el = mesh.elements[element_id]

@@ -13,13 +13,16 @@ which shifts the shape's quadrature nodes onto each.  Element work runs in
 blocks: `DofMap` splits the elements of each shape key into even runs whose
 (E, ndof, ndof) element matrices hold at most JACOBIAN_ENTRIES entries (or
 one element), so a block's gradient and face-residual operators are one
-shared matrix each.  Each kernel call checks that the block's elements do
-share them on the DofMap's mesh, calls the law once on all of the block's
-cell nodes, and forms gradients and residuals as one matrix product over the
-block.  Jacobians are formed in the shape's polynomial coefficients: the
-flux Jacobian is contracted against the degree-k cell and face bases once
-per block, then the shape's G and D coefficients apply it; the Schur
-complements of static condensation are solves broadcast over the block.
+shared matrix each.  Every sweep over the blocks goes through
+`shared_operators`, which checks that the `LocalOperators` of a block's first
+element fits the DofMap's mesh and k and holds the block's elements at
+`ElementBlock.run` among its members.  The kernels read that `LocalOperators`
+as it is, call the law once on all of the block's cell nodes, and form
+gradients and residuals as one matrix product over the block.  Jacobians
+are formed in the shape's polynomial coefficients: the flux Jacobian is
+contracted against the degree-k cell and face bases once per block, then
+the shape's G and D coefficients apply it; the Schur complements of static
+condensation are solves broadcast over the block.
 The interpolation, the Dirichlet data and `harness.compute_errors` run on
 the same blocks.
 
@@ -94,6 +97,7 @@ def budget_runs(n: int, ndof: int) -> list[slice]:
 @dataclass(frozen=True)
 class ElementBlock:
     elements: np.ndarray    # (E,) ids of elements with one shape key
+    run: slice              # their place among the shape's members
     dofs: np.ndarray        # (E, ndof) their global unknowns, in local order
     owned: np.ndarray       # (E, nf) is the element the face's first owner
     boundary: np.ndarray    # (E, nf) is the face on the boundary
@@ -113,16 +117,16 @@ class DofMap:
         on_bnd = mesh.face_owners[:, 1] < 0
         nf = np.diff(mesh.cell_ptr)
         self.blocks = []
-        runs = [ids[run] for ids in shape_groups(mesh.shape_labels)
+        runs = [(ids[run], run) for ids in shape_groups(mesh.shape_labels)
                 for run in budget_runs(len(ids), self.n_cell
                                        + self.n_face * nf[ids[0]])]
-        for ids in runs:
+        for ids, run in runs:
             faces = mesh.cell_faces[mesh.cell_ptr[ids, None] + np.arange(nf[ids[0]])]
             cell = ids[:, None] * self.n_cell + np.arange(self.n_cell)
             face = (self.cell_span + faces[..., None] * self.n_face
                     + np.arange(self.n_face))
             self.blocks.append(ElementBlock(
-                ids, np.hstack([cell, face.reshape(len(ids), -1)]),
+                ids, run, np.hstack([cell, face.reshape(len(ids), -1)]),
                 owned=owner[faces] == ids[:, None], boundary=on_bnd[faces]))
         bnd = np.flatnonzero(on_bnd)
         self.boundary_dofs = (self.cell_span + self.n_face * bnd[:, None]
@@ -242,37 +246,53 @@ def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
     return [shapes[s] for s in mesh.shape_labels]
 
 
-def _project_block(dm: DofMap, packs, blk: ElementBlock, field,
+def shared_operators(dm: DofMap, packs):
+    """Each block of `dm` with the `LocalOperators` of its first element,
+    checked to be the operators of all of the block's elements: built on the
+    DofMap's mesh, of the block's local size, and holding the block's
+    elements at `blk.run` among its members."""
+    for blk in dm.blocks:
+        ops = packs[blk.elements[0]]
+        if (ops.mesh is not dm.mesh or ops.ndof != blk.dofs.shape[1]
+                or not np.array_equal(ops.elements[blk.run], blk.elements)):
+            raise ValueError(
+                f"elements {blk.elements.tolist()} do not share one operator "
+                "set that fits their block: build the packs with build_packs "
+                "on the mesh of the DofMap")
+        yield blk, ops
+
+
+def _project_block(ops: LocalOperators, blk: ElementBlock, field,
                    faces: np.ndarray, cells: bool = True):
     """L2 projections of a field on a block, from one evaluation of it at
     all their nodes: (E, n_cell) cell coefficients (none unless `cells`) and
     the (n, k+1) coefficients of the n faces set in the (E, nf) mask `faces`,
     in mask order.  The projectors are the shared basis values, weights and
     mass matrices of the block's shape."""
-    B = _gather(dm, packs, blk)
-    o = packs[blk.elements[0]]
+    w, wf = ops.rule.weights, ops.face_weights
+    x = ops.cell_nodes[blk.run].reshape(-1, 2)
     e, f = np.nonzero(faces)
-    xf = o.face_points[f] + B.shifts[e, None]
-    nc = len(B.x) if cells else 0
-    vals = np.asarray(field(np.concatenate([B.x[:nc], xf.reshape(-1, 2)])),
+    xf = ops.face_points[f] + ops.shifts[blk.run][e, None]
+    nc = len(x) if cells else 0
+    vals = np.asarray(field(np.concatenate([x[:nc], xf.reshape(-1, 2)])),
                       dtype=float)
-    Pc = np.linalg.solve(o.basis_k.mass, (o.cellval_q * B.w[:, None]).T)
-    Pf = np.linalg.solve(o.face_mass, (o.faceval_q * B.wf[..., None])
+    Pc = np.linalg.solve(ops.basis_k.mass, (ops.cellval_q * w[:, None]).T)
+    Pf = np.linalg.solve(ops.face_mass, (ops.faceval_q * wf[..., None])
                          .transpose(0, 2, 1)).transpose(0, 2, 1)[f]
-    fv = vals[nc:].reshape(len(f), B.wf.shape[1])
+    fv = vals[nc:].reshape(len(f), wf.shape[1])
     # node by node with elementwise products: a face's coefficients do not
     # depend on the other faces of the call, so dirichlet_values equals
     # interpolate_global on the boundary to the last bit
     face = sum(fv[:, q, None] * Pf[:, q] for q in range(fv.shape[1]))
-    return vals[:nc].reshape(-1, len(B.w)) @ Pc.T, face
+    return vals[:nc].reshape(-1, len(w)) @ Pc.T, face
 
 
 def interpolate_global(dm: DofMap, packs, field) -> np.ndarray:
     """Cell and face projections of a field, block by block; each face is
     projected once, at its first owner."""
     U = np.zeros(dm.ndofs)
-    for blk in dm.blocks:
-        cell, face = _project_block(dm, packs, blk, field, blk.owned)
+    for blk, ops in shared_operators(dm, packs):
+        cell, face = _project_block(ops, blk, field, blk.owned)
         U[blk.dofs[:, :dm.n_cell]] = cell
         U[dm.block_face_dofs(blk)[blk.owned]] = face
     return U
@@ -281,10 +301,9 @@ def interpolate_global(dm: DofMap, packs, field) -> np.ndarray:
 def dirichlet_values(dm: DofMap, packs, g) -> tuple[np.ndarray, np.ndarray]:
     """Boundary dof indices and the face projections of the datum g."""
     idx, vals = [np.empty(0, dtype=int)], [np.empty(0)]
-    for blk in dm.blocks:
+    for blk, ops in shared_operators(dm, packs):
         if blk.boundary.any():
-            _, face = _project_block(dm, packs, blk, g, blk.boundary,
-                                     cells=False)
+            _, face = _project_block(ops, blk, g, blk.boundary, cells=False)
             idx.append(dm.block_face_dofs(blk)[blk.boundary].ravel())
             vals.append(face.ravel())
     return np.concatenate(idx), np.concatenate(vals)
@@ -305,71 +324,23 @@ def compute_loads(packs, source) -> np.ndarray:
     return loads
 
 
-class _BlockOps(NamedTuple):
-    """A block's shared operators, and its elements' placement."""
-    G: np.ndarray       # (2 nq, ndof) G v at the cell nodes, (x, y) pairs
-    D: np.ndarray       # (nf nfq, ndof) d_F v at the face nodes, by face
-    PG: np.ndarray      # (2 nq, ndof) grad P v at the cell nodes, (x, y) pairs
-    PV: np.ndarray      # (nq, ndof) P v at the cell nodes
-    Gc: np.ndarray      # (2 n_k, ndof) G v in the cell basis, [x; y]
-    Dc: np.ndarray      # (nf, k+1, ndof) d_F v in the face bases
-    cell_pairs: np.ndarray  # (nq, n_k^2) w phi_i phi_j at the cell nodes
-    face_pairs: np.ndarray  # (nf, nfq, (k+1)^2) psi_i psi_j at the face nodes
-    x: np.ndarray       # (E nq, 2) cell nodes of the block's elements
-    shifts: np.ndarray  # (E, 2) the elements' node shifts
-    w: np.ndarray       # (nq,) cell weights
-    wf: np.ndarray      # (nf, nfq) face weights
-    hf: np.ndarray      # (nf,) face lengths
-
-    def face_weights(self, p: float) -> np.ndarray:
-        """(nf nfq,) weights h_F^{1-p} w of the face nodes."""
-        return (self.wf * self.hf[:, None] ** (1.0 - p)).ravel()
-
-    def values(self, Ue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients (E nq, 2) and face residuals (E, nf nfq) of Ue."""
-        return (Ue @ self.G.T).reshape(-1, 2), Ue @ self.D.T
-
-    def cell_sum(self, vals: np.ndarray) -> float:
-        """sum of w vals over the block's (E nq,) cell nodes."""
-        return float(np.sum(vals.reshape(-1, len(self.w)) @ self.w))
-
-    def face_power(self, du: np.ndarray, p: float) -> float:
-        """sum_F h_F^{1-p} int_F |du|^p over the block's faces."""
-        return float(np.sum(self.face_weights(p) * np.abs(du) ** p))
-
-
-def _gather(dm: DofMap, packs, blk: ElementBlock) -> _BlockOps:
-    o = packs[blk.elements[0]]
-    # a block is a run of its shape's members
-    i = np.searchsorted(o.elements, blk.elements[0])
-    run = slice(i, i + len(blk.elements))
-    if (o.mesh is not dm.mesh or o.ndof != blk.dofs.shape[1]
-            or not np.array_equal(o.elements[run], blk.elements)
-            or any(packs[e] is not o for e in blk.elements[1:])):
-        raise ValueError(
-            f"elements {blk.elements.tolist()} do not share one operator "
-            "set that fits their block: build the packs with build_packs "
-            "on the mesh of the DofMap")
-    return _BlockOps(
-        G=o.grad_q.reshape(-1, o.ndof), D=o.dval_q.reshape(-1, o.ndof),
-        PG=o.pgrad_q.reshape(-1, o.ndof), PV=o.pval_q, Gc=o.Gc, Dc=o.D,
-        cell_pairs=o.cell_pairs, face_pairs=o.face_pairs,
-        x=o.cell_nodes[run].reshape(-1, 2), shifts=o.shifts[run],
-        w=o.rule.weights, wf=o.face_weights, hf=o.face_lengths)
-
-
-def _block_residual(B: _BlockOps, law: LerayLionsLaw, Ue: np.ndarray,
+def _block_residual(ops: LocalOperators, blk: ElementBlock,
+                    law: LerayLionsLaw, Ue: np.ndarray,
                     eps: float) -> np.ndarray:
     """Element residuals (E, ndof) of a block, loads left out."""
-    E, nq = len(Ue), len(B.w)
-    g, du = B.values(Ue)
-    a = law.flux(B.x, g, eps).reshape(E, nq, 2) * B.w[:, None]
+    w = ops.rule.weights
+    E, nq = len(Ue), len(w)
+    g, du = ops.values(Ue)
+    a = (law.flux(ops.cell_nodes[blk.run].reshape(-1, 2), g, eps)
+         .reshape(E, nq, 2) * w[:, None])
     sw = power_weight(du * du + eps * eps, (law.p - 2.0) / 2.0)
-    c = B.face_weights(law.p) * sw * du
-    return a.reshape(E, -1) @ B.G + c @ B.D
+    c = ops.face_scale(law.p) * sw * du
+    return (a.reshape(E, -1) @ ops.grad_q.reshape(-1, ops.ndof)
+            + c @ ops.dval_q.reshape(-1, ops.ndof))
 
 
-def _block_jacobian(B: _BlockOps, law: LerayLionsLaw, Ue: np.ndarray,
+def _block_jacobian(ops: LocalOperators, blk: ElementBlock,
+                    law: LerayLionsLaw, Ue: np.ndarray,
                     eps: float) -> np.ndarray:
     """Element Jacobians (E, ndof, ndof) of a block's residuals, formed in
     the shape's polynomial coefficients.
@@ -383,33 +354,33 @@ def _block_jacobian(B: _BlockOps, law: LerayLionsLaw, Ue: np.ndarray,
     differ from the nodal formula by at most 2e-15 of the largest, and
     err_1ph of the benchmark studies moved by at most 3.1e-12 relative at
     levels 2-4 (cartesian, k = 3)."""
-    E, nq, p = len(Ue), len(B.w), law.p
-    nk = len(B.Gc) // 2
-    nf, nb, ndof = B.Dc.shape
-    g, du = B.values(Ue)
-    Da = law.flux_jacobian(B.x, g, eps).reshape(E, nq, 4)
+    E, nq, p = len(Ue), len(ops.rule.weights), law.p
+    nk = ops.n_cell
+    nf, nb, ndof = ops.D.shape
+    g, du = ops.values(Ue)
+    Da = (law.flux_jacobian(ops.cell_nodes[blk.run].reshape(-1, 2), g, eps)
+          .reshape(E, nq, 4))
     # (E, (a, b), (i, j)) -> (E, (a, i), (b, j))
-    M = ((Da.transpose(0, 2, 1) @ B.cell_pairs).reshape(E, 2, 2, nk, nk)
+    M = ((Da.transpose(0, 2, 1) @ ops.cell_pairs).reshape(E, 2, 2, nk, nk)
          .transpose(0, 1, 3, 2, 4).reshape(E, 2 * nk, 2 * nk))
     n2 = du * du + eps * eps
     # d/du of sw * du, in the form of the flux Jacobian
     jw = (power_weight(n2, (p - 2.0) / 2.0)
           + (p - 2.0) * power_weight(n2, (p - 4.0) / 2.0) * du * du)
     # face by face over the block: M_F of each element, then M_F D
-    c = (B.face_weights(p) * jw).reshape(E, nf, -1).transpose(1, 0, 2)
-    MF = (c @ B.face_pairs).reshape(nf, E * nb, nb)
-    MD = (MF @ B.Dc).reshape(nf, E, nb, ndof).transpose(1, 0, 2, 3)
-    Je = B.Gc.T @ (M @ B.Gc)
-    Je += B.Dc.reshape(-1, ndof).T @ MD.reshape(E, nf * nb, ndof)
+    c = (ops.face_scale(p) * jw).reshape(E, nf, -1).transpose(1, 0, 2)
+    MF = (c @ ops.face_pairs).reshape(nf, E * nb, nb)
+    MD = (MF @ ops.D).reshape(nf, E, nb, ndof).transpose(1, 0, 2, 3)
+    Je = ops.Gc.T @ (M @ ops.Gc)
+    Je += ops.D.reshape(-1, ndof).T @ MD.reshape(E, nf * nb, ndof)
     return Je
 
 
 def assemble_residual(dm: DofMap, packs, law, U, loads,
                       eps: float = 0.0) -> np.ndarray:
     idx, vals = [], []
-    for blk in dm.blocks:
-        B = _gather(dm, packs, blk)
-        re = _block_residual(B, law, U[blk.dofs], eps)
+    for blk, ops in shared_operators(dm, packs):
+        re = _block_residual(ops, blk, law, U[blk.dofs], eps)
         idx.append(blk.dofs.ravel())
         vals.append(re.ravel())
     r = np.bincount(np.concatenate(idx), np.concatenate(vals),
@@ -437,9 +408,9 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
     # the blocks' element (or Schur) matrices, laid end to end
     vals, at = np.empty(len(pat.slots)), 0
     back = []
-    for blk in dm.blocks:
+    for blk, ops in shared_operators(dm, packs):
         gd = blk.dofs
-        Je = _block_jacobian(_gather(dm, packs, blk), law, U[gd], eps)
+        Je = _block_jacobian(ops, blk, law, U[gd], eps)
         if condense:
             rhs_c = np.concatenate([Je[:, :nk, nk:], r[gd[:, :nk], None]],
                                    axis=2)
@@ -480,11 +451,10 @@ def energy(dm: DofMap, packs, law, U, loads) -> float:
         raise ValueError("law has no energy density")
     p = law.p
     total = 0.0
-    for blk in dm.blocks:
-        B = _gather(dm, packs, blk)
-        g, du = B.values(U[blk.dofs])
-        total += B.cell_sum(law.energy_density(g))
-        total += B.face_power(du, p) / p
+    for blk, ops in shared_operators(dm, packs):
+        g, du = ops.values(U[blk.dofs])
+        total += ops.cell_sum(law.energy_density(g))
+        total += ops.face_power(du, p) / p
     return total - float(np.ravel(loads) @ U[:dm.cell_span])
 
 
@@ -550,8 +520,8 @@ def continuation_path(p: float) -> tuple:
 
 def _gradient_scale(dm, packs, U) -> float:
     worst = 1.0
-    for blk in dm.blocks:
-        g, _ = _gather(dm, packs, blk).values(U[blk.dofs])
+    for blk, ops in shared_operators(dm, packs):
+        g, _ = ops.values(U[blk.dofs])
         worst = max(worst, float(np.max(np.hypot(g[:, 0], g[:, 1]))))
     return worst
 

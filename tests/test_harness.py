@@ -194,8 +194,11 @@ def test_cli_run_and_outputs(tmp_path, capsys):
     assert (out / "mesh_level2.txt").read_text().startswith("polymesh 2d v1")
 
 
-@pytest.mark.parametrize("args", [["--levels", "0"], ["--start-level", "0"],
-                                  ["--degree", "-1"], ["--p", "1"]])
+@pytest.mark.parametrize("args", [
+    ["--levels", "0"], ["--start-level", "0"], ["--degree", "-1"],
+    ["--p", "1"], ["--newton-tol", "inf"], ["--newton-tol", "nan"],
+    ["--newton-tol", "0"], ["--newton-tol", "-1"], ["--quad-boost", "-5"],
+    ["--quad-boost", "-20"]])
 def test_cli_run_rejects_bad_arguments(tmp_path, capsys, args):
     # a usage error before any work: no empty study reported as converged,
     # no traceback
@@ -206,6 +209,39 @@ def test_cli_run_rejects_bad_arguments(tmp_path, capsys, args):
     assert exc.value.code == 2
     assert "usage: hho run" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("projector-rates", ["--degree", "-1"]),
+    ("projector-rates", ["--exactness", "-1"]),
+    ("projector-rates", ["--tol", "nan"]),
+    ("check-laws", ["--p", "3", "--n", "0"]),
+    ("check-laws", ["--p", "3", "--n", "-5"]),
+    ("check-laws", ["--p", "3", "--seed", "-1"])])
+def test_cli_other_commands_reject_bad_arguments(tmp_path, monkeypatch,
+                                                 capsys, command, args):
+    # the value's own usage error, not a traceback or a verdict on NaN
+    from hho.cli import main
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command] + args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: hho {command}" in err and "must be" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_run_reports_divergence(tmp_path, capsys):
+    # p = 8 from the linear initial guess does not converge at level 2: the
+    # study stops there with exit 1 and keeps the failing row
+    from hho.cli import main
+    out = tmp_path / "study"
+    rc = main(["run", "--p", "8", "--case", "exponential", "--levels", "1",
+               "--start-level", "2", "--out", str(out)])
+    assert rc == 1
+    rows = (out / "study.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[2].startswith("2,")
+    assert "solver diverged" in capsys.readouterr().err
 
 
 def test_cli_projector_rates(tmp_path, capsys):
