@@ -701,6 +701,8 @@ def _max_rel_gap(a, b) -> float:
 
 
 def _check_shared_match_element_builds(mesh, k, tol):
+    # every array of the shared operators against a build on the element
+    # alone; the nodes of the shape's first member are moved onto it
     packs = build_packs(mesh, k)
     assert len({id(ops) for ops in packs}) == shape_keys(mesh).max() + 1
     for ei, ops in enumerate(packs):
@@ -712,14 +714,29 @@ def _check_shared_match_element_builds(mesh, k, tol):
         assert np.allclose(w @ ops.rule.points / w.sum(),
                            mesh.elements[ops.elements[0]].centroid,
                            rtol=0.0, atol=1e-12)
-        pairs = [(ops.Gx, ref.Gx), (ops.Gy, ref.Gy), (ops.P, ref.P),
-                 (ops.grad_q, ref.grad_q), (ops.pgrad_q, ref.pgrad_q),
-                 (ops.pval_q, ref.pval_q),
-                 (ops.cell_nodes[i], ref.rule.points)]
-        pairs += zip(ops.D, ref.D)
-        pairs += zip(ops.dval_q, ref.dval_q)
-        pairs.append((ops.face_points + ops.shifts[i], ref.face_points))
+        assert (ops.k, ops.n_cell, ops.ndof) == (ref.k, ref.n_cell, ref.ndof)
+        pairs = [(ops.Gc, ref.Gc), (ops.P, ref.P), (ops.grad_q, ref.grad_q),
+                 (ops.pgrad_q, ref.pgrad_q), (ops.pval_q, ref.pval_q),
+                 (ops.cellval_q, ref.cellval_q),
+                 (ops.cell_nodes[i], ref.rule.points),
+                 (ops.rule.weights, ref.rule.weights),
+                 (ops.face_points + ops.shifts[i], ref.face_points),
+                 (ops.face_weights, ref.face_weights),
+                 (ops.face_lengths, ref.face_lengths),
+                 (ops.cell_pairs, ref.cell_pairs)]
+        for f in range(len(ref.D)):
+            pairs += [(ops.D[f], ref.D[f]), (ops.dval_q[f], ref.dval_q[f]),
+                      (ops.faceval_q[f], ref.faceval_q[f]),
+                      (ops.face_mass[f], ref.face_mass[f]),
+                      (ops.face_pairs[f], ref.face_pairs[f])]
+        for b, rb in ((ops.basis_k, ref.basis_k), (ops.basis_k1, ref.basis_k1)):
+            assert np.array_equal(b.exponents, rb.exponents)
+            assert (b.transform is None) == (rb.transform is None)
+            pairs += [(b.mass, rb.mass), (b.moments, rb.moments)]
+            if b.transform is not None:
+                pairs.append((b.transform, rb.transform))
         for a, b in pairs:
+            assert a.shape == b.shape
             assert _max_rel_gap(a, b) <= tol
 
 
@@ -739,6 +756,14 @@ def test_shared_operators_match_element_builds(family, k):
 def test_shared_operators_match_element_builds_read_back(family):
     mesh = read_mesh(write_mesh(generate(family, 2)))
     _check_shared_match_element_builds(mesh, 2, SHARED_TOL.get(family, 1e-12))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_shared_operators_match_element_builds_on_distinct_shapes(k):
+    # sixteen quadrilaterals of sixteen shapes, all built together
+    mesh = _jittered_mesh()
+    assert shape_keys(mesh).max() + 1 == len(mesh.elements) == 16
+    _check_shared_match_element_builds(mesh, k, 1e-12)
 
 
 def test_shared_arrays_are_read_only():
