@@ -22,9 +22,14 @@ orientations.  One `LocalOperators` serves all such elements (`place`), and
 shifts the quadrature nodes of the first onto each; its arrays are
 read-only, so no caller can change the operators of a whole shape in place.
 
+`build_stacked_operators` builds the operators of up to STACK_SHAPES
+elements with one vertex count in one pass: its cell and face rules, bases,
+matrices, solves and tables all carry a leading axis over the elements, and
+each element's `LocalOperators` views its slice.  `build_local_operators`
+is a stack of one.
+
 `interpolate_local`, `stabilization` and `local_norm` act on one element:
-they are the oracles of the block kernels in `solver` and `harness`.
-"""
+they are the oracles of the block kernels in `solver` and `harness`."""
 
 from __future__ import annotations
 
@@ -33,8 +38,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .law import power_weight
-from .polybasis import CellBasis, cell_basis, face_basis, l2_project
-from .quadrature import QuadratureRule, cell_rule, face_rule
+from .polybasis import (CellBasis, cell_bases, face_basis,
+                        face_basis_from_points, l2_project, mT)
+from .quadrature import QuadratureRule, cell_rules, face_rule, segment_rule
+# perfbench's tracer swaps these one-element builders by their names in this
+# module, so they stay attributes of it
+from .polybasis import cell_basis  # noqa: F401
+from .quadrature import cell_rule  # noqa: F401
+
+# cells per stacked build, which bounds the build's temporaries: a stack of
+# 64 quadrilaterals at k = 3 holds 19 MiB of tables (297 KB a shape) and
+# peaks 6 MiB above them while it is built.  Each generated family, at most
+# 19 shapes a level, builds in one stack per vertex count.
+STACK_SHAPES = 64
 
 
 def cell_dim(k: int) -> int:
@@ -114,107 +130,117 @@ class LocalOperators:
         return float(np.sum(self.face_scale(p) * np.abs(du) ** p))
 
 
-def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> LocalOperators:
-    el = mesh.elements[element_id]
+def build_stacked_operators(mesh, elements, k: int,
+                            boost: int = 0) -> list[LocalOperators]:
+    """The operators built on each of `elements`, ids of at most
+    STACK_SHAPES cells with one vertex count, in one pass whose every array
+    has a leading axis over them; each `LocalOperators` is placed on its
+    own element and views its slice of the stacked arrays."""
+    ids = np.asarray(elements)
+    ptr = mesh.cell_ptr
+    nf = ptr[ids[0] + 1] - ptr[ids[0]]
+    if len(ids) > STACK_SHAPES or np.any(ptr[ids + 1] - ptr[ids] != nf):
+        raise ValueError(f"a stack holds at most {STACK_SHAPES} cells of "
+                         "one vertex count")
+    S = len(ids)
+    rows = ptr[ids, None] + np.arange(nf)
+    fids = mesh.cell_faces[rows]                                  # (S, nf)
+    corners = mesh.vertices[mesh.cell_vertices[rows]]             # (S, nf, 2)
+    centroids = mesh.centroids[ids]
     exact = cell_quad_exactness(k, boost)
-    rule = cell_rule(el, exact)
-    w = rule.weights
-    bk = cell_basis(el, k)
-    bk1 = cell_basis(el, k + 1)
+    rule = cell_rules(corners, centroids, exact)
+    w = rule.weights[..., None]                                   # (S, nq, 1)
+    bk = cell_bases(corners, centroids, mesh.diameters[ids], k)
+    bk1 = cell_bases(corners, centroids, mesh.diameters[ids], k + 1)
     nk, nk1 = bk.dim, bk1.dim
 
-    Vk = bk.eval(rule.points)
-    Vkx = bk.partial(1, 0, rule.points)
-    Vky = bk.partial(0, 1, rule.points)
-    Vk1 = bk1.eval(rule.points)
-    Wx = bk1.partial(1, 0, rule.points)
-    Wy = bk1.partial(0, 1, rule.points)
+    Vk, Vkx, Vky = bk.partials(rule.points, ((0, 0), (1, 0), (0, 1)))
+    Vk1, Wx, Wy = bk1.partials(rule.points, ((0, 0), (1, 0), (0, 1)))
 
-    Mk = Vk.T @ (Vk * w[:, None])
-    K1 = Wx.T @ (Wx * w[:, None]) + Wy.T @ (Wy * w[:, None])
-    Dx = Vkx.T @ (Vk * w[:, None])    # int (dx phi_i) phi_j
-    Dy = Vky.T @ (Vk * w[:, None])
-    Cx = Wx.T @ (Vk * w[:, None])     # int (dx w_i) phi_j
-    Cy = Wy.T @ (Vk * w[:, None])
-    N1 = Vk.T @ (Vk1 * w[:, None])    # int phi_i w_j
+    Mk = mT(Vk) @ (Vk * w)
+    K1 = mT(Wx) @ (Wx * w) + mT(Wy) @ (Wy * w)
+    Dx = mT(Vkx) @ (Vk * w)     # int (dx phi_i) phi_j
+    Dy = mT(Vky) @ (Vk * w)
+    Cx = mT(Wx) @ (Vk * w)      # int (dx w_i) phi_j
+    Cy = mT(Wy) @ (Vk * w)
+    N1 = mT(Vk) @ (Vk1 * w)     # int phi_i w_j
 
-    fids = np.array(el.faces)
-    ndof = nk + len(fids) * (k + 1)
-    frules = [face_rule(mesh, fid, exact) for fid in el.faces]
-    fbases = [face_basis(mesh, fid, k) for fid in el.faces]
-    face_points = np.array([r.points for r in frules])
-    face_weights = np.array([r.weights for r in frules])
-    faceval_q = np.array([b.eval(r.points) for b, r in zip(fbases, frules)])
-    face_mass = np.array([b.mass for b in fbases])
-    sign = mesh.face_signs[fids, (mesh.face_owners[fids, 1] == element_id) * 1]
-    normals = sign[:, None] * mesh.face_normals[fids]
+    ndof = nk + nf * (k + 1)
+    pa, pb = np.moveaxis(mesh.vertices[mesh.face_vertices[fids]], -2, 0)
+    frule = segment_rule(pa, pb, exact)
+    fbasis = face_basis_from_points(pa, pb, k)
+    face_points, face_weights = frule.points, frule.weights   # (S, nf, nfq)
+    faceval_q = fbasis.eval(face_points)
+    sign = mesh.face_signs[fids, (mesh.face_owners[fids, 1] == ids[:, None]) * 1]
+    normals = sign[..., None] * mesh.face_normals[fids]           # (S, nf, 2)
     # int_F psi_i phi_j for the cell bases of degree k and k+1, by face
-    Tk, Tk1 = (np.array([Psi.T @ (b.eval(x) * wf[:, None]) for Psi, x, wf
-                         in zip(faceval_q, face_points, face_weights)])
+    flat = face_points.reshape(S, -1, 2)
+    Tk, Tk1 = (mT(faceval_q) @ (b.eval(flat).reshape(*face_weights.shape, -1)
+                                 * face_weights[..., None])
                for b in (bk, bk1))
 
     # gradient reconstruction: (G v, e_c phi_i) = -(v_T, d_c phi_i)
     #                                            + sum_F (v_F, phi_i n_c)
-    TkT = Tk.transpose(2, 0, 1)       # (nk, nf, k+1)
-    Bx = np.hstack([-Dx, (normals[:, 0, None] * TkT).reshape(nk, -1)])
-    By = np.hstack([-Dy, (normals[:, 1, None] * TkT).reshape(nk, -1)])
-    Gc = np.concatenate([np.linalg.solve(Mk, Bx), np.linalg.solve(Mk, By)])
-    Gx, Gy = Gc[:nk], Gc[nk:]
+    TkT = Tk.transpose(0, 3, 1, 2)    # (S, nk, nf, k+1)
+    Bx = np.concatenate([-Dx, (normals[:, None, :, 0, None] * TkT).reshape(
+        S, nk, -1)], axis=2)
+    By = np.concatenate([-Dy, (normals[:, None, :, 1, None] * TkT).reshape(
+        S, nk, -1)], axis=2)
+    Gc = np.concatenate([np.linalg.solve(Mk, Bx), np.linalg.solve(Mk, By)],
+                        axis=1)
+    Gx, Gy = Gc[:, :nk], Gc[:, nk:]
 
     # potential reconstruction: stiffness solve against the reconstructed
     # gradient, constant fixed by the cell mean
     rhs = Cx @ Gx + Cy @ Gy
-    P = np.zeros((nk1, ndof))
-    P[1:] = np.linalg.solve(K1[1:, 1:], rhs[1:])
-    mrow = np.zeros(ndof)
-    mrow[:nk] = bk.moments
-    P[0] = (mrow - bk1.moments[1:] @ P[1:]) / bk1.moments[0]
+    P = np.zeros((S, nk1, ndof))
+    P[:, 1:] = np.linalg.solve(K1[:, 1:, 1:], rhs[:, 1:])
+    mrow = np.zeros((S, ndof))
+    mrow[:, :nk] = bk.moments
+    P[:, 0] = (mrow - (bk1.moments[:, None, 1:] @ P[:, 1:])[:, 0]
+               ) / bk1.moments[:, :1]
 
     # face residuals
     proj_P = np.linalg.solve(Mk, N1 @ P)       # cell L2 projection of P v
     cell_sel = np.zeros((nk, ndof))
     cell_sel[:, :nk] = np.eye(nk)
-    A1 = np.linalg.solve(face_mass, Tk1)
-    A0 = np.linalg.solve(face_mass, Tk)
-    S = np.eye(ndof)[nk:].reshape(len(fids), k + 1, ndof)   # face unknowns
-    D = S - A1 @ P - A0 @ (cell_sel - proj_P)
+    A1 = np.linalg.solve(fbasis.mass, Tk1)
+    A0 = np.linalg.solve(fbasis.mass, Tk)
+    face_sel = np.eye(ndof)[nk:].reshape(nf, k + 1, ndof)     # face unknowns
+    D = face_sel - A1 @ P[:, None] - A0 @ (cell_sel - proj_P)[:, None]
 
-    grad_q = np.empty((len(w), 2, ndof))
-    grad_q[:, 0, :] = Vk @ Gx
-    grad_q[:, 1, :] = Vk @ Gy
-    pgrad_q = np.empty((len(w), 2, ndof))
-    pgrad_q[:, 0, :] = Wx @ P
-    pgrad_q[:, 1, :] = Wy @ P
-    pval_q = Vk1 @ P
+    grad_q = np.stack([Vk @ Gx, Vk @ Gy], axis=2)
+    pgrad_q = np.stack([Wx @ P, Wy @ P], axis=2)
     # pair products of the degree-k bases, which the Newton Jacobian
     # contracts the flux Jacobian and face weights against
-    cell_pairs = ((w[:, None] * Vk)[:, :, None] * Vk[:, None]).reshape(
-        len(w), -1)
+    cell_pairs = ((w * Vk)[..., None] * Vk[..., None, :]).reshape(S, -1, nk * nk)
     face_pairs = (faceval_q[..., None] * faceval_q[..., None, :]).reshape(
         *face_weights.shape, -1)
+    tables = dict(Gc=Gc, P=P, D=D, grad_q=grad_q, pgrad_q=pgrad_q,
+                  pval_q=Vk1 @ P, cellval_q=Vk, dval_q=faceval_q @ D,
+                  faceval_q=faceval_q, face_points=face_points,
+                  face_weights=face_weights,
+                  face_lengths=mesh.face_lengths[fids],
+                  face_mass=fbasis.mass, cell_pairs=cell_pairs,
+                  face_pairs=face_pairs)
+    # read-only, so no caller can change the operators of a whole shape in
+    # place; the slices of each shape inherit it
+    frozen = [*tables.values(), rule.points, rule.weights]
+    for b in (bk, bk1):
+        frozen += [b.centroid, b.diameter, b.exponents, b.mass, b.moments]
+        frozen += [] if b.transform is None else [b.transform]
+    for a in frozen:
+        a.flags.writeable = False
+    return [place(LocalOperators(k=k, n_cell=nk, ndof=ndof, basis_k=bk[s],
+                                 basis_k1=bk1[s], rule=rule[s],
+                                 **{n: a[s] for n, a in tables.items()}),
+                  mesh, ids[s:s + 1])
+            for s in range(S)]
 
-    ops = LocalOperators(k=k, n_cell=nk, ndof=ndof, basis_k=bk, basis_k1=bk1,
-                         rule=rule, Gc=Gc, P=P, D=D, grad_q=grad_q,
-                         pgrad_q=pgrad_q, pval_q=pval_q, cellval_q=Vk,
-                         dval_q=faceval_q @ D, faceval_q=faceval_q,
-                         face_points=face_points, face_weights=face_weights,
-                         face_lengths=mesh.face_lengths[fids],
-                         face_mass=face_mass, cell_pairs=cell_pairs,
-                         face_pairs=face_pairs)
-    return place(ops, mesh, [element_id])
 
-
-def _shared_arrays(ops: LocalOperators):
-    """The arrays that every member of the shape uses."""
-    yield from (ops.elements, ops.shifts, ops.cell_nodes, ops.Gc, ops.P,
-                ops.D, ops.grad_q, ops.pgrad_q, ops.pval_q, ops.cellval_q,
-                ops.dval_q, ops.faceval_q, ops.face_points, ops.face_weights,
-                ops.face_lengths, ops.face_mass, ops.cell_pairs,
-                ops.face_pairs, ops.rule.points, ops.rule.weights)
-    for b in (ops.basis_k, ops.basis_k1):
-        yield from (b.exponents, b.mass, b.moments)
-        if b.transform is not None:
-            yield b.transform
+def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> LocalOperators:
+    """The operators of one element: a stack of one."""
+    return build_stacked_operators(mesh, [element_id], k, boost)[0]
 
 
 def place(ops: LocalOperators, mesh, elements) -> LocalOperators:
@@ -226,7 +252,7 @@ def place(ops: LocalOperators, mesh, elements) -> LocalOperators:
     ops.elements = np.array(elements)
     ops.shifts = c - c[0]
     ops.cell_nodes = ops.rule.points + ops.shifts[:, None]
-    for a in _shared_arrays(ops):
+    for a in (ops.elements, ops.shifts, ops.cell_nodes):
         a.flags.writeable = False
     return ops
 

@@ -145,6 +145,7 @@ def _cycle_geometry(vertices, ptr, cyc):
     area, diameter = np.empty((2, len(ptr) - 1))
     moment = np.empty((len(ptr) - 1, 2))
     for ids, rows in _count_groups(ptr):
+        n = rows.shape[1]
         p = vertices[cyc[rows]]                     # (E, n, 2)
         x, y = p[..., 0], p[..., 1]
         xs, ys = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
@@ -152,8 +153,13 @@ def _cycle_geometry(vertices, ptr, cyc):
         area[ids] = 0.5 * cross.sum(axis=1)
         moment[ids, 0] = ((x + xs) * cross).sum(axis=1)
         moment[ids, 1] = ((y + ys) * cross).sum(axis=1)
-        d = p[:, :, None] - p[:, None, :]
-        diameter[ids] = np.hypot(d[..., 0], d[..., 1]).max(axis=(1, 2))
+        # largest distance between vertices j apart in the cycle; the
+        # offsets past n // 2 repeat these pairs the other way round
+        far = np.zeros(len(ids))
+        for j in range(1, n // 2 + 1):
+            d = p - np.roll(p, -j, axis=1)
+            far = np.maximum(far, np.hypot(d[..., 0], d[..., 1]).max(axis=1))
+        diameter[ids] = far
     return area, moment, diameter
 
 

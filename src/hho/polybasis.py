@@ -1,6 +1,11 @@
 """Scaled monomial bases on cells and faces, L2/elliptic projectors,
 Sobolev seminorms, and projector-approximation rate measurement.
 
+The bases are built for a stack of cells with one vertex count at once
+(`cell_bases`), or of faces (`face_basis_from_points` with stacked
+endpoints): every array then has a leading stack axis, and `cell_basis` and
+`face_basis` are the one-element cases.
+
 Seminorm convention: |v|_{W^{m,p}} sums the L^p norms of all order-m partials
 (no l^p compounding across the multi-indices), so p = inf needs no special
 casing beyond max-over-nodes norms.
@@ -16,7 +21,7 @@ from scipy.linalg import solve_triangular
 
 from .fields import ScalarField
 from .mesh import Element, PolytopalMesh, from_polygons
-from .quadrature import QuadratureRule, cell_rule, segment_rule
+from .quadrature import QuadratureRule, cell_rule, cell_rules, segment_rule
 
 INF = math.inf
 
@@ -33,9 +38,19 @@ def cell_exponents(degree: int) -> np.ndarray:
     return np.array(exps, dtype=int)
 
 
+def mT(a: np.ndarray) -> np.ndarray:
+    """The matrices of a stack, transposed."""
+    return np.swapaxes(a, -1, -2)
+
+
 @dataclass(eq=False)
 class CellBasis:
-    element: Element
+    """Monomials of one degree scaled by a cell's (centroid, diameter), or
+    the bases of a stack of S cells: then `centroid`, `diameter`,
+    `transform`, `mass` and `moments` have a leading axis S, `partial`
+    takes (S, nq, 2) points, and `basis[s]` is the basis of cell s."""
+    centroid: np.ndarray            # (..., 2)
+    diameter: np.ndarray            # (...)
     degree: int
     exponents: np.ndarray
     transform: np.ndarray | None    # psi_i = sum_j transform[i, j] * raw_j
@@ -46,26 +61,43 @@ class CellBasis:
     def dim(self) -> int:
         return len(self.exponents)
 
-    def _raw(self, points: np.ndarray, ax=0, ay=0) -> np.ndarray:
-        X = (np.asarray(points, dtype=float) - self.element.centroid) / self.element.diameter
-        e1 = self.exponents[:, 0] - ax
-        e2 = self.exponents[:, 1] - ay
-        ok = (e1 >= 0) & (e2 >= 0)
-        coef = (_falling(self.exponents[:, 0], ax) * _falling(self.exponents[:, 1], ay)
-                / self.element.diameter ** (ax + ay))
-        vals = np.zeros((len(X), self.dim))
-        idx = np.nonzero(ok)[0]
-        if len(idx):
-            vals[:, idx] = (X[:, [0]] ** e1[idx][None, :]
-                            * X[:, [1]] ** e2[idx][None, :] * coef[idx][None, :])
-        return vals
+    def __getitem__(self, s) -> CellBasis:
+        return CellBasis(self.centroid[s], self.diameter[s], self.degree,
+                         self.exponents, None if self.transform is None
+                         else self.transform[s], self.mass[s], self.moments[s])
+
+    def _raw(self, points: np.ndarray, orders=((0, 0),)) -> list[np.ndarray]:
+        """The (ax, ay) partials of the raw monomials at points, for each
+        of `orders`, from one table of powers."""
+        h = self.diameter[..., None, None]
+        X = (np.asarray(points, dtype=float) - self.centroid[..., None, :]) / h
+        # X^j, j = 0 ... degree, of both coordinates: (..., nq, degree + 1, 2)
+        pw = X[..., None, :] ** np.arange(self.degree + 1)[:, None]
+        out = []
+        for ax, ay in orders:
+            e = self.exponents - (ax, ay)
+            idx = np.flatnonzero((e >= 0).all(axis=1))
+            coef = (_falling(self.exponents[:, 0], ax)
+                    * _falling(self.exponents[:, 1], ay) / h ** (ax + ay))
+            vals = np.zeros(X.shape[:-1] + (self.dim,))
+            vals[..., idx] = (pw[..., e[idx, 0], 0] * pw[..., e[idx, 1], 1]
+                              * coef[..., idx])
+            out.append(vals)
+        return out
+
+    def _apply(self, raw: np.ndarray) -> np.ndarray:
+        return raw if self.transform is None else raw @ mT(self.transform)
+
+    def partials(self, points, orders) -> list[np.ndarray]:
+        """The (ax, ay) partials at points of the basis for each of
+        `orders`."""
+        return [self._apply(raw) for raw in self._raw(points, orders)]
 
     def eval(self, points) -> np.ndarray:
         return self.partial(0, 0, points)
 
     def partial(self, ax: int, ay: int, points) -> np.ndarray:
-        raw = self._raw(points, ax, ay)
-        return raw if self.transform is None else raw @ self.transform.T
+        return self.partials(points, [(ax, ay)])[0]
 
     def as_field(self, coeffs) -> ScalarField:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -75,31 +107,49 @@ class CellBasis:
         return ScalarField(factory, name=f"P{self.degree}")
 
 
-def _orthonormalize(raw: np.ndarray, rule: QuadratureRule, degree: int):
-    """(transform, mass) for raw monomial values at the rule's nodes: no
-    transform below degree 2, else the inverse Cholesky factor of the Gram
-    matrix (conditioning), with the mass matrix of the transformed basis."""
-    M = raw.T @ (raw * rule.weights[:, None])
+def _orthonormalize(raw: np.ndarray, weights: np.ndarray, degree: int):
+    """(transform, mass) for raw monomial values (..., n, dim) at the nodes
+    of rules with (..., n) weights: no transform below degree 2, else the
+    inverse Cholesky factor of the Gram matrix (conditioning), with the
+    mass matrix of the transformed basis.  The triangular inverses run one
+    matrix at a time (`solve_triangular` takes no stack)."""
+    M = mT(raw) @ (raw * weights[..., None])
     if degree < 2:
         return None, M
-    C = solve_triangular(np.linalg.cholesky(M), np.eye(len(M)), lower=True)
-    return C, C @ M @ C.T
+    L = np.linalg.cholesky(M).reshape(-1, *M.shape[-2:])
+    eye = np.eye(M.shape[-1])
+    C = np.array([solve_triangular(f, eye, lower=True, check_finite=False)
+                  for f in L]).reshape(M.shape)
+    return C, C @ M @ mT(C)
+
+
+def cell_bases(points: np.ndarray, centroids: np.ndarray,
+               diameters: np.ndarray, degree: int) -> CellBasis:
+    """The bases of a stack of S cells with one vertex count, from their
+    (S, n, 2) vertex cycles, (S, 2) centroids and (S,) diameters: monomials
+    scaled by (centroid, diameter), orthonormalized against the cell mass
+    matrix for degree >= 2 (conditioning)."""
+    rule = cell_rules(points, centroids, 2 * degree)
+    basis = CellBasis(centroid=np.asarray(centroids, dtype=float),
+                      diameter=np.asarray(diameters, dtype=float),
+                      degree=degree, exponents=cell_exponents(degree),
+                      transform=None, mass=np.empty(0), moments=np.empty(0))
+    [raw] = basis._raw(rule.points)
+    basis.transform, basis.mass = _orthonormalize(raw, rule.weights, degree)
+    basis.moments = (rule.weights[:, None] @ basis._apply(raw))[:, 0]
+    return basis
 
 
 def cell_basis(element: Element, degree: int) -> CellBasis:
-    """Monomial basis scaled by (centroid, diameter); orthonormalized against
-    the element mass matrix for degree >= 2 (conditioning)."""
-    rule = cell_rule(element, 2 * degree)
-    basis = CellBasis(element=element, degree=degree, exponents=cell_exponents(degree),
-                      transform=None, mass=np.empty(0), moments=np.empty(0))
-    basis.transform, basis.mass = _orthonormalize(basis._raw(rule.points), rule, degree)
-    vals = basis.eval(rule.points)
-    basis.moments = rule.weights @ vals
-    return basis
+    """`cell_bases` of one element (`mesh.elements[e]`)."""
+    return cell_bases(element.points[None], element.centroid[None],
+                      np.array([element.diameter]), degree)[0]
 
 
 @dataclass(eq=False)
 class FaceBasis:
+    """Monomials in the scaled tangential coordinate of a face, or the bases
+    of a stack of faces when the endpoints are (..., 2)."""
     pa: np.ndarray
     pb: np.ndarray
     degree: int
@@ -107,32 +157,36 @@ class FaceBasis:
     mass: np.ndarray
 
     def __post_init__(self):
+        d = self.pb - self.pa
         self.midpoint = 0.5 * (self.pa + self.pb)
-        self.length = float(np.hypot(*(self.pb - self.pa)))
-        self.tangent = (self.pb - self.pa) / self.length
+        self.length = np.hypot(d[..., 0], d[..., 1])
+        self.tangent = d / self.length[..., None]
 
     @property
     def dim(self) -> int:
         return self.degree + 1
 
     def _coord(self, points) -> np.ndarray:
-        d = np.asarray(points, dtype=float) - self.midpoint
-        return (d @ self.tangent) / self.length
+        d = np.asarray(points, dtype=float) - self.midpoint[..., None, :]
+        return (d @ self.tangent[..., None])[..., 0] / self.length[..., None]
 
     def _raw(self, points) -> np.ndarray:
         t = self._coord(points)
-        return t[:, None] ** np.arange(self.degree + 1)[None, :]
+        return t[..., None] ** np.arange(self.degree + 1)
 
     def eval(self, points) -> np.ndarray:
         raw = self._raw(points)
-        return raw if self.transform is None else raw @ self.transform.T
+        return raw if self.transform is None else raw @ mT(self.transform)
 
 
 def face_basis_from_points(pa, pb, degree: int) -> FaceBasis:
+    """The basis of the face [pa, pb]; (..., 2) endpoints give a stack of
+    them, with (..., n, 2) points in `eval`."""
     basis = FaceBasis(pa=np.asarray(pa, dtype=float), pb=np.asarray(pb, dtype=float),
                       degree=degree, transform=None, mass=np.empty(0))
     rule = segment_rule(pa, pb, 2 * degree)
-    basis.transform, basis.mass = _orthonormalize(basis._raw(rule.points), rule, degree)
+    basis.transform, basis.mass = _orthonormalize(
+        basis._raw(rule.points), rule.weights, degree)
     return basis
 
 

@@ -1,11 +1,12 @@
 """Quadrature rules on polytopal elements and faces.
 
 Cell rules are assembled by mapping a reference-triangle rule to every
-simplex of the element's centroid fan, which `cell_rule` builds from the
-element's vertices (a triangle is its own fan).  The reference rule for
-exactness d is the collapsed product of n-point Gauss-Legendre and
-Gauss-Jacobi(1, 0) rules, n = (d + 2) // 2: n^2 nodes, all weights
-positive, exact to degree d.
+simplex of the element's centroid fan, which `cell_rules` builds from the
+vertices of a stack of cells with one vertex count (a triangle is its own
+fan); `cell_rule` is its one-element case, and `segment_rule` stacks face
+rules the same way.  The reference rule for exactness d is the collapsed
+product of n-point Gauss-Legendre and Gauss-Jacobi(1, 0) rules,
+n = (d + 2) // 2: n^2 nodes, all weights positive, exact to degree d.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ class QuadratureRule:
     points: np.ndarray    # (n, 2) physical coordinates
     weights: np.ndarray   # (n,), positive, summing to the domain measure
     exactness: int
+
+    def __getitem__(self, s) -> QuadratureRule:
+        """The rule of one cell (or face) of a stack of rules."""
+        return QuadratureRule(self.points[s], self.weights[s], self.exactness)
 
 
 def _check_exactness(d: int):
@@ -64,25 +69,37 @@ def reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, W.ravel()
 
 
-def cell_rule(element, exactness: int) -> QuadratureRule:
-    """Quadrature over a polytopal element (`mesh.elements[e]`) via its
-    centroid fan: the triangles (centroid, vertex i, vertex i + 1)."""
+def cell_rules(points: np.ndarray, centroids: np.ndarray,
+               exactness: int) -> QuadratureRule:
+    """Quadrature over a stack of S polytopal cells with one vertex count n,
+    their (S, n, 2) vertex cycles and (S, 2) centroids, via their centroid
+    fans: the triangles (centroid, vertex i, vertex i + 1); a triangle is its
+    own fan.  The rule's points are (S, nq, 2) and its weights (S, nq)."""
     _check_exactness(exactness)
     ref_pts, ref_w = reference_triangle_rule(exactness)
-    p = element.points
-    v0, v1, v2 = ((p[None, 0], p[None, 1], p[None, 2]) if len(p) == 3
-                  else (element.centroid[None], p, np.roll(p, -1, axis=0)))
+    p = np.asarray(points, dtype=float)
+    v0, v1, v2 = ((p[:, None, 0], p[:, None, 1], p[:, None, 2])
+                  if p.shape[1] == 3
+                  else (centroids[:, None], p, np.roll(p, -1, axis=1)))
     e1, e2 = v1 - v0, v2 - v0
-    jac = e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1]
-    pts = (v0[:, None, :] + ref_pts[None, :, 0, None] * e1[:, None, :]
-           + ref_pts[None, :, 1, None] * e2[:, None, :])
-    wts = ref_w[None, :] * jac[:, None]
-    return QuadratureRule(points=pts.reshape(-1, 2), weights=wts.ravel(),
-                          exactness=exactness)
+    jac = e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1]
+    pts = (v0[..., None, :] + ref_pts[:, 0, None] * e1[..., None, :]
+           + ref_pts[:, 1, None] * e2[..., None, :])
+    wts = ref_w * jac[..., None]
+    return QuadratureRule(points=pts.reshape(len(p), -1, 2),
+                          weights=wts.reshape(len(p), -1), exactness=exactness)
+
+
+def cell_rule(element, exactness: int) -> QuadratureRule:
+    """`cell_rules` on one element (`mesh.elements[e]`)."""
+    return cell_rules(element.points[None], element.centroid[None],
+                      exactness)[0]
 
 
 def segment_rule(pa, pb, exactness: int) -> QuadratureRule:
-    """Gauss-Legendre rule on the segment [pa, pb]; weights sum to its length."""
+    """Gauss-Legendre rule on the segment [pa, pb]; weights sum to its
+    length.  Endpoints (..., 2) give a stack of rules: (..., n, 2) points
+    and (..., n) weights."""
     _check_exactness(exactness)
     n = max(1, (exactness + 2) // 2)
     xg, wg = _gauss_legendre(n)
@@ -90,9 +107,11 @@ def segment_rule(pa, pb, exactness: int) -> QuadratureRule:
     pb = np.asarray(pb, dtype=float)
     mid = 0.5 * (pa + pb)
     half = 0.5 * (pb - pa)
-    pts = mid[None, :] + np.outer(xg, half)
-    length = float(np.hypot(*(pb - pa)))
-    return QuadratureRule(points=pts, weights=wg * (length / 2.0), exactness=exactness)
+    pts = mid[..., None, :] + xg[:, None] * half[..., None, :]
+    d = pb - pa
+    length = np.hypot(d[..., 0], d[..., 1])
+    return QuadratureRule(points=pts, weights=wg * (length[..., None] / 2.0),
+                          exactness=exactness)
 
 
 def face_rule(mesh, face_id: int, exactness: int) -> QuadratureRule:

@@ -56,7 +56,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .hho_local import LocalOperators, build_local_operators, cell_dim, place
+# `build_local_operators` is unused here but stays a module attribute:
+# perfbench traces it by this name
+from .hho_local import (STACK_SHAPES, LocalOperators, build_local_operators,
+                        build_stacked_operators, cell_dim, place)
 from .law import LerayLionsLaw, power_weight
 
 # entries of a block's (E, ndof, ndof) element matrices: a budget on the
@@ -240,9 +243,20 @@ def matrix_pattern(dm: DofMap, condense: bool) -> MatrixPattern:
 
 def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
     """Local operators of every element: one `LocalOperators` per shape
-    label, built on its first element and placed on all of them."""
-    shapes = [place(build_local_operators(mesh, ids[0], k, boost), mesh, ids)
-              for ids in shape_groups(mesh.shape_labels)]
+    label, built on its first element and placed on all of them.  The
+    shapes of one vertex count are built together, in stacks of at most
+    STACK_SHAPES (`build_stacked_operators`)."""
+    groups = shape_groups(mesh.shape_labels)
+    firsts = np.array([ids[0] for ids in groups])
+    counts = np.diff(mesh.cell_ptr)[firsts]
+    shapes = [None] * len(groups)
+    for n in np.unique(counts):
+        same = np.flatnonzero(counts == n)
+        for at in range(0, len(same), STACK_SHAPES):
+            run = same[at:at + STACK_SHAPES]
+            for s, ops in zip(run, build_stacked_operators(mesh, firsts[run],
+                                                           k, boost)):
+                shapes[s] = place(ops, mesh, groups[s])
     return [shapes[s] for s in mesh.shape_labels]
 
 
