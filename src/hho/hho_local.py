@@ -29,7 +29,8 @@ each element's `LocalOperators` views its slice.  `build_local_operators`
 is a stack of one.
 
 `interpolate_local`, `stabilization` and `local_norm` act on one element:
-they are the oracles of the block kernels in `solver` and `harness`."""
+they are the oracles of the block kernels in `solver` and `harness`.
+"""
 
 from __future__ import annotations
 
@@ -171,7 +172,8 @@ def build_stacked_operators(mesh, elements, k: int,
     fbasis = face_basis_from_points(pa, pb, k)
     face_points, face_weights = frule.points, frule.weights   # (S, nf, nfq)
     faceval_q = fbasis.eval(face_points)
-    sign = mesh.face_signs[fids, (mesh.face_owners[fids, 1] == ids[:, None]) * 1]
+    second = mesh.face_owners[fids, 1] == ids[:, None]
+    sign = mesh.face_signs[fids, second * 1]
     normals = sign[..., None] * mesh.face_normals[fids]           # (S, nf, 2)
     # int_F psi_i phi_j for the cell bases of degree k and k+1, by face
     flat = face_points.reshape(S, -1, 2)
@@ -213,7 +215,8 @@ def build_stacked_operators(mesh, elements, k: int,
     pgrad_q = np.stack([Wx @ P, Wy @ P], axis=2)
     # pair products of the degree-k bases, which the Newton Jacobian
     # contracts the flux Jacobian and face weights against
-    cell_pairs = ((w * Vk)[..., None] * Vk[..., None, :]).reshape(S, -1, nk * nk)
+    cell_pairs = ((w * Vk)[..., None] * Vk[..., None, :]).reshape(
+        S, -1, nk * nk)
     face_pairs = (faceval_q[..., None] * faceval_q[..., None, :]).reshape(
         *face_weights.shape, -1)
     tables = dict(Gc=Gc, P=P, D=D, grad_q=grad_q, pgrad_q=pgrad_q,
