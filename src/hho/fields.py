@@ -2,7 +2,9 @@
 
 Projection-error seminorms need exact derivatives of both the field and its
 polynomial projections, so fields are represented by a partial-derivative
-factory (ax, ay) -> callable(points) rather than a bare callable.
+factory (ax, ay) -> callable(points) rather than a bare callable.  The
+fields here take points of any leading shape (..., 2), such as the nodes of a
+stack of cells, and return (...) values.
 """
 
 from __future__ import annotations
@@ -35,12 +37,6 @@ class ScalarField:
         H[:, 1, 1] = self.partial(0, 2)(points)
         return H
 
-    def __sub__(self, other):
-        def factory(ax, ay):
-            fa, fb = self.partial(ax, ay), other.partial(ax, ay)
-            return lambda pts: fa(pts) - fb(pts)
-        return ScalarField(factory, name=f"({self.name}-{other.name})")
-
     def __rmul__(self, c):
         def factory(ax, ay):
             f = self.partial(ax, ay)
@@ -52,7 +48,7 @@ def exp_field(a: float, b: float, scale: float = 1.0) -> ScalarField:
     """scale * exp(a x + b y)"""
     def factory(ax, ay):
         c = scale * a ** ax * b ** ay
-        return lambda pts: c * np.exp(a * pts[:, 0] + b * pts[:, 1])
+        return lambda pts: c * np.exp(a * pts[..., 0] + b * pts[..., 1])
     return ScalarField(factory, name=f"exp({a}x+{b}y)")
 
 
@@ -79,15 +75,16 @@ def sine_product_field(fx: float = math.pi, fy: float = math.pi) -> ScalarField:
         c = fx ** ax * fy ** ay
         sx = ax * math.pi / 2.0
         sy = ay * math.pi / 2.0
-        return lambda pts: c * np.sin(fx * pts[:, 0] + sx) * np.sin(fy * pts[:, 1] + sy)
+        return lambda pts: (c * np.sin(fx * pts[..., 0] + sx)
+                            * np.sin(fy * pts[..., 1] + sy))
     return ScalarField(factory, name=f"sin({fx}x)sin({fy}y)")
 
 
 def constant_field(c: float) -> ScalarField:
     def factory(ax, ay):
         if ax == 0 and ay == 0:
-            return lambda pts: np.full(len(pts), float(c))
-        return lambda pts: np.zeros(len(pts))
+            return lambda pts: np.full(np.shape(pts)[:-1], float(c))
+        return lambda pts: np.zeros(np.shape(pts)[:-1])
     return ScalarField(factory, name=f"{c}")
 
 
@@ -95,10 +92,10 @@ def monomial_field(ex: int, ey: int) -> ScalarField:
     """x^ex * y^ey with exact derivatives"""
     def factory(ax, ay):
         if ax > ex or ay > ey:
-            return lambda pts: np.zeros(len(pts))
+            return lambda pts: np.zeros(np.shape(pts)[:-1])
         c = (math.factorial(ex) // math.factorial(ex - ax)) \
             * (math.factorial(ey) // math.factorial(ey - ay))
-        return lambda pts: c * pts[:, 0] ** (ex - ax) * pts[:, 1] ** (ey - ay)
+        return lambda pts: c * pts[..., 0] ** (ex - ax) * pts[..., 1] ** (ey - ay)
     return ScalarField(factory, name=f"x^{ex}y^{ey}")
 
 
@@ -106,12 +103,12 @@ def affine_field(c: float, a: float, b: float) -> ScalarField:
     """c + a x + b y"""
     def factory(ax, ay):
         if ax == 0 and ay == 0:
-            return lambda pts: c + a * pts[:, 0] + b * pts[:, 1]
+            return lambda pts: c + a * pts[..., 0] + b * pts[..., 1]
         if (ax, ay) == (1, 0):
-            return lambda pts: np.full(len(pts), float(a))
+            return lambda pts: np.full(np.shape(pts)[:-1], float(a))
         if (ax, ay) == (0, 1):
-            return lambda pts: np.full(len(pts), float(b))
-        return lambda pts: np.zeros(len(pts))
+            return lambda pts: np.full(np.shape(pts)[:-1], float(b))
+        return lambda pts: np.zeros(np.shape(pts)[:-1])
     return ScalarField(factory, name=f"{c}+{a}x+{b}y")
 
 

@@ -26,8 +26,6 @@ class LerayLionsLaw:
     flux_jacobian: Callable             # (x, xi, eps=0) -> (n, 2, 2)
     beta: float | None = None           # growth constant, exact if known
     lam: float | None = None            # coercivity constant, exact if known
-    gamma: float | None = None          # Lipschitz-type constant (calibrated)
-    zeta: float | None = None           # monotonicity constant (calibrated)
     family: Callable | None = None      # p -> law, for continuation
     energy_density: Callable | None = None   # xi -> scalar potential, if any
 
@@ -301,9 +299,8 @@ def check_inequality(law: LerayLionsLaw, ineq_id: str, n: int = 100_000,
     constants: dict = {}
 
     if ineq_id == "alip_p2":
-        gamma = law.gamma if law.gamma is not None else \
-            _calibrate_pair_constant(law, lambda a, b: _gamma_ratio(law, a, b),
-                                     rng_cal, n, maximize=True)
+        gamma = _calibrate_pair_constant(law, lambda a, b: _gamma_ratio(law, a, b),
+                                         rng_cal, n, maximize=True)
         beta = law.beta if law.beta is not None else 1.0
         C = 2.0 * gamma + 2.0 ** (p - 1.0) * beta + beta
         constants = {"gamma": gamma, "beta": beta, "C": C}
@@ -312,9 +309,8 @@ def check_inequality(law: LerayLionsLaw, ineq_id: str, n: int = 100_000,
         lhs = np.hypot(*(law.flux(x, xi) - law.flux(x, eta)).T)
         rhs = C * np.hypot(*(xi - eta).T) ** (p - 1.0)
     elif ineq_id in ("amon_p2m", "amon_p2p"):
-        zeta = law.zeta if law.zeta is not None else \
-            _calibrate_pair_constant(law, lambda a, b: _zeta_ratio(law, a, b),
-                                     rng_cal, n, maximize=False)
+        zeta = _calibrate_pair_constant(law, lambda a, b: _zeta_ratio(law, a, b),
+                                        rng_cal, n, maximize=False)
         constants = {"zeta": zeta}
         xi, eta = _pair_sample(rng_val, n)
         lhs = np.hypot(*(xi - eta).T) ** p

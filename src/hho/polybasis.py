@@ -6,9 +6,19 @@ The bases are built for a stack of cells with one vertex count at once
 endpoints): every array then has a leading stack axis, and `cell_basis` and
 `face_basis` are the one-element cases.
 
+The projectors and seminorms take one cell (or face) with its rule, or a
+stack of cells with a stack of rules, and then return one value per cell.
+
 Seminorm convention: |v|_{W^{m,p}} sums the L^p norms of all order-m partials
-(no l^p compounding across the multi-indices), so p = inf needs no special
-casing beyond max-over-nodes norms.
+(no l^p compounding across the multi-indices).  Every seminorm, of a cell or
+of a cell's edges, is `lp_norm` over the last axis of nodal values, which is
+the max over the nodes at p = inf.  The trace seminorm takes the tangential
+derivatives at all edge nodes of a cell at once and carries the factor
+h_T^{1/p} (1 at p = inf).
+
+`projector_rate_study` measures the projectors' approximation orders on the
+squares of side h = 2^-j at one corner: the squares are one stack of cells,
+so every h is projected and measured in the same array operations.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from scipy.linalg import solve_triangular
 
 from .fields import ScalarField
 from .mesh import Element, PolytopalMesh, from_polygons
-from .quadrature import QuadratureRule, cell_rule, cell_rules, segment_rule
+from .quadrature import QuadratureRule, cell_rules, segment_rule
 
 INF = math.inf
 
@@ -196,39 +206,33 @@ def face_basis(mesh: PolytopalMesh, face_id: int, degree: int) -> FaceBasis:
 
 
 # ---------------------------------------------------------------------------
-# projectors
-
-
-def _values(field, points) -> np.ndarray:
-    if isinstance(field, ScalarField):
-        return field(points)
-    return np.asarray(field(points), dtype=float)
+# projectors: of one cell or face, or of each cell of a stack with its rule
 
 
 def l2_project(basis: CellBasis | FaceBasis, field,
                rule: QuadratureRule) -> np.ndarray:
-    """Coefficients of the L2-orthogonal projection onto a cell or face basis."""
-    vals = basis.eval(rule.points)
-    rhs = vals.T @ (rule.weights * _values(field, rule.points))
-    return np.linalg.solve(basis.mass, rhs)
+    """Coefficients of the L2-orthogonal projection onto a cell or face basis,
+    or onto each basis of a stack with the matching stack of rules."""
+    rhs = mT(basis.eval(rule.points)) @ (rule.weights * field(rule.points))[..., None]
+    return np.linalg.solve(basis.mass, rhs)[..., 0]
 
 
 def elliptic_project(basis: CellBasis, field: ScalarField,
                      rule: QuadratureRule) -> np.ndarray:
-    """Coefficients of the elliptic projection: gradients match against every
-    test polynomial, and the mean of the defect vanishes."""
-    n = basis.dim
-    gx = basis.partial(1, 0, rule.points)
-    gy = basis.partial(0, 1, rule.points)
-    coeffs = np.zeros(n)
-    if n > 1:
-        K = (gx.T @ (gx * rule.weights[:, None])
-             + gy.T @ (gy * rule.weights[:, None]))
-        rhs = (gx.T @ (rule.weights * field.partial(1, 0)(rule.points))
-               + gy.T @ (rule.weights * field.partial(0, 1)(rule.points)))
-        coeffs[1:] = np.linalg.solve(K[1:, 1:], rhs[1:])
-    mean_v = rule.weights @ field(rule.points)
-    coeffs[0] = (mean_v - basis.moments[1:] @ coeffs[1:]) / basis.moments[0]
+    """Coefficients of the elliptic projection, for one cell or a stack:
+    gradients match against every test polynomial, and the mean of the
+    defect vanishes."""
+    gx, gy = basis.partials(rule.points, [(1, 0), (0, 1)])
+    fx, fy = (field.partial(*d)(rule.points)[..., None] for d in ((1, 0), (0, 1)))
+    w = rule.weights[..., None]
+    K = mT(gx) @ (gx * w) + mT(gy) @ (gy * w)
+    rhs = mT(gx) @ (w * fx) + mT(gy) @ (w * fy)
+    coeffs = np.zeros(basis.moments.shape)
+    if basis.dim > 1:
+        coeffs[..., 1:] = np.linalg.solve(K[..., 1:, 1:], rhs[..., 1:, :])[..., 0]
+    mean_v = (rule.weights * field(rule.points)).sum(-1)
+    coeffs[..., 0] = ((mean_v - (basis.moments[..., 1:] * coeffs[..., 1:]).sum(-1))
+                      / basis.moments[..., 0])
     return coeffs
 
 
@@ -236,70 +240,49 @@ def elliptic_project(basis: CellBasis, field: ScalarField,
 # seminorms
 
 
-def _lp_accumulate(p: float, weights, vals, acc):
+def lp_norm(weights: np.ndarray, vals: np.ndarray, p: float) -> np.ndarray:
+    """The L^p norms over the last axis of values at quadrature nodes with
+    these weights: the largest |value| for p = inf."""
     if p == INF:
-        return max(acc, float(np.max(np.abs(vals), initial=0.0)))
-    return acc + float(weights @ np.abs(vals) ** p)
+        return np.abs(vals).max(axis=-1, initial=0.0)
+    return (weights * np.abs(vals) ** p).sum(-1) ** (1.0 / p)
 
 
-def cell_seminorm(field: ScalarField, m: int, p: float, element: Element,
-                  rule: QuadratureRule) -> float:
-    """|field|_{W^{m,p}(T)} = sum over |alpha| = m of ||d^alpha field||_{L^p(T)}."""
-    total = 0.0
-    for j in range(m + 1):
-        vals = field.partial(j, m - j)(rule.points)
-        if p == INF:
-            part = float(np.max(np.abs(vals), initial=0.0))
-        else:
-            part = float(rule.weights @ np.abs(vals) ** p) ** (1.0 / p)
-        total += part
-    return total
+def cell_seminorm(field: ScalarField, m: int, p: float,
+                  rule: QuadratureRule) -> np.ndarray:
+    """|field|_{W^{m,p}(T)} = sum over |alpha| = m of ||d^alpha field||_{L^p(T)},
+    on the cell of `rule` or on each cell of a stack of rules."""
+    return sum(lp_norm(rule.weights, field.partial(j, m - j)(rule.points), p)
+               for j in range(m + 1))
 
 
-def _tangential_partial(field: ScalarField, m: int, tau) -> "callable":
-    terms = [(math.comb(m, j) * tau[0] ** j * tau[1] ** (m - j), field.partial(j, m - j))
-             for j in range(m + 1)]
-
-    def ev(pts):
-        out = np.zeros(len(pts))
-        for c, f in terms:
-            if c != 0.0:
-                out += c * f(pts)
-        return out
-    return ev
+def tangential_partial(field: ScalarField, m: int, points: np.ndarray,
+                       tangents: np.ndarray) -> np.ndarray:
+    """The order-m derivative of field along unit tangents at points; the
+    (..., 2) tangents broadcast against the (..., 2) points."""
+    tx, ty = tangents[..., 0], tangents[..., 1]
+    return sum(math.comb(m, j) * tx ** j * ty ** (m - j)
+               * field.partial(j, m - j)(points) for j in range(m + 1))
 
 
-def face_broken_seminorm(field: ScalarField, m: int, p: float,
-                         mesh: PolytopalMesh, element_id: int,
-                         exactness: int) -> float:
-    """Broken W^{m,p} seminorm of field over the boundary skeleton of one
-    element (tangential derivatives of order m, face by face)."""
-    acc = 0.0
-    for fid in mesh.elements[element_id].faces:
-        pa, pb = mesh.vertices[mesh.face_vertices[fid]]
-        tau = (pb - pa) / mesh.face_lengths[fid]
-        rule = segment_rule(pa, pb, exactness)
-        vals = _tangential_partial(field, m, tau)(rule.points)
-        acc = _lp_accumulate(p, rule.weights, vals, acc)
-    return acc if p == INF else acc ** (1.0 / p)
-
-
-def trace_seminorm_scaled(field: ScalarField, m: int, p: float,
-                          mesh: PolytopalMesh, element_id: int,
-                          exactness: int) -> float:
-    """h_T^{1/p} |field|_{W^{m,p} broken over the element's faces}."""
-    factor = 1.0 if p == INF else mesh.diameters[element_id] ** (1.0 / p)
-    return factor * face_broken_seminorm(field, m, p, mesh, element_id, exactness)
+def trace_seminorm(field: ScalarField, m: int, p: float, points: np.ndarray,
+                   diameters: np.ndarray, exactness: int) -> np.ndarray:
+    """h_T^{1/p} |field|_{W^{m,p}} broken over the edges of each cell of the
+    (S, n, 2) vertex stack `points`, with (S,) diameters h_T: tangential
+    derivatives of order m, one L^p norm over all edge nodes of a cell
+    (h_T^0 = 1 at p = inf)."""
+    pa, pb = points, np.roll(points, -1, axis=-2)
+    d = pb - pa
+    tau = d / np.hypot(d[..., 0], d[..., 1])[..., None]
+    rule = segment_rule(pa, pb, exactness)         # (S, n, nq) nodes
+    nq = rule.weights.shape[-1]
+    vals = tangential_partial(field, m, rule.points.reshape(len(pa), -1, 2),
+                              np.repeat(tau, nq, axis=-2))
+    return diameters ** (1.0 / p) * lp_norm(rule.weights.reshape(len(pa), -1), vals, p)
 
 
 # ---------------------------------------------------------------------------
 # approximation-rate measurement
-
-
-def square_element_mesh(h: float, origin=(0.3, 0.4)) -> PolytopalMesh:
-    ox, oy = origin
-    verts = [(ox, oy), (ox + h, oy), (ox + h, oy + h), (ox, oy + h)]
-    return from_polygons(verts, [[0, 1, 2, 3]])
 
 
 def fit_slope(hs, errors) -> float:
@@ -314,42 +297,35 @@ def fit_slope(hs, errors) -> float:
 def projector_rate_study(field: ScalarField, degree: int, projector: str = "elliptic",
                          js=range(2, 8), ms=(0, 1, 2), ps=(1.5, 2.0, 4.0, INF),
                          trace_ms=(0, 1), exactness: int = 30, s: int | None = None) -> dict:
-    """Project `field` on shrinking squares h = 2^-j and record the W^{m,p}
-    error seminorms against h, normalized by |field|_{W^{s,p}} on the same
-    square (the approximation bound's own right-hand side, so the predicted
-    slope is s - m for every p, finite or not)."""
+    """Project `field` on the squares of side h = 2^-j at one corner, all of
+    them as one stack of cells, and record the W^{m,p} error seminorms against
+    h, normalized by |field|_{W^{s,p}} on the same square (the approximation
+    bound's own right-hand side, so the predicted slope is s - m for every p,
+    finite or not)."""
     if projector not in ("elliptic", "l2"):
         raise ValueError("projector must be 'elliptic' or 'l2'")
     if s is None:
         s = degree + 1
     hs = [2.0 ** -j for j in js]
-    cell_err = {(m, p): [] for m in ms for p in ps}
-    trace_err = {(m, p): [] for m in trace_ms for p in ps}
-    for h in hs:
-        msh = square_element_mesh(h)
-        el = msh.elements[0]
-        rule = cell_rule(el, exactness)
-        basis = cell_basis(el, degree)
-        if projector == "elliptic":
-            coeffs = elliptic_project(basis, field, rule)
-        else:
-            coeffs = l2_project(basis, field, rule)
-        defect = field - basis.as_field(coeffs)
-        source = {p: cell_seminorm(field, s, p, el, rule) for p in ps}
-        for m in ms:
-            for p in ps:
-                cell_err[(m, p)].append(cell_seminorm(defect, m, p, el, rule) / source[p])
-        for m in trace_ms:
-            for p in ps:
-                trace_err[(m, p)].append(
-                    trace_seminorm_scaled(defect, m, p, msh, 0, exactness) / source[p])
-    return {
-        "h": hs,
-        "degree": degree,
-        "projector": projector,
-        "order": s,
-        "cell": {key: {"errors": v, "slope": fit_slope(hs, v)}
-                 for key, v in cell_err.items()},
-        "trace": {key: {"errors": v, "slope": fit_slope(hs, v)}
-                  for key, v in trace_err.items()},
-    }
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    cells = np.array([0.3, 0.4]) + np.multiply.outer(hs, unit)     # (S, 4, 2)
+    # the S squares share no vertex ids: one call gives their geometry
+    sq = from_polygons(cells.reshape(-1, 2), np.arange(4 * len(hs)).reshape(-1, 4))
+    rule = cell_rules(cells, sq.centroids, exactness)
+    basis = cell_bases(cells, sq.centroids, sq.diameters, degree)
+    project = elliptic_project if projector == "elliptic" else l2_project
+    coeffs = project(basis, field, rule)[..., None]
+
+    def partial(ax, ay):
+        f = field.partial(ax, ay)
+        return lambda pts: f(pts) - (basis.partial(ax, ay, pts) @ coeffs)[..., 0]
+    defect = ScalarField(partial, name="defect")
+    source = {p: cell_seminorm(field, s, p, rule) for p in ps}
+    cell = {(m, p): cell_seminorm(defect, m, p, rule) / source[p]
+            for m in ms for p in ps}
+    trace = {(m, p): trace_seminorm(defect, m, p, cells, sq.diameters, exactness)
+             / source[p] for m in trace_ms for p in ps}
+    rates = lambda errors: {key: {"errors": v.tolist(), "slope": fit_slope(hs, v)}
+                            for key, v in errors.items()}
+    return {"h": hs, "degree": degree, "projector": projector, "order": s,
+            "cell": rates(cell), "trace": rates(trace)}

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -261,6 +262,12 @@ def test_cli_projector_rates(tmp_path, capsys):
     assert {row[1] for row in body} == {"cell", "trace"}
     for row in body:
         assert abs(float(row[4]) - float(row[5])) <= 0.2
+    # a second run writes the same bytes
+    again = tmp_path / "again"
+    assert main(["projector-rates", "--degree", "1", "--out", str(again),
+                 "--exactness", "20"]) == 0
+    csv = "projector_rates.csv"
+    assert (again / csv).read_bytes() == (out / csv).read_bytes()
 
 
 def test_cli_check_laws(capsys):
@@ -270,6 +277,17 @@ def test_cli_check_laws(capsys):
     assert lines[0].startswith("jacobian vs finite differences:")
     assert [ln.split()[0] for ln in lines[1:]] == applicable_inequalities(1.75)
     assert all(ln.endswith("PASS") for ln in lines[1:])
+
+
+def test_tracer_names_resolve():
+    # perfbench's tracer swaps library attributes by name, some of them kept
+    # only for it: each must still name a callable
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.TRACED:
+        assert callable(getattr(module, attr, None)), (module.__name__, attr)
 
 
 @pytest.mark.parametrize("user, pinned", [(None, "1"), ("3", "3")])

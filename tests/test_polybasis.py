@@ -5,16 +5,24 @@ import pytest
 
 from hho.fields import (affine_field, constant_field, exp_field, monomial_field,
                         random_wave_field, sine_product_field)
-from hho.mesh import generate
-from hho.polybasis import (cell_basis, cell_exponents, cell_seminorm,
+from hho.mesh import from_polygons, generate
+from hho.polybasis import (cell_bases, cell_basis, cell_exponents, cell_seminorm,
                            elliptic_project, face_basis, face_basis_from_points,
-                           face_broken_seminorm, fit_slope, l2_project,
-                           projector_rate_study,
-                           square_element_mesh, trace_seminorm_scaled)
+                           fit_slope, l2_project, projector_rate_study,
+                           tangential_partial, trace_seminorm)
 from hho.quadrature import (MAX_EXACTNESS, QuadratureCapabilityError, cell_rule,
-                            face_rule, reference_triangle_rule, segment_rule)
+                            cell_rules, face_rule, reference_triangle_rule,
+                            segment_rule)
 
 INF = math.inf
+
+
+def _square(h: float, origin=(0.3, 0.4)):
+    """A mesh of one square cell of side h with its lower left corner at
+    origin."""
+    ox, oy = origin
+    return from_polygons([(ox, oy), (ox + h, oy), (ox + h, oy + h), (ox, oy + h)],
+                         [[0, 1, 2, 3]])
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +43,7 @@ def test_reference_triangle_rule_exactness(d):
 
 
 def test_cell_rule_unit_square_monomial():
-    m = square_element_mesh(1.0, origin=(0.0, 0.0))
+    m = _square(1.0, origin=(0.0, 0.0))
     rule = cell_rule(m.elements[0], 4)
     assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert rule.weights @ rule.points[:, 0] ** 2 == pytest.approx(1 / 3, rel=1e-14)
@@ -61,7 +69,7 @@ def test_segment_rule_measure_and_exactness():
 
 
 def test_quadrature_capability_cap():
-    m = square_element_mesh(1.0)
+    m = _square(1.0)
     with pytest.raises(QuadratureCapabilityError):
         cell_rule(m.elements[0], MAX_EXACTNESS + 1)
 
@@ -112,7 +120,7 @@ def test_face_mass_spd_and_gram():
 
 
 def test_l2_projection_of_x_squared_degree1():
-    m = square_element_mesh(1.0, origin=(0.0, 0.0))
+    m = _square(1.0, origin=(0.0, 0.0))
     el = m.elements[0]
     basis = cell_basis(el, 1)
     rule = cell_rule(el, 6)
@@ -122,7 +130,7 @@ def test_l2_projection_of_x_squared_degree1():
 
 
 def test_elliptic_projection_of_x_squared_degree1():
-    m = square_element_mesh(1.0, origin=(0.0, 0.0))
+    m = _square(1.0, origin=(0.0, 0.0))
     el = m.elements[0]
     basis = cell_basis(el, 1)
     rule = cell_rule(el, 6)
@@ -158,6 +166,24 @@ def test_projectors_idempotent_on_polynomials(family, degree):
         got = proj(basis, poly, rule)
         pts = cell_rule(el, 3).points
         assert np.abs(basis.eval(pts) @ got - poly(pts)).max() < 1e-12
+
+
+def test_projections_of_a_stack_match_one_cell_calls():
+    m = generate("hexagonal", 2)
+    ids = [e for e in range(m.n_elements) if len(m.elements[e].faces) == 6][:5]
+    els = [m.elements[e] for e in ids]
+    pts = np.array([el.points for el in els])
+    basis = cell_bases(pts, m.centroids[ids], m.diameters[ids], 2)
+    rule = cell_rules(pts, m.centroids[ids], 12)
+    v = exp_field(1.0, -0.5)
+    for proj in (l2_project, elliptic_project):
+        got = proj(basis, v, rule)
+        for s, el in enumerate(els):
+            want = proj(cell_basis(el, 2), v, cell_rule(el, 12))
+            assert np.abs(got[s] - want).max() < 1e-13 * np.abs(want).max()
+    for p in (1.0, INF):
+        want = [cell_seminorm(v, 1, p, cell_rule(el, 12)) for el in els]
+        assert cell_seminorm(v, 1, p, rule) == pytest.approx(want, rel=1e-14)
 
 
 def test_elliptic_projection_preserves_mean():
@@ -229,53 +255,54 @@ def test_face_projection_exp_matches_dense_normal_equations():
 def test_seminorms_of_linear_field():
     # v = x on the unit square: |v|_{W^{0,1}} = 1/2, |v|_{W^{1,2}} = 1,
     # |v|_{W^{1,inf}} = 1, |v|_{W^{2,p}} = 0
-    m = square_element_mesh(1.0, origin=(0.0, 0.0))
+    m = _square(1.0, origin=(0.0, 0.0))
     el = m.elements[0]
     rule = cell_rule(el, 10)
     v = monomial_field(1, 0)
-    assert cell_seminorm(v, 0, 1.0, el, rule) == pytest.approx(0.5, rel=1e-13)
-    assert cell_seminorm(v, 1, 2.0, el, rule) == pytest.approx(1.0, rel=1e-13)
-    assert cell_seminorm(v, 1, INF, el, rule) == pytest.approx(1.0, rel=1e-13)
-    assert cell_seminorm(v, 2, 2.0, el, rule) == 0.0
+    assert cell_seminorm(v, 0, 1.0, rule) == pytest.approx(0.5, rel=1e-13)
+    assert cell_seminorm(v, 1, 2.0, rule) == pytest.approx(1.0, rel=1e-13)
+    assert cell_seminorm(v, 1, INF, rule) == pytest.approx(1.0, rel=1e-13)
+    assert cell_seminorm(v, 2, 2.0, rule) == 0.0
 
 
 def test_seminorm_sums_over_multiindices():
     # v = x + y: both first-order partials are 1, so |v|_{W^{1,p}} = 2 |T|^{1/p}
-    m = square_element_mesh(1.0, origin=(0.0, 0.0))
+    m = _square(1.0, origin=(0.0, 0.0))
     el = m.elements[0]
     rule = cell_rule(el, 4)
     v = affine_field(0.0, 1.0, 1.0)
-    assert cell_seminorm(v, 1, 2.0, el, rule) == pytest.approx(2.0, rel=1e-13)
-    assert cell_seminorm(v, 1, INF, el, rule) == pytest.approx(2.0, rel=1e-13)
+    assert cell_seminorm(v, 1, 2.0, rule) == pytest.approx(2.0, rel=1e-13)
+    assert cell_seminorm(v, 1, INF, rule) == pytest.approx(2.0, rel=1e-13)
 
 
 def test_face_broken_seminorm_perimeter():
-    m = square_element_mesh(1.0, origin=(0.0, 0.0))
+    # with h_T = 1 the trace seminorm is the broken one: the perimeter at p = 1
+    m = _square(1.0, origin=(0.0, 0.0))
     v = constant_field(1.0)
-    assert face_broken_seminorm(v, 0, 1.0, m, 0, 4) == pytest.approx(4.0, rel=1e-13)
-    assert face_broken_seminorm(v, 0, INF, m, 0, 4) == pytest.approx(1.0, rel=1e-13)
+    cells, unit = m.vertices[None], np.ones(1)
+    assert trace_seminorm(v, 0, 1.0, cells, unit, 4) == pytest.approx([4.0], rel=1e-13)
+    assert trace_seminorm(v, 0, INF, cells, unit, 4) == pytest.approx([1.0], rel=1e-13)
 
 
 def test_trace_seminorm_scaling_factor():
     # p = inf carries no h^{1/p} factor
-    m = square_element_mesh(0.5)
+    m = _square(0.5)
     v = constant_field(2.0)
     el = m.elements[0]
-    assert trace_seminorm_scaled(v, 0, INF, m, 0, 4) == pytest.approx(2.0)
+    cells = m.vertices[None]
+    assert trace_seminorm(v, 0, INF, cells, m.diameters, 4) == pytest.approx([2.0])
     expected = el.diameter ** 0.5 * (4 * 0.5 * 2.0 ** 2) ** 0.5
-    assert trace_seminorm_scaled(v, 0, 2.0, m, 0, 4) == pytest.approx(expected, rel=1e-13)
+    assert trace_seminorm(v, 0, 2.0, cells, m.diameters, 4) == pytest.approx(
+        [expected], rel=1e-13)
 
 
 def test_tangential_derivative_on_diagonal_face():
     # v = x y on the diagonal from (0,0) to (1,1): d/ds (s^2/2) = s
     pa, pb = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-    m = generate("triangular", 1)
     v = monomial_field(1, 1)
-    fb = face_basis_from_points(pa, pb, 2)
     rule = segment_rule(pa, pb, 8)
-    from hho.polybasis import _tangential_partial
     tau = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    vals = _tangential_partial(v, 1, tau)(rule.points)
+    vals = tangential_partial(v, 1, rule.points, tau)
     s = (rule.points - pa) @ tau
     assert np.abs(vals - s).max() < 1e-13
 
@@ -300,8 +327,8 @@ def test_l2_projector_lp_bounded_across_levels():
                 coeffs = l2_project(basis, v, rule)
                 pv = basis.as_field(coeffs)
                 for p in (1.5, 2.0, 4.0):
-                    num = cell_seminorm(pv, 0, p, el, rule)
-                    den = cell_seminorm(v, 0, p, el, rule)
+                    num = cell_seminorm(pv, 0, p, rule)
+                    den = cell_seminorm(v, 0, p, rule)
                     if den > 1e-12:
                         worst = max(worst, num / den)
             assert worst <= C_RECORDED
@@ -320,8 +347,8 @@ def test_l2_projector_wsp_bounded_sampled():
         pv = basis.as_field(l2_project(basis, v, rule))
         for p in (1.5, 2.0, 4.0):
             s = degree + 1
-            num = cell_seminorm(pv, s - 1, p, el, rule)
-            den = sum(cell_seminorm(v, t, p, el, rule)
+            num = cell_seminorm(pv, s - 1, p, rule)
+            den = sum(cell_seminorm(v, t, p, rule)
                       * el.diameter ** (t - (s - 1)) for t in (s - 1, s))
             assert num <= C_RECORDED * den
 
@@ -336,6 +363,17 @@ def test_rate_study_smoke(projector):
     assert out["trace"][(0, 2.0)]["slope"] == pytest.approx(3.0, abs=0.2)
     errs = out["cell"][(0, 2.0)]["errors"]
     assert all(e1 < e0 for e0, e1 in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("projector", ["elliptic", "l2"])
+def test_rate_study_at_p_1(projector):
+    # the paper's endpoint p = 1, which the default p's leave out
+    out = projector_rate_study(exp_field(1.0, 1.0), 2, projector=projector,
+                               ps=(1.0,))
+    for kind, ms in (("cell", (0, 1, 2)), ("trace", (0, 1))):
+        assert sorted(out[kind]) == [(m, 1.0) for m in ms]
+        for m in ms:
+            assert out[kind][(m, 1.0)]["slope"] == pytest.approx(3 - m, abs=0.2)
 
 
 def test_fit_slope_exact_line():
