@@ -48,9 +48,10 @@ from .polybasis import cell_basis  # noqa: F401
 from .quadrature import cell_rule  # noqa: F401
 
 # cells per stacked build, which bounds the build's temporaries: a stack of
-# 64 quadrilaterals at k = 3 holds 19 MiB of tables (297 KB a shape) and
-# peaks 6 MiB above them while it is built.  Each generated family, at most
-# 19 shapes a level, builds in one stack per vertex count.
+# 64 quadrilaterals at k = 3 (72 cell nodes each) holds 10 MiB of tables
+# (159 KB a shape) and peaks 4 MiB above them while it is built.  Each
+# generated family, at most 19 shapes a level, builds in one stack per
+# vertex count.
 STACK_SHAPES = 64
 
 
@@ -134,9 +135,10 @@ class LocalOperators:
 def build_stacked_operators(mesh, elements, k: int,
                             boost: int = 0) -> list[LocalOperators]:
     """The operators built on each of `elements`, ids of at most
-    STACK_SHAPES cells with one vertex count, in one pass whose every array
-    has a leading axis over them; each `LocalOperators` is placed on its
-    own element and views its slice of the stacked arrays."""
+    STACK_SHAPES cells with one vertex count and one kind of cell fan
+    (`quadrature.cell_rules`), in one pass whose every array has a leading
+    axis over them; each `LocalOperators` is placed on its own element and
+    views its slice of the stacked arrays."""
     ids = np.asarray(elements)
     ptr = mesh.cell_ptr
     nf = ptr[ids[0] + 1] - ptr[ids[0]]

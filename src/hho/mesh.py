@@ -532,7 +532,9 @@ def validate(mesh: PolytopalMesh) -> RegularityReport:
     flux = np.column_stack([np.bincount(cell, mesh.face_lengths[f] * n_tf[:, c], ne)
                             for c in (0, 1)])
 
-    # the simplices: a triangle itself, else (centroid, a, b) for each edge
+    # the simplices: a triangle itself, else (centroid, a, b) for each edge.
+    # This centroid fan measures mesh regularity (the paper's submesh); the
+    # cell quadrature fans from a vertex instead (`quadrature.cell_rules`)
     tri = (np.diff(ptr) == 3)[cell]
     keep = ~tri | (np.arange(len(cyc)) == ptr[cell])
     S = np.where(tri[:, None, None], V[np.column_stack([a, b, cyc[ptr[cell] + 2]])],

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .fields import ScalarField
 from .mesh import Element, PolytopalMesh, from_polygons
@@ -41,6 +40,16 @@ def _falling(e: np.ndarray, a: int) -> np.ndarray:
     for i in range(a):
         out = out * np.maximum(e - i, 0)
     return out
+
+
+def _powers(x: np.ndarray, degree: int) -> np.ndarray:
+    """x^j, j = 0 ... degree, on a new last axis, by repeated products (a
+    power of negative numbers, as in `x ** j`, is several times slower)."""
+    pw = np.empty(x.shape + (degree + 1,))
+    pw[..., 0] = 1.0
+    for j in range(degree):
+        pw[..., j + 1] = pw[..., j] * x
+    return pw
 
 
 def cell_exponents(degree: int) -> np.ndarray:
@@ -81,8 +90,7 @@ class CellBasis:
         of `orders`, from one table of powers."""
         h = self.diameter[..., None, None]
         X = (np.asarray(points, dtype=float) - self.centroid[..., None, :]) / h
-        # X^j, j = 0 ... degree, of both coordinates: (..., nq, degree + 1, 2)
-        pw = X[..., None, :] ** np.arange(self.degree + 1)[:, None]
+        pw = _powers(X, self.degree)            # (..., nq, 2, degree + 1)
         out = []
         for ax, ay in orders:
             e = self.exponents - (ax, ay)
@@ -90,7 +98,7 @@ class CellBasis:
             coef = (_falling(self.exponents[:, 0], ax)
                     * _falling(self.exponents[:, 1], ay) / h ** (ax + ay))
             vals = np.zeros(X.shape[:-1] + (self.dim,))
-            vals[..., idx] = (pw[..., e[idx, 0], 0] * pw[..., e[idx, 1], 1]
+            vals[..., idx] = (pw[..., 0, e[idx, 0]] * pw[..., 1, e[idx, 1]]
                               * coef[..., idx])
             out.append(vals)
         return out
@@ -121,15 +129,12 @@ def _orthonormalize(raw: np.ndarray, weights: np.ndarray, degree: int):
     """(transform, mass) for raw monomial values (..., n, dim) at the nodes
     of rules with (..., n) weights: no transform below degree 2, else the
     inverse Cholesky factor of the Gram matrix (conditioning), with the
-    mass matrix of the transformed basis.  The triangular inverses run one
-    matrix at a time (`solve_triangular` takes no stack)."""
+    mass matrix of the transformed basis.  One batched inverse serves the
+    whole stack."""
     M = mT(raw) @ (raw * weights[..., None])
     if degree < 2:
         return None, M
-    L = np.linalg.cholesky(M).reshape(-1, *M.shape[-2:])
-    eye = np.eye(M.shape[-1])
-    C = np.array([solve_triangular(f, eye, lower=True, check_finite=False)
-                  for f in L]).reshape(M.shape)
+    C = np.linalg.inv(np.linalg.cholesky(M))
     return C, C @ M @ mT(C)
 
 
@@ -181,8 +186,7 @@ class FaceBasis:
         return (d @ self.tangent[..., None])[..., 0] / self.length[..., None]
 
     def _raw(self, points) -> np.ndarray:
-        t = self._coord(points)
-        return t[..., None] ** np.arange(self.degree + 1)
+        return _powers(self._coord(points), self.degree)
 
     def eval(self, points) -> np.ndarray:
         raw = self._raw(points)
@@ -294,18 +298,29 @@ def fit_slope(hs, errors) -> float:
     return float(np.polyfit(np.log(hs[mask]), np.log(errors[mask]), 1)[0])
 
 
+def rate_levels(degree: int) -> range:
+    """The default levels j, h = 2^-j, of `projector_rate_study`: 2 ... 7,
+    ending sooner above degree 3.  Past j = 160 / (degree + 1)^2 the errors
+    of a smooth field fall to roundoff, first those of order m = 2 (measured
+    on e^{x+y}, both projectors, degrees 1-6: with these levels every slope
+    is within 0.19 of s - m up to degree 6).  At least two levels remain."""
+    return range(2, min(7, max(3, 160 // (degree + 1) ** 2)) + 1)
+
+
 def projector_rate_study(field: ScalarField, degree: int, projector: str = "elliptic",
-                         js=range(2, 8), ms=(0, 1, 2), ps=(1.5, 2.0, 4.0, INF),
+                         js=None, ms=(0, 1, 2), ps=(1.5, 2.0, 4.0, INF),
                          trace_ms=(0, 1), exactness: int = 30, s: int | None = None) -> dict:
     """Project `field` on the squares of side h = 2^-j at one corner, all of
     them as one stack of cells, and record the W^{m,p} error seminorms against
     h, normalized by |field|_{W^{s,p}} on the same square (the approximation
     bound's own right-hand side, so the predicted slope is s - m for every p,
-    finite or not)."""
+    finite or not).  The levels j default to `rate_levels(degree)`."""
     if projector not in ("elliptic", "l2"):
         raise ValueError("projector must be 'elliptic' or 'l2'")
     if s is None:
         s = degree + 1
+    if js is None:
+        js = rate_levels(degree)
     hs = [2.0 ** -j for j in js]
     unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     cells = np.array([0.3, 0.4]) + np.multiply.outer(hs, unit)     # (S, 4, 2)

@@ -1,12 +1,19 @@
 """Quadrature rules on polytopal elements and faces.
 
 Cell rules are assembled by mapping a reference-triangle rule to every
-simplex of the element's centroid fan, which `cell_rules` builds from the
-vertices of a stack of cells with one vertex count (a triangle is its own
-fan); `cell_rule` is its one-element case, and `segment_rule` stacks face
-rules the same way.  The reference rule for exactness d is the collapsed
-product of n-point Gauss-Legendre and Gauss-Jacobi(1, 0) rules,
-n = (d + 2) // 2: n^2 nodes, all weights positive, exact to degree d.
+triangle of a fan of the element, which `cell_rules` builds from the
+vertices of a stack of cells with one vertex count.  A cell with n vertices
+is fanned from one of them, its apex: the n - 2 triangles (apex, vertex i,
+vertex i + 1).  The apex is the first vertex in cycle order whose fan keeps
+every triangle's area above FAN_AREA times the cell's (`fan_apices`), so a
+triangle is its own fan and a hanging node is never the tip of a flat
+triangle.  A cell with no such vertex (a non-convex cell that no vertex
+sees whole) is fanned from its centroid into n triangles.  A cell's rule
+depends on that cell alone; `cell_rule` is the one-element case, and
+`segment_rule` stacks face rules the same way.  The reference rule for
+exactness d is the collapsed product of n-point Gauss-Legendre and
+Gauss-Jacobi(1, 0) rules, n = (d + 2) // 2: n^2 nodes, all weights
+positive, exact to degree d.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 MAX_EXACTNESS = 60
+# the least area of a vertex fan's triangles, relative to the cell's
+FAN_AREA = 1e-8
 
 
 class QuadratureCapabilityError(Exception):
@@ -69,25 +78,55 @@ def reference_triangle_rule(exactness: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, W.ravel()
 
 
+def fan_apices(points: np.ndarray) -> np.ndarray:
+    """For each cell of an (S, n, 2) stack of vertex cycles, the first vertex
+    in cycle order whose fan keeps every triangle's area above FAN_AREA
+    times the cell's, or -1 where no vertex does; 0 for every triangle."""
+    p = np.asarray(points, dtype=float)
+    S, n = p.shape[:2]
+    if n == 3:                  # a triangle is its own fan
+        return np.zeros(S, dtype=int)
+    # twice the signed areas of the triangles (vertex a, vertex i, vertex
+    # i + 1), (S, a, i); those with a corner at a vanish and are skipped
+    e = p[:, None] - p[:, :, None]                    # vertex i - vertex a
+    en = e[:, :, np.arange(1, n + 1) % n]
+    tri = e[..., 0] * en[..., 1] - en[..., 0] * e[..., 1]
+    d = (np.arange(n) - np.arange(n)[:, None]) % n
+    ok = (tri > FAN_AREA * tri.sum(axis=2, keepdims=True)) | (d == 0) | (d == n - 1)
+    valid = ok.all(axis=2)
+    return np.where(valid.any(axis=1), valid.argmax(axis=1), -1)
+
+
 def cell_rules(points: np.ndarray, centroids: np.ndarray,
                exactness: int) -> QuadratureRule:
     """Quadrature over a stack of S polytopal cells with one vertex count n,
-    their (S, n, 2) vertex cycles and (S, 2) centroids, via their centroid
-    fans: the triangles (centroid, vertex i, vertex i + 1); a triangle is its
-    own fan.  The rule's points are (S, nq, 2) and its weights (S, nq)."""
+    their (S, n, 2) vertex cycles and (S, 2) centroids, on the fan of each
+    cell: from its apex (`fan_apices`) the n - 2 triangles (apex, vertex i,
+    vertex i + 1), or, for a stack of cells without one, from the centroid
+    the n triangles (centroid, vertex i, vertex i + 1).  The rule's points
+    are (S, nq, 2) and its weights (S, nq).  The cells of one stack share
+    one kind of fan, so that each rule depends on its own cell alone."""
     _check_exactness(exactness)
     ref_pts, ref_w = reference_triangle_rule(exactness)
     p = np.asarray(points, dtype=float)
-    v0, v1, v2 = ((p[:, None, 0], p[:, None, 1], p[:, None, 2])
-                  if p.shape[1] == 3
-                  else (centroids[:, None], p, np.roll(p, -1, axis=1)))
+    S, n = p.shape[:2]
+    apex = fan_apices(p)
+    if (apex < 0).all():
+        v0, v1, v2 = centroids[:, None], p, np.roll(p, -1, axis=1)
+    elif (apex >= 0).all():
+        cyc = (p[np.arange(S)[:, None], (apex[:, None] + np.arange(n)) % n]
+               if apex.any() else p)
+        v0, v1, v2 = cyc[:, :1], cyc[:, 1:-1], cyc[:, 2:]
+    else:
+        raise ValueError("the cells of a stack are fanned alike: all from "
+                         "a vertex or all from the centroid")
     e1, e2 = v1 - v0, v2 - v0
     jac = e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1]
     pts = (v0[..., None, :] + ref_pts[:, 0, None] * e1[..., None, :]
            + ref_pts[:, 1, None] * e2[..., None, :])
     wts = ref_w * jac[..., None]
-    return QuadratureRule(points=pts.reshape(len(p), -1, 2),
-                          weights=wts.reshape(len(p), -1), exactness=exactness)
+    return QuadratureRule(points=pts.reshape(S, -1, 2),
+                          weights=wts.reshape(S, -1), exactness=exactness)
 
 
 def cell_rule(element, exactness: int) -> QuadratureRule:

@@ -61,6 +61,7 @@ from scipy.sparse.linalg import splu
 from .hho_local import (STACK_SHAPES, LocalOperators, build_local_operators,
                         build_stacked_operators, cell_dim, place)
 from .law import LerayLionsLaw, power_weight
+from .quadrature import fan_apices
 
 # entries of a block's (E, ndof, ndof) element matrices: a budget on the
 # kernels' working set, which sets the number E of elements per call
@@ -244,19 +245,23 @@ def matrix_pattern(dm: DofMap, condense: bool) -> MatrixPattern:
 def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
     """Local operators of every element: one `LocalOperators` per shape
     label, built on its first element and placed on all of them.  The
-    shapes of one vertex count are built together, in stacks of at most
-    STACK_SHAPES (`build_stacked_operators`)."""
+    shapes of one vertex count and one kind of cell fan (from a vertex or
+    from the centroid, `quadrature.cell_rules`) are built together, in
+    stacks of at most STACK_SHAPES (`build_stacked_operators`)."""
     groups = shape_groups(mesh.shape_labels)
     firsts = np.array([ids[0] for ids in groups])
     counts = np.diff(mesh.cell_ptr)[firsts]
     shapes = [None] * len(groups)
     for n in np.unique(counts):
         same = np.flatnonzero(counts == n)
-        for at in range(0, len(same), STACK_SHAPES):
-            run = same[at:at + STACK_SHAPES]
-            for s, ops in zip(run, build_stacked_operators(mesh, firsts[run],
-                                                           k, boost)):
-                shapes[s] = place(ops, mesh, groups[s])
+        rows = mesh.cell_ptr[firsts[same], None] + np.arange(n)
+        apex = fan_apices(mesh.vertices[mesh.cell_vertices[rows]])
+        for kind in (same[apex >= 0], same[apex < 0]):
+            for at in range(0, len(kind), STACK_SHAPES):
+                run = kind[at:at + STACK_SHAPES]
+                for s, ops in zip(run, build_stacked_operators(
+                        mesh, firsts[run], k, boost)):
+                    shapes[s] = place(ops, mesh, groups[s])
     return [shapes[s] for s in mesh.shape_labels]
 
 

@@ -270,6 +270,18 @@ def test_cli_projector_rates(tmp_path, capsys):
     assert (again / csv).read_bytes() == (out / csv).read_bytes()
 
 
+def test_cli_projector_rates_at_degree_5(tmp_path, capsys):
+    # its default levels stop before the errors reach roundoff (h = 2^-4)
+    from hho.cli import main
+    out = tmp_path / "rates"
+    assert main(["projector-rates", "--degree", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    body = [ln.split(",") for ln in
+            (out / "projector_rates.csv").read_text().splitlines()[1:]]
+    assert len(body) == 40
+    assert all(abs(float(row[4]) - float(row[5])) <= 0.2 for row in body)
+
+
 def test_cli_check_laws(capsys):
     from hho.cli import main
     assert main(["check-laws", "--p", "1.75", "--n", "2000"]) == 0

@@ -136,18 +136,21 @@ def test_submesh_triangle_is_identity():
 
 
 def test_submesh_fan_on_quad():
-    # a square's cell rule maps the reference rule onto the four triangles
-    # (centroid, vertex i, vertex i + 1)
+    # a square's cell rule maps the reference rule onto the two triangles
+    # (vertex 0, vertex i, vertex i + 1), i = 1, 2, in that order
     m = generate("cartesian", 1)
     e = m.elements[0]
+    ref, ref_w = reference_triangle_rule(2)
     rule = cell_rule(e, 2)
-    w = rule.weights.reshape(4, -1)
-    areas = [_tri_area(e.centroid, e.points[i], e.points[(i + 1) % 4])
-             for i in range(4)]
-    assert all(a > 0 for a in areas)
-    assert (w > 0).all()
-    assert np.allclose(w.sum(axis=1), areas, rtol=1e-13, atol=0)
-    assert sum(areas) == pytest.approx(e.area, rel=1e-13)
+    p0 = e.points[0]
+    for i, (pts, w) in enumerate(zip(rule.points.reshape(2, -1, 2),
+                                     rule.weights.reshape(2, -1)), start=1):
+        p1, p2 = e.points[i], e.points[i + 1]
+        area = _tri_area(p0, p1, p2)
+        assert area == pytest.approx(e.area / 2, rel=1e-13)
+        assert np.allclose(pts, p0 + np.outer(ref[:, 0], p1 - p0)
+                           + np.outer(ref[:, 1], p2 - p0), rtol=0, atol=1e-15)
+        assert np.allclose(w, 2 * area * ref_w, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -5,14 +5,15 @@ import pytest
 
 from hho.fields import (affine_field, constant_field, exp_field, monomial_field,
                         random_wave_field, sine_product_field)
-from hho.mesh import from_polygons, generate
+from hho.mesh import FAMILIES, _count_groups, from_polygons, generate
 from hho.polybasis import (cell_bases, cell_basis, cell_exponents, cell_seminorm,
                            elliptic_project, face_basis, face_basis_from_points,
                            fit_slope, l2_project, projector_rate_study,
-                           tangential_partial, trace_seminorm)
+                           rate_levels, tangential_partial, trace_seminorm)
 from hho.quadrature import (MAX_EXACTNESS, QuadratureCapabilityError, cell_rule,
-                            cell_rules, face_rule, reference_triangle_rule,
-                            segment_rule)
+                            cell_rules, face_rule, fan_apices,
+                            reference_triangle_rule, segment_rule)
+from test_solver import _jittered_mesh, _u_mesh
 
 INF = math.inf
 
@@ -47,8 +48,8 @@ def test_cell_rule_unit_square_monomial():
     rule = cell_rule(m.elements[0], 4)
     assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
     assert rule.weights @ rule.points[:, 0] ** 2 == pytest.approx(1 / 3, rel=1e-14)
-    # centroid fan of 4 triangles, 4 x 4 collapsed Gauss nodes each
-    assert len(cell_rule(m.elements[0], 6).weights) == 4 * 16
+    # fan of 2 triangles from a vertex, 4 x 4 collapsed Gauss nodes each
+    assert len(cell_rule(m.elements[0], 6).weights) == 2 * 16
 
 
 def test_cell_rule_hexagon_measure_and_centroid():
@@ -59,6 +60,74 @@ def test_cell_rule_hexagon_measure_and_centroid():
     cx = rule.weights @ rule.points[:, 0] / el.area
     cy = rule.weights @ rule.points[:, 1] / el.area
     assert np.allclose([cx, cy], el.centroid, atol=1e-13)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cell_rules_fan_every_generated_cell_from_a_vertex(family):
+    # n - 2 triangles per cell, none flat, every weight positive
+    nref = len(reference_triangle_rule(6)[1])
+    for level in (1, 2, 3, 4):
+        m = generate(family, level)
+        for ids, rows in _count_groups(m.cell_ptr):
+            pts = m.vertices[m.cell_vertices[rows]]
+            n = pts.shape[1]
+            assert (fan_apices(pts) >= 0).all()
+            rule = cell_rules(pts, m.centroids[ids], 6)
+            assert rule.weights.shape == (len(ids), (n - 2) * nref)
+            assert (rule.weights > 0).all()
+            tri = rule.weights.reshape(len(ids), n - 2, nref).sum(axis=2)
+            assert (tri > 1e-8 * m.areas[ids, None]).all()
+            assert np.allclose(tri.sum(axis=1), m.areas[ids], rtol=1e-12, atol=0)
+
+
+def _monomial_integrals(pts, centroid, h, d):
+    """The integrals over the polygon `pts` of ((x, y) - centroid)^(a, b) /
+    h^(a + b), a + b <= d, by Green's theorem: edge integrals of
+    X^(a + 1) Y^b h / (a + 1) dy, exact with Gauss-Legendre rules."""
+    edges = segment_rule(pts, np.roll(pts, -1, axis=0), d + 1)
+    X, Y = np.moveaxis((edges.points - centroid) / h, -1, 0)
+    dy = (np.roll(pts, -1, axis=0) - pts)[:, 1] / edges.weights.sum(axis=1)
+    return {(a, b): float(np.sum(edges.weights * dy[:, None] * X ** (a + 1)
+                                 * Y ** b) * h / (a + 1))
+            for a in range(d + 1) for b in range(d + 1 - a)}
+
+
+def _assert_cell_rule_exact(el, d):
+    rule = cell_rule(el, d)
+    X, Y = ((rule.points - el.centroid) / el.diameter).T
+    for (a, b), want in _monomial_integrals(el.points, el.centroid,
+                                            el.diameter, d).items():
+        assert rule.weights @ (X ** a * Y ** b) == pytest.approx(
+            want, rel=0, abs=1e-13 * el.area), (a, b)
+
+
+@pytest.mark.parametrize("d", [6, 10])
+def test_cell_rule_exact_on_vertex_fans(d):
+    # a pentagon with a hanging node, a hexagon and sixteen distinct
+    # quadrilaterals
+    pent = generate("locally_refined", 2)
+    hexa = generate("hexagonal", 2)
+    els = [next(e for e in pent.elements if len(e.faces) == 5),
+           next(e for e in hexa.elements if len(e.faces) == 6)]
+    els += list(_jittered_mesh().elements)
+    for el in els:
+        _assert_cell_rule_exact(el, d)
+
+
+def test_cell_rule_keeps_the_centroid_fan_without_an_apex():
+    # a U-shaped cell that no vertex sees whole: n triangles from the
+    # centroid, some of negative area, still exact
+    m = _u_mesh()
+    el = m.elements[0]
+    assert fan_apices(el.points[None]).tolist() == [-1]
+    assert fan_apices(m.elements[1].points[None]).tolist() == [0]
+    rule = cell_rule(el, 6)
+    assert len(rule.weights) == 8 * len(reference_triangle_rule(6)[1])
+    assert rule.weights.sum() == pytest.approx(el.area, rel=1e-13)
+    _assert_cell_rule_exact(el, 6)
+    # the two cells are fanned differently, so one stack refuses them
+    with pytest.raises(ValueError, match="fanned alike"):
+        cell_rules(np.stack([e.points for e in m.elements]), m.centroids, 6)
 
 
 def test_segment_rule_measure_and_exactness():
@@ -374,6 +443,14 @@ def test_rate_study_at_p_1(projector):
         assert sorted(out[kind]) == [(m, 1.0) for m in ms]
         for m in ms:
             assert out[kind][(m, 1.0)]["slope"] == pytest.approx(3 - m, abs=0.2)
+
+
+def test_rate_levels_keep_the_degree_2_default():
+    assert rate_levels(2) == range(2, 8)
+    assert [rate_levels(d)[-1] for d in (3, 4, 5, 6, 9)] == [7, 6, 4, 3, 3]
+    out = projector_rate_study(exp_field(1.0, 1.0), 5, ms=(0,), ps=(2.0,),
+                               trace_ms=())
+    assert out["h"] == [0.25, 0.125, 0.0625]
 
 
 def test_fit_slope_exact_line():

@@ -698,14 +698,24 @@ def test_nan_step_ends_the_stage_at_once(monkeypatch):
     assert stage.damping_events == 0 and calls["residual"] <= 2
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="open defect: at p = 1.5 the Newton stage stalls "
-                          "near residual 1e-3 on the locally refined family "
-                          "at k = 2 (ROADMAP item 2)")
 def test_newton_converges_at_p_1_5_on_locally_refined_k2():
+    # 21 iterations to a residual near 4e-11
     u = manufactured_solution("trigonometric")
     law = p_laplacian(1.5)
     _, report, _, _ = newton_solve(generate("locally_refined", 2), 2, law,
+                                   source=manufactured_source(u, law),
+                                   dirichlet=u)
+    assert report.converged
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="open defect: at p = 1.5 the Newton stage stalls "
+                          "near residual 0.78 on the locally refined family "
+                          "at k = 3, exponential case (ROADMAP item 2)")
+def test_newton_converges_at_p_1_5_on_locally_refined_k3_exponential():
+    u = manufactured_solution("exponential")
+    law = p_laplacian(1.5)
+    _, report, _, _ = newton_solve(generate("locally_refined", 2), 3, law,
                                    source=manufactured_source(u, law),
                                    dirichlet=u)
     assert report.converged
@@ -874,6 +884,8 @@ def test_stacked_build_rejects_mixed_or_deep_stacks():
     for mesh, ids in ((hexa, mixed), (deep, range(STACK_SHAPES + 1))):
         with pytest.raises(ValueError, match="one vertex count"):
             build_stacked_operators(mesh, ids, 1)
+    with pytest.raises(ValueError, match="fanned alike"):
+        build_stacked_operators(_u_mesh(), [0, 1], 1)
 
 
 def _jittered_mesh(n=4, seed=11):
@@ -888,6 +900,24 @@ def _jittered_mesh(n=4, seed=11):
               (j + 1) * (n + 1) + i + 1, (j + 1) * (n + 1) + i]
              for j in range(n) for i in range(n)]
     return from_polygons(verts, cells)
+
+
+def _u_mesh():
+    """The unit square as a U-shaped cell that no vertex sees whole (its
+    cell fan is from the centroid) and the notch above its base, with four
+    more vertices on the boundary: two cells of eight vertices, the
+    second fanned from a vertex."""
+    verts = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1.5), (1, 1.5), (1, 3),
+             (0, 3), (1.75, 3), (1.5, 3), (1.25, 3), (1.1, 3)]
+    cells = [[0, 1, 2, 3, 4, 5, 6, 7], [5, 4, 3, 8, 9, 10, 11, 6]]
+    return from_polygons(np.array(verts) / 3.0, cells)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_shared_operators_match_element_builds_on_a_non_convex_cell(k):
+    # the two cells differ in their kind of fan, so they build in two stacks
+    mesh = _u_mesh()
+    _check_shared_match_element_builds(mesh, k, 1e-12)
 
 
 def test_unique_shapes_build_every_element(monkeypatch):
