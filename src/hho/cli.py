@@ -23,8 +23,10 @@ for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 from . import harness, law as law_mod, mesh as mesh_mod
+from .hho_local import cell_quad_exactness
 from .polybasis import INF, projector_rate_study
 from .fields import exp_field
+from .quadrature import MAX_EXACTNESS
 from .solver import NewtonConfig
 
 FAMILY_CHOICES = ("triangular", "cartesian", "locally-refined", "hexagonal")
@@ -135,14 +137,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quad-boost", type=_NONNEGATIVE, default=0,
                      help="extra quadrature exactness")
     run.add_argument("--write-meshes", action="store_true")
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=_cmd_run, parser=run, rule=(
+        "2 K + 4 + --quad-boost",
+        lambda a: cell_quad_exactness(a.degree, a.quad_boost)))
 
     pr = sub.add_parser("projector-rates", help="projector approximation orders")
     pr.add_argument("--degree", type=_NONNEGATIVE, default=2, metavar="L")
     pr.add_argument("--out", default="out")
     pr.add_argument("--exactness", type=_NONNEGATIVE, default=30)
     pr.add_argument("--tol", type=_TOLERANCE, default=0.2)
-    pr.set_defaults(func=_cmd_projector_rates)
+    pr.set_defaults(func=_cmd_projector_rates, parser=pr, rule=(
+        "the larger of --exactness and 2 L",
+        lambda a: max(a.exactness, 2 * a.degree)))
 
     cl = sub.add_parser("check-laws", help="flux structure checks")
     cl.add_argument("--p", type=_EXPONENT, required=True)
@@ -154,6 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the exactness of the command's quadrature rules, checked before any
+    # work like every other argument
+    if "rule" in args:
+        what, exactness = args.rule
+        if (d := exactness(args)) > MAX_EXACTNESS:
+            args.parser.error(f"the quadrature exactness, {what}, must be "
+                              f"at most {MAX_EXACTNESS}, got {d}")
     return args.func(args)
 
 

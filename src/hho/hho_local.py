@@ -60,6 +60,8 @@ def cell_dim(k: int) -> int:
 
 
 def cell_quad_exactness(k: int, boost: int = 0) -> int:
+    # at least 2 (k + 1): the cell bases of degrees k and k + 1 take their
+    # Gram matrices on this rule
     return 2 * (k + 1) + 2 + boost
 
 
@@ -153,14 +155,14 @@ def build_stacked_operators(mesh, elements, k: int,
     exact = cell_quad_exactness(k, boost)
     rule = cell_rules(corners, centroids, exact)
     w = rule.weights[..., None]                                   # (S, nq, 1)
-    bk = cell_bases(corners, centroids, mesh.diameters[ids], k)
-    bk1 = cell_bases(corners, centroids, mesh.diameters[ids], k + 1)
+    bk, bk1 = (cell_bases(rule, centroids, mesh.diameters[ids], d)
+               for d in (k, k + 1))
     nk, nk1 = bk.dim, bk1.dim
 
     Vk, Vkx, Vky = bk.partials(rule.points, ((0, 0), (1, 0), (0, 1)))
     Vk1, Wx, Wy = bk1.partials(rule.points, ((0, 0), (1, 0), (0, 1)))
 
-    Mk = mT(Vk) @ (Vk * w)
+    Mk = bk.mass
     K1 = mT(Wx) @ (Wx * w) + mT(Wy) @ (Wy * w)
     Dx = mT(Vkx) @ (Vk * w)     # int (dx phi_i) phi_j
     Dy = mT(Vky) @ (Vk * w)
@@ -232,8 +234,8 @@ def build_stacked_operators(mesh, elements, k: int,
     # place; the slices of each shape inherit it
     frozen = [*tables.values(), rule.points, rule.weights]
     for b in (bk, bk1):
-        frozen += [b.centroid, b.diameter, b.exponents, b.mass, b.moments]
-        frozen += [] if b.transform is None else [b.transform]
+        frozen += [b.centroid, b.diameter, b.exponents, b.transform, b.mass,
+                   b.moments]
     for a in frozen:
         a.flags.writeable = False
     return [place(LocalOperators(k=k, n_cell=nk, ndof=ndof, basis_k=bk[s],

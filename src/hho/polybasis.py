@@ -1,8 +1,8 @@
 """Scaled monomial bases on cells and faces, L2/elliptic projectors,
 Sobolev seminorms, and projector-approximation rate measurement.
 
-The bases are built for a stack of cells with one vertex count at once
-(`cell_bases`), or of faces (`face_basis_from_points` with stacked
+The bases are built for a stack of cells at once, on the caller's stacked
+cell rule (`cell_bases`), or of faces (`face_basis_from_points` with stacked
 endpoints): every array then has a leading stack axis, and `cell_basis` and
 `face_basis` are the one-element cases.
 
@@ -72,7 +72,7 @@ class CellBasis:
     diameter: np.ndarray            # (...)
     degree: int
     exponents: np.ndarray
-    transform: np.ndarray | None    # psi_i = sum_j transform[i, j] * raw_j
+    transform: np.ndarray           # psi_i = sum_j transform[i, j] * raw_j
     mass: np.ndarray                # Gram matrix of the returned basis
     moments: np.ndarray             # integrals of each basis function
 
@@ -82,8 +82,8 @@ class CellBasis:
 
     def __getitem__(self, s) -> CellBasis:
         return CellBasis(self.centroid[s], self.diameter[s], self.degree,
-                         self.exponents, None if self.transform is None
-                         else self.transform[s], self.mass[s], self.moments[s])
+                         self.exponents, self.transform[s], self.mass[s],
+                         self.moments[s])
 
     def _raw(self, points: np.ndarray, orders=((0, 0),)) -> list[np.ndarray]:
         """The (ax, ay) partials of the raw monomials at points, for each
@@ -103,13 +103,10 @@ class CellBasis:
             out.append(vals)
         return out
 
-    def _apply(self, raw: np.ndarray) -> np.ndarray:
-        return raw if self.transform is None else raw @ mT(self.transform)
-
     def partials(self, points, orders) -> list[np.ndarray]:
         """The (ax, ay) partials at points of the basis for each of
         `orders`."""
-        return [self._apply(raw) for raw in self._raw(points, orders)]
+        return [raw @ mT(self.transform) for raw in self._raw(points, orders)]
 
     def eval(self, points) -> np.ndarray:
         return self.partial(0, 0, points)
@@ -127,38 +124,38 @@ class CellBasis:
 
 def _orthonormalize(raw: np.ndarray, weights: np.ndarray, degree: int):
     """(transform, mass) for raw monomial values (..., n, dim) at the nodes
-    of rules with (..., n) weights: no transform below degree 2, else the
+    of rules with (..., n) weights: the identity below degree 2, else the
     inverse Cholesky factor of the Gram matrix (conditioning), with the
     mass matrix of the transformed basis.  One batched inverse serves the
     whole stack."""
     M = mT(raw) @ (raw * weights[..., None])
     if degree < 2:
-        return None, M
+        return np.broadcast_to(np.eye(M.shape[-1]), M.shape), M
     C = np.linalg.inv(np.linalg.cholesky(M))
     return C, C @ M @ mT(C)
 
 
-def cell_bases(points: np.ndarray, centroids: np.ndarray,
+def cell_bases(rule: QuadratureRule, centroids: np.ndarray,
                diameters: np.ndarray, degree: int) -> CellBasis:
-    """The bases of a stack of S cells with one vertex count, from their
-    (S, n, 2) vertex cycles, (S, 2) centroids and (S,) diameters: monomials
-    scaled by (centroid, diameter), orthonormalized against the cell mass
-    matrix for degree >= 2 (conditioning)."""
-    rule = cell_rules(points, centroids, 2 * degree)
+    """The bases of a stack of S cells, from a rule on them exact to degree
+    2 * degree (`quadrature.cell_rules`) and their (S, 2) centroids and (S,)
+    diameters: monomials scaled by (centroid, diameter), orthonormalized
+    against the cell mass matrix for degree >= 2 (conditioning)."""
     basis = CellBasis(centroid=np.asarray(centroids, dtype=float),
                       diameter=np.asarray(diameters, dtype=float),
                       degree=degree, exponents=cell_exponents(degree),
-                      transform=None, mass=np.empty(0), moments=np.empty(0))
+                      transform=np.empty(0), mass=np.empty(0), moments=np.empty(0))
     [raw] = basis._raw(rule.points)
     basis.transform, basis.mass = _orthonormalize(raw, rule.weights, degree)
-    basis.moments = (rule.weights[:, None] @ basis._apply(raw))[:, 0]
+    basis.moments = (rule.weights[:, None] @ (raw @ mT(basis.transform)))[:, 0]
     return basis
 
 
 def cell_basis(element: Element, degree: int) -> CellBasis:
-    """`cell_bases` of one element (`mesh.elements[e]`)."""
-    return cell_bases(element.points[None], element.centroid[None],
-                      np.array([element.diameter]), degree)[0]
+    """`cell_bases` of one element (`mesh.elements[e]`) on its own rule."""
+    centroids = element.centroid[None]
+    rule = cell_rules(element.points[None], centroids, 2 * degree)
+    return cell_bases(rule, centroids, np.array([element.diameter]), degree)[0]
 
 
 @dataclass(eq=False)
@@ -168,7 +165,7 @@ class FaceBasis:
     pa: np.ndarray
     pb: np.ndarray
     degree: int
-    transform: np.ndarray | None
+    transform: np.ndarray
     mass: np.ndarray
 
     def __post_init__(self):
@@ -189,15 +186,14 @@ class FaceBasis:
         return _powers(self._coord(points), self.degree)
 
     def eval(self, points) -> np.ndarray:
-        raw = self._raw(points)
-        return raw if self.transform is None else raw @ mT(self.transform)
+        return self._raw(points) @ mT(self.transform)
 
 
 def face_basis_from_points(pa, pb, degree: int) -> FaceBasis:
     """The basis of the face [pa, pb]; (..., 2) endpoints give a stack of
     them, with (..., n, 2) points in `eval`."""
     basis = FaceBasis(pa=np.asarray(pa, dtype=float), pb=np.asarray(pb, dtype=float),
-                      degree=degree, transform=None, mass=np.empty(0))
+                      degree=degree, transform=np.empty(0), mass=np.empty(0))
     rule = segment_rule(pa, pb, 2 * degree)
     basis.transform, basis.mass = _orthonormalize(
         basis._raw(rule.points), rule.weights, degree)
@@ -311,23 +307,27 @@ def projector_rate_study(field: ScalarField, degree: int, projector: str = "elli
                          js=None, ms=(0, 1, 2), ps=(1.5, 2.0, 4.0, INF),
                          trace_ms=(0, 1), exactness: int = 30, s: int | None = None) -> dict:
     """Project `field` on the squares of side h = 2^-j at one corner, all of
-    them as one stack of cells, and record the W^{m,p} error seminorms against
-    h, normalized by |field|_{W^{s,p}} on the same square (the approximation
-    bound's own right-hand side, so the predicted slope is s - m for every p,
-    finite or not).  The levels j default to `rate_levels(degree)`."""
+    them as one stack of cells on one rule exact to max(exactness, 2 degree),
+    and record the W^{m,p} error seminorms against h, normalized by
+    |field|_{W^{s,p}} on the same square (the approximation bound's own
+    right-hand side, so the predicted slope is s - m for every p, finite or
+    not), at the orders the bound covers: cell m <= s, trace m <= s - 1.
+    The levels j default to `rate_levels(degree)`."""
     if projector not in ("elliptic", "l2"):
         raise ValueError("projector must be 'elliptic' or 'l2'")
     if s is None:
         s = degree + 1
     if js is None:
         js = rate_levels(degree)
+    ms = [m for m in ms if m <= s]
+    trace_ms = [m for m in trace_ms if m < s]
     hs = [2.0 ** -j for j in js]
     unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     cells = np.array([0.3, 0.4]) + np.multiply.outer(hs, unit)     # (S, 4, 2)
     # the S squares share no vertex ids: one call gives their geometry
     sq = from_polygons(cells.reshape(-1, 2), np.arange(4 * len(hs)).reshape(-1, 4))
-    rule = cell_rules(cells, sq.centroids, exactness)
-    basis = cell_bases(cells, sq.centroids, sq.diameters, degree)
+    rule = cell_rules(cells, sq.centroids, max(exactness, 2 * degree))
+    basis = cell_bases(rule, sq.centroids, sq.diameters, degree)
     project = elliptic_project if projector == "elliptic" else l2_project
     coeffs = project(basis, field, rule)[..., None]
 

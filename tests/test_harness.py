@@ -199,7 +199,8 @@ def test_cli_run_and_outputs(tmp_path, capsys):
     ["--levels", "0"], ["--start-level", "0"], ["--degree", "-1"],
     ["--p", "1"], ["--newton-tol", "inf"], ["--newton-tol", "nan"],
     ["--newton-tol", "0"], ["--newton-tol", "-1"], ["--quad-boost", "-5"],
-    ["--quad-boost", "-20"]])
+    ["--quad-boost", "-20"], ["--degree", "29"],
+    ["--degree", "1", "--quad-boost", "55"]])
 def test_cli_run_rejects_bad_arguments(tmp_path, capsys, args):
     # a usage error before any work: no empty study reported as converged,
     # no traceback
@@ -218,7 +219,9 @@ def test_cli_run_rejects_bad_arguments(tmp_path, capsys, args):
     ("projector-rates", ["--tol", "nan"]),
     ("check-laws", ["--p", "3", "--n", "0"]),
     ("check-laws", ["--p", "3", "--n", "-5"]),
-    ("check-laws", ["--p", "3", "--seed", "-1"])])
+    ("check-laws", ["--p", "3", "--seed", "-1"]),
+    ("projector-rates", ["--degree", "31"]),
+    ("projector-rates", ["--exactness", "61"])])
 def test_cli_other_commands_reject_bad_arguments(tmp_path, monkeypatch,
                                                  capsys, command, args):
     # the value's own usage error, not a traceback or a verdict on NaN
@@ -279,6 +282,20 @@ def test_cli_projector_rates_at_degree_5(tmp_path, capsys):
     body = [ln.split(",") for ln in
             (out / "projector_rates.csv").read_text().splitlines()[1:]]
     assert len(body) == 40
+    assert all(abs(float(row[4]) - float(row[5])) <= 0.2 for row in body)
+
+
+def test_cli_projector_rates_at_degree_0(tmp_path, capsys):
+    # s = 1 bounds the cell orders m <= 1 and the trace order m = 0 only
+    from hho.cli import main
+    out = tmp_path / "rates"
+    assert main(["projector-rates", "--degree", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    body = [ln.split(",") for ln in
+            (out / "projector_rates.csv").read_text().splitlines()[1:]]
+    assert len(body) == 24
+    assert {(row[1], row[2]) for row in body} == {
+        ("cell", "0"), ("cell", "1"), ("trace", "0")}
     assert all(abs(float(row[4]) - float(row[5])) <= 0.2 for row in body)
 
 

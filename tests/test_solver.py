@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from hho import mesh as mesh_module
-from hho import solver
+from hho import hho_local, polybasis, quadrature, solver
 from hho.fields import affine_field, exp_field, sine_product_field
 from hho.harness import (compute_errors, manufactured_solution,
                          manufactured_source)
@@ -756,10 +756,8 @@ def _check_shared_match_element_builds(mesh, k, tol):
                       (ops.face_pairs[f], ref.face_pairs[f])]
         for b, rb in ((ops.basis_k, ref.basis_k), (ops.basis_k1, ref.basis_k1)):
             assert np.array_equal(b.exponents, rb.exponents)
-            assert (b.transform is None) == (rb.transform is None)
-            pairs += [(b.mass, rb.mass), (b.moments, rb.moments)]
-            if b.transform is not None:
-                pairs.append((b.transform, rb.transform))
+            pairs += [(b.transform, rb.transform), (b.mass, rb.mass),
+                      (b.moments, rb.moments)]
         for a, b in pairs:
             assert a.shape == b.shape
             assert _max_rel_gap(a, b) <= tol
@@ -865,6 +863,24 @@ def test_build_packs_builds_each_shape_once(monkeypatch):
     packs = build_packs(mesh, 1)
     assert len(calls) == 3 and len({id(ops) for ops in packs}) == 17
     _check_one_build_per_shape(mesh, calls)
+
+
+def test_build_packs_builds_one_cell_rule_per_stack(monkeypatch):
+    # a stack's bases take their Gram matrices on the operators' own rule:
+    # one `cell_rules` call per stack, whose fan search is the second one
+    # besides the search that sorts the shapes by kind of fan
+    calls = Counter()
+    for name, modules in (("fan_apices", (quadrature, solver)),
+                          ("cell_rules", (quadrature, hho_local, polybasis))):
+        def counted(*args, fn=getattr(quadrature, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    builds = _count_builds(monkeypatch)
+    build_packs(generate("hexagonal", 4), 1)
+    assert len(builds) == 3
+    assert calls == {"cell_rules": 3, "fan_apices": 6}
 
 
 def test_build_packs_caps_the_stack(monkeypatch):
