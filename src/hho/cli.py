@@ -24,7 +24,7 @@ for _var in BLAS_THREAD_VARS:
 
 from . import harness, law as law_mod, mesh as mesh_mod
 from .hho_local import cell_quad_exactness
-from .polybasis import INF, projector_rate_study
+from .polybasis import INF, MAX_RATE_DEGREE, projector_rate_study
 from .fields import exp_field
 from .quadrature import MAX_EXACTNESS
 from .solver import NewtonConfig
@@ -116,6 +116,10 @@ _NONNEGATIVE = _checked(int, lambda n: n >= 0, "must be at least 0")
 _TOLERANCE = _checked(float, lambda t: 0 < t < math.inf,
                       "must be finite and exceed 0")
 _EXPONENT = _checked(float, lambda p: 1 < p < math.inf, "p must be finite and exceed 1")
+_RATE_DEGREE = _checked(
+    int, lambda n: 0 <= n <= MAX_RATE_DEGREE,
+    f"must be 0 to {MAX_RATE_DEGREE} (above it a smooth field's errors reach "
+    "roundoff before two levels are measured)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         lambda a: cell_quad_exactness(a.degree, a.quad_boost)))
 
     pr = sub.add_parser("projector-rates", help="projector approximation orders")
-    pr.add_argument("--degree", type=_NONNEGATIVE, default=2, metavar="L")
+    pr.add_argument("--degree", type=_RATE_DEGREE, default=2, metavar="L")
     pr.add_argument("--out", default="out")
     pr.add_argument("--exactness", type=_NONNEGATIVE, default=30)
     pr.add_argument("--tol", type=_TOLERANCE, default=0.2)

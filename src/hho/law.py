@@ -3,7 +3,8 @@
 The flux a(x, xi) and its Jacobian are vectorized over sample points.  The
 inequality suite calibrates each constant from a structured scan (polished to
 the extremum) plus random samples, then validates the inequality on a fresh
-sample; reports carry the max relative violation.
+sample; reports carry the max relative violation.  The calibration loads
+`scipy.optimize` on first use, so the solve path never does.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 REL_TOL = 1e-12
 
@@ -183,6 +183,10 @@ def _zeta_ratio(law, xi, eta):
 
 
 def _polish_pair_extremum(ratio_fn, xi0, eta0, maximize):
+    # imported here, not at module level: the solve path imports this module
+    # and must not load the optimizer (about 13 MiB and 0.2 s per process)
+    from scipy.optimize import minimize
+
     # refine over (log t, theta) around the best structured grid point
     t0 = max(np.hypot(*eta0), 1e-8)
     th0 = math.atan2(eta0[1], eta0[0])
@@ -254,6 +258,8 @@ def _mon1d_ratio(law, t, r, lt2: bool):
 
 
 def _calibrate_scalar_constant(law, rng, n, lt2) -> float:
+    from scipy.optimize import minimize_scalar
+
     # scale invariance: fix t = 1, scan r in [-1, 1]; polish local maxima
     qs = np.linspace(-1.0, 1.0, 20001)
     lhs, rest = _mon1d_sides(law, np.ones_like(qs), qs, lt2)

