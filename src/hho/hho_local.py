@@ -18,15 +18,15 @@ element's faces, in the order of its `faces`, and the block kernels in
 `solver` read it as it is.  The bases are scaled monomials centred at the
 cell centroid and at the face midpoints, so every one of these arrays is the
 same for two elements that are translates of each other with the same face
-orientations.  One `LocalOperators` serves all such elements (`place`), and
-shifts the quadrature nodes of the first onto each; its arrays are
-read-only, so no caller can change the operators of a whole shape in place.
+orientations.  One frozen `LocalOperators` of read-only arrays, built on
+the first of them, holds them all and the cell nodes of each, so no caller
+can change the operators of a whole shape in place.
 
 `build_stacked_operators` builds the operators of up to STACK_SHAPES
-elements with one vertex count in one pass: its cell and face rules, bases,
-matrices, solves and tables all carry a leading axis over the elements, and
-each element's `LocalOperators` views its slice.  `build_local_operators`
-is a stack of one.
+shapes with one vertex count in one pass: its cell and face rules, bases,
+matrices, solves and tables all carry a leading axis over the shapes, and
+each shape's `LocalOperators` views its slice.  `build_local_operators`
+is a stack of one shape of one element.
 
 `interpolate_local`, `stabilization` and `local_norm` act on one element:
 they are the oracles of the block kernels in `solver` and `harness`.
@@ -56,6 +56,8 @@ STACK_SHAPES = 64
 
 
 def cell_dim(k: int) -> int:
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     return (k + 1) * (k + 2) // 2
 
 
@@ -65,7 +67,7 @@ def cell_quad_exactness(k: int, boost: int = 0) -> int:
     return 2 * (k + 1) + 2 + boost
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LocalOperators:
     """Operators of one element shape, built on its first element,
     `elements[0]`: `rule`, the bases and the face nodes are that element's;
@@ -96,11 +98,10 @@ class LocalOperators:
     face_mass: np.ndarray           # (nf, k+1, k+1) face basis mass matrices
     cell_pairs: np.ndarray          # (nq, n_k^2) w phi_i phi_j at cell quad nodes
     face_pairs: np.ndarray          # (nf, nfq, (k+1)^2) psi_i psi_j at face nodes
-    # the shape's members, set by `place`
-    mesh: object = field(init=False, repr=False)
-    elements: np.ndarray = field(init=False)    # (n,) ids, ascending
-    shifts: np.ndarray = field(init=False)      # (n, 2) centroid - built's
-    cell_nodes: np.ndarray = field(init=False)  # (n, nq, 2) cell nodes
+    mesh: object = field(repr=False)
+    elements: np.ndarray            # (n,) the shape's member ids, ascending
+    shifts: np.ndarray              # (n, 2) centroid - built's
+    cell_nodes: np.ndarray          # (n, nq, 2) cell quad nodes of each member
 
     @property
     def Gx(self) -> np.ndarray:
@@ -134,19 +135,26 @@ class LocalOperators:
         return float(np.sum(self.face_scale(p) * np.abs(du) ** p))
 
 
-def build_stacked_operators(mesh, elements, k: int,
+def build_stacked_operators(mesh, members, k: int,
                             boost: int = 0) -> list[LocalOperators]:
-    """The operators built on each of `elements`, ids of at most
-    STACK_SHAPES cells with one vertex count and one kind of cell fan
-    (`quadrature.cell_rules`), in one pass whose every array has a leading
-    axis over them; each `LocalOperators` is placed on its own element and
+    """The operators of each of `members`, ascending ids of one shape label
+    each, built on the first ids: at most STACK_SHAPES cells with one vertex
+    count and one kind of cell fan (`quadrature.cell_rules`), in one pass
+    whose every array has a leading axis over them; each `LocalOperators`
     views its slice of the stacked arrays."""
-    ids = np.asarray(elements)
+    members = [np.array(m) for m in members]
+    labels = [mesh.shape_labels[m] for m in members if len(m) > 1]
+    if any(np.any(a != a[0]) for a in labels):
+        raise ValueError("the members of a shape have other shape labels")
+    ids = np.array([m[0] for m in members])
     ptr = mesh.cell_ptr
     nf = ptr[ids[0] + 1] - ptr[ids[0]]
     if len(ids) > STACK_SHAPES or np.any(ptr[ids + 1] - ptr[ids] != nf):
         raise ValueError(f"a stack holds at most {STACK_SHAPES} cells of "
                          "one vertex count")
+    if boost < 0:
+        raise ValueError(f"boost must not be negative, got {boost!r}")
+    ndof = cell_dim(k) + nf * (k + 1)
     S = len(ids)
     rows = ptr[ids, None] + np.arange(nf)
     fids = mesh.cell_faces[rows]                                  # (S, nf)
@@ -170,7 +178,6 @@ def build_stacked_operators(mesh, elements, k: int,
     Cy = mT(Wy) @ (Vk * w)
     N1 = mT(Vk) @ (Vk1 * w)     # int phi_i w_j
 
-    ndof = nk + nf * (k + 1)
     pa, pb = np.moveaxis(mesh.vertices[mesh.face_vertices[fids]], -2, 0)
     frule = segment_rule(pa, pb, exact)
     fbasis = face_basis_from_points(pa, pb, k)
@@ -230,38 +237,28 @@ def build_stacked_operators(mesh, elements, k: int,
                   face_lengths=mesh.face_lengths[fids],
                   face_mass=fbasis.mass, cell_pairs=cell_pairs,
                   face_pairs=face_pairs)
+    shifts = [mesh.centroids[m] - mesh.centroids[m[0]] for m in members]
+    nodes = [rule.points[s] + d[:, None] for s, d in enumerate(shifts)]
     # read-only, so no caller can change the operators of a whole shape in
     # place; the slices of each shape inherit it
-    frozen = [*tables.values(), rule.points, rule.weights]
+    frozen = [*tables.values(), rule.points, rule.weights, *members, *shifts,
+              *nodes]
     for b in (bk, bk1):
         frozen += [b.centroid, b.diameter, b.exponents, b.transform, b.mass,
                    b.moments]
     for a in frozen:
         a.flags.writeable = False
-    return [place(LocalOperators(k=k, n_cell=nk, ndof=ndof, basis_k=bk[s],
-                                 basis_k1=bk1[s], rule=rule[s],
-                                 **{n: a[s] for n, a in tables.items()}),
-                  mesh, ids[s:s + 1])
+    return [LocalOperators(k=k, n_cell=nk, ndof=ndof, basis_k=bk[s],
+                           basis_k1=bk1[s], rule=rule[s],
+                           **{n: a[s] for n, a in tables.items()}, mesh=mesh,
+                           elements=members[s], shifts=shifts[s],
+                           cell_nodes=nodes[s])
             for s in range(S)]
 
 
 def build_local_operators(mesh, element_id: int, k: int, boost: int = 0) -> LocalOperators:
     """The operators of one element: a stack of one."""
-    return build_stacked_operators(mesh, [element_id], k, boost)[0]
-
-
-def place(ops: LocalOperators, mesh, elements) -> LocalOperators:
-    """Make `ops` the operators of `elements`: ascending ids of `mesh`,
-    the first the element `ops` was built on, the others translates of it
-    with the same face orientations (one `mesh.shape_keys` label)."""
-    c = mesh.centroids[elements]
-    ops.mesh = mesh
-    ops.elements = np.array(elements)
-    ops.shifts = c - c[0]
-    ops.cell_nodes = ops.rule.points + ops.shifts[:, None]
-    for a in (ops.elements, ops.shifts, ops.cell_nodes):
-        a.flags.writeable = False
-    return ops
+    return build_stacked_operators(mesh, [[element_id]], k, boost)[0]
 
 
 def interpolate_local(ops: LocalOperators, field) -> np.ndarray:

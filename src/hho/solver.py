@@ -8,8 +8,8 @@ are masked.
 
 Local operators are shared: `build_packs` builds them once per element
 shape (`mesh.shape_keys`: translates with the same face orientations), and
-every element of that shape holds the same read-only `LocalOperators`,
-which shifts the shape's quadrature nodes onto each.  Element work runs in
+every element of that shape holds the same frozen `LocalOperators`, which
+holds the cell quadrature nodes of each.  Element work runs in
 blocks: `DofMap` splits the elements of each shape key into even runs whose
 (E, ndof, ndof) element matrices hold at most JACOBIAN_ENTRIES entries (or
 one element), so a block's gradient and face-residual operators are one
@@ -59,7 +59,7 @@ from scipy.sparse.linalg import splu
 # `build_local_operators` is unused here but stays a module attribute:
 # perfbench traces it by this name
 from .hho_local import (STACK_SHAPES, LocalOperators, build_local_operators,
-                        build_stacked_operators, cell_dim, place)
+                        build_stacked_operators, cell_dim)
 from .law import LerayLionsLaw, power_weight
 from .quadrature import fan_apices
 
@@ -246,14 +246,14 @@ def matrix_pattern(dm: DofMap, condense: bool) -> MatrixPattern:
 
 def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
     """Local operators of every element: one `LocalOperators` per shape
-    label, built on its first element and placed on all of them.  The
+    label, built on its first element and holding all of them.  The
     shapes of one vertex count and one kind of cell fan (from a vertex or
     from the centroid, `quadrature.cell_rules`) are built together, in
     stacks of at most STACK_SHAPES (`build_stacked_operators`)."""
     groups = shape_groups(mesh.shape_labels)
     firsts = np.array([ids[0] for ids in groups])
     counts = np.diff(mesh.cell_ptr)[firsts]
-    shapes = [None] * len(groups)
+    shapes = {}
     for n in np.unique(counts):
         same = np.flatnonzero(counts == n)
         rows = mesh.cell_ptr[firsts[same], None] + np.arange(n)
@@ -261,9 +261,8 @@ def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
         for kind in (same[apex >= 0], same[apex < 0]):
             for at in range(0, len(kind), STACK_SHAPES):
                 run = kind[at:at + STACK_SHAPES]
-                for s, ops in zip(run, build_stacked_operators(
-                        mesh, firsts[run], k, boost)):
-                    shapes[s] = place(ops, mesh, groups[s])
+                shapes.update(zip(run, build_stacked_operators(
+                    mesh, [groups[s] for s in run], k, boost)))
     return [shapes[s] for s in mesh.shape_labels]
 
 
@@ -608,6 +607,9 @@ def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,
                  packs=None, dm: DofMap | None = None):
     """Solve the discrete problem; returns (U, report, dm, packs)."""
     cfg = config or NewtonConfig()
+    path = cfg.continuation or continuation_path(law.p)
+    if path[-1] != law.p:
+        raise ValueError(f"continuation {path} does not end at p = {law.p}")
     if packs is None:
         packs = build_packs(mesh, k, cfg.boost)
     if dm is None:
@@ -617,7 +619,6 @@ def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,
     if dirichlet is not None:
         idx, vals = dirichlet_values(dm, packs, dirichlet)
         U[idx] = vals
-    path = cfg.continuation or continuation_path(law.p)
     t0 = time.perf_counter()
     stages = []
     ok = True

@@ -1,7 +1,7 @@
 import math
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -308,6 +308,21 @@ def test_continuation_paths():
     assert continuation_path(4.0) == (2.0, 3.0, 4.0)
     assert continuation_path(4.5) == (2.0, 3.0, 4.0, 4.5)
     assert continuation_path(1.1) == (2.0, 1.1)
+
+
+@pytest.mark.parametrize("path", [(2.0,), (2.0, 2.5)])
+def test_continuation_must_end_at_the_target_p(monkeypatch, path):
+    # a path that stops short of p reported its last stage's convergence as
+    # the solve's: at p = 3, (2,) gave "converged" with residual 14.9 at p = 3
+    def no_build(*args):
+        raise AssertionError("operators built before the path was checked")
+    monkeypatch.setattr(solver, "build_packs", no_build)
+    u = manufactured_solution("trigonometric")
+    law = p_laplacian(3.0)
+    with pytest.raises(ValueError, match="does not end at p = 3.0"):
+        newton_solve(generate("triangular", 3), 1, law,
+                     source=manufactured_source(u, law), dirichlet=u,
+                     config=NewtonConfig(continuation=path))
 
 
 def test_p4_trigonometric_converges():
@@ -803,6 +818,23 @@ def test_shared_arrays_are_read_only():
               sibling.basis_k.moments, sibling.basis_k1.transform):
         with pytest.raises(ValueError):
             a[0] += 1.0
+    # and the operators are whole once built: no field can be reassigned
+    for name in ("mesh", "elements", "shifts", "cell_nodes", "Gc", "rule"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sibling, name, getattr(sibling, name))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda m: DofMap(m, -1), "k"),
+    (lambda m: DofMap(m, 1.5), "k"),
+    (lambda m: build_packs(m, -1), "k"),
+    (lambda m: build_packs(m, 1.5), "k"),
+    (lambda m: build_packs(m, 1, -3), "boost"),
+    (lambda m: build_local_operators(m, 0, 2, -1), "boost"),
+])
+def test_bad_degree_or_boost_is_rejected_up_front(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        build(generate("triangular", 2))
 
 
 def test_blocks_reject_operators_that_are_not_shared():
@@ -828,25 +860,26 @@ def test_blocks_reject_operators_that_are_not_shared():
 
 
 def _count_builds(monkeypatch):
-    """The element ids of each stacked build that build_packs makes."""
+    """The members of each stacked build that build_packs makes, one id
+    list per shape."""
     calls = []
     build = solver.build_stacked_operators
 
-    def counted(mesh, elements, k, boost=0):
-        calls.append(list(elements))
-        return build(mesh, elements, k, boost)
+    def counted(mesh, members, k, boost=0):
+        calls.append([list(m) for m in members])
+        return build(mesh, members, k, boost)
     monkeypatch.setattr(solver, "build_stacked_operators", counted)
     return calls
 
 
 def _check_one_build_per_shape(mesh, calls):
-    # each shape is built once, on its first element, in stacks of one
-    # vertex count
-    firsts = [ids[0] for ids in shape_groups(mesh.shape_labels)]
-    assert sorted(e for c in calls for e in c) == firsts
+    # each shape is built once, with all of its members and on the first,
+    # in stacks of one vertex count
+    groups = [list(ids) for ids in shape_groups(mesh.shape_labels)]
+    assert sorted(m for c in calls for m in c) == groups
     nv = np.diff(mesh.cell_ptr)
     for c in calls:
-        assert len(set(nv[c])) == 1 and len(c) <= STACK_SHAPES
+        assert len({nv[m[0]] for m in c}) == 1 and len(c) <= STACK_SHAPES
 
 
 def test_build_packs_builds_each_shape_once(monkeypatch):
@@ -899,9 +932,15 @@ def test_stacked_build_rejects_mixed_or_deep_stacks():
     deep = _jittered_mesh(n=9)
     for mesh, ids in ((hexa, mixed), (deep, range(STACK_SHAPES + 1))):
         with pytest.raises(ValueError, match="one vertex count"):
-            build_stacked_operators(mesh, ids, 1)
+            build_stacked_operators(mesh, [[e] for e in ids], 1)
     with pytest.raises(ValueError, match="fanned alike"):
-        build_stacked_operators(_u_mesh(), [0, 1], 1)
+        build_stacked_operators(_u_mesh(), [[0], [1]], 1)
+    # a shape's members with another shape label among them
+    tri = generate("triangular", 2)
+    groups = shape_groups(tri.shape_labels)
+    with pytest.raises(ValueError, match="other shape labels"):
+        build_stacked_operators(
+            tri, [np.sort(np.r_[groups[0], groups[1][:1]])], 1)
 
 
 def _jittered_mesh(n=4, seed=11):
@@ -940,7 +979,7 @@ def test_unique_shapes_build_every_element(monkeypatch):
     calls = _count_builds(monkeypatch)
     mesh = _jittered_mesh()
     packs = build_packs(mesh, 1)
-    assert calls == [list(range(len(mesh.elements)))]
+    assert calls == [[[e] for e in range(len(mesh.elements))]]
     dm = DofMap(mesh, 1)
     assert len(dm.blocks) == len(mesh.elements)
     law = p_laplacian(1.75)
