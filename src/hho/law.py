@@ -1,10 +1,12 @@
 """Leray-Lions constitutive laws and their structural-inequality checks.
 
 The flux a(x, xi) and its Jacobian are vectorized over sample points.  The
-inequality suite calibrates each constant from a structured scan (polished to
-the extremum) plus random samples, then validates the inequality on a fresh
-sample; reports carry the max relative violation.  The calibration loads
-`scipy.optimize` on first use, so the solve path never does.
+inequality suite calibrates each constant as the extremum of its ratio over
+one scan of the pairs modulo rotation and scaling, reaching to 1e-6 of the
+diagonal, plus a random sample; the 1-D inequalities are the same pairs on
+the x axis.  It then validates the inequality on a fresh sample whose pairs
+are at least SEPARATION apart; reports carry the max relative violation.  No
+optimizer is involved.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ from typing import Callable
 import numpy as np
 
 REL_TOL = 1e-12
+# The random samples leave out pairs closer than this times the larger of
+# the two: nearer the diagonal the sides of an inequality cancel, and their
+# roundoff, about 1e-16 / SEPARATION relative, would approach REL_TOL.  The
+# scan goes on to 1e-6 of the diagonal, so each constant is calibrated
+# nearer the limit than anything it is checked on.
+SEPARATION = 1e-3
 
 
 @dataclass(eq=False)
@@ -131,25 +139,45 @@ def applicable_inequalities(p: float) -> list[str]:
     return ids
 
 
-def _pair_sample(rng, n):
-    mag = 10.0 ** rng.uniform(-2, 2, size=(n, 2))
-    ang = rng.uniform(0, 2 * math.pi, size=(n, 2))
-    xi = np.column_stack([mag[:, 0] * np.cos(ang[:, 0]), mag[:, 0] * np.sin(ang[:, 0])])
-    eta = np.column_stack([mag[:, 1] * np.cos(ang[:, 1]), mag[:, 1] * np.sin(ang[:, 1])])
-    keep = np.hypot(*(xi - eta).T) > 1e-10 * np.maximum(mag[:, 0], mag[:, 1])
-    return xi[keep], eta[keep]
+def _pair_sample(rng, n, line=False):
+    """n pairs of magnitudes 10^U(-2, 2) at uniform angles (on the x axis if
+    `line`), redrawn where a pair is closer than SEPARATION times its larger."""
+    xi = eta = np.empty((0, 2))
+    while len(xi) < n:
+        mag = 10.0 ** rng.uniform(-2, 2, size=(n - len(xi), 2))
+        ang = rng.uniform(0, 2 * math.pi, size=mag.shape)
+        c, s = np.cos(ang), np.sin(ang)
+        if line:
+            c, s = np.sign(c), np.zeros_like(s)
+        pts = mag[..., None] * np.stack([c, s], axis=-1)
+        keep = np.hypot(*(pts[:, 0] - pts[:, 1]).T) > SEPARATION * mag.max(axis=1)
+        xi = np.concatenate([xi, pts[keep, 0]])
+        eta = np.concatenate([eta, pts[keep, 1]])
+    return xi, eta
 
 
-def _structured_pairs(nt=401, na=181):
-    # quotient of pair space by rotation and scaling: xi = e_1, eta = t R(theta) e_1
-    ts = np.concatenate([10.0 ** np.linspace(-3, 3, nt), [1.0]])
-    angs = np.linspace(0.0, math.pi, na)
-    T, A = np.meshgrid(ts, angs, indexing="ij")
-    xi = np.zeros((T.size, 2))
+def _scan(line=False):
+    """The pair space modulo rotation and scaling: xi = e_1, eta = t R(theta)
+    e_1 with theta in [0, pi] ({0, pi} if `line`).  t = 1 -/+ 10^-j reaches
+    toward eta -> xi, where the p < 2 extrema sit."""
+    near = 10.0 ** -np.arange(1.0, 7.0)
+    ts = np.concatenate([10.0 ** np.linspace(-3, 3, 401), [1.0], 1.0 - near,
+                         1.0 + near])
+    angs = np.linspace(0.0, math.pi, 2 if line else 181)
+    c, s = np.cos(angs), np.sin(angs)
+    if line:
+        c, s = np.sign(c), np.zeros_like(s)
+    eta = (ts[:, None, None] * np.stack([c, s], axis=-1)).reshape(-1, 2)
+    xi = np.zeros_like(eta)
     xi[:, 0] = 1.0
-    eta = np.column_stack([(T * np.cos(A)).ravel(), (T * np.sin(A)).ravel()])
-    keep = np.hypot(*(xi - eta).T) > 1e-12
+    keep = np.any(xi != eta, axis=1)
     return xi[keep], eta[keep]
+
+
+def _calibrate(ratio, rng, n, maximize, line=False):
+    """The extremum of ratio(xi, eta) over the scan and n random pairs."""
+    r = np.concatenate([ratio(*_scan(line)), ratio(*_pair_sample(rng, n, line))])
+    return float(r.max() if maximize else r.min())
 
 
 def _mono(law, xi, eta):
@@ -182,109 +210,24 @@ def _zeta_ratio(law, xi, eta):
     return num[ok] / den[ok]
 
 
-def _polish_pair_extremum(ratio_fn, xi0, eta0, maximize):
-    # imported here, not at module level: the solve path imports this module
-    # and must not load the optimizer (about 13 MiB and 0.2 s per process)
-    from scipy.optimize import minimize
-
-    # refine over (log t, theta) around the best structured grid point
-    t0 = max(np.hypot(*eta0), 1e-8)
-    th0 = math.atan2(eta0[1], eta0[0])
-
-    def obj(z):
-        t = math.exp(z[0])
-        eta = np.array([[t * math.cos(z[1]), t * math.sin(z[1])]])
-        xi = np.array([[1.0, 0.0]])
-        r = ratio_fn(xi, eta)
-        if len(r) == 0 or not np.isfinite(r[0]):
-            return 0.0
-        return -r[0] if maximize else r[0]
-
-    res = minimize(obj, x0=[math.log(t0), th0], method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 400})
-    return -res.fun if maximize else res.fun
-
-
-def _calibrate_pair_constant(law, ratio_fn, rng, n, maximize):
-    xi_s, eta_s = _structured_pairs()
-    r_s = ratio_fn(xi_s, eta_s)
-    xi_r, eta_r = _pair_sample(rng, n)
-    r_r = ratio_fn(xi_r, eta_r)
-    if maximize:
-        best = max(float(np.max(r_s)), float(np.max(r_r)))
-        i = int(np.argmax(r_s))
-    else:
-        best = min(float(np.min(r_s)), float(np.min(r_r)))
-        i = int(np.argmin(r_s))
-    polished = _polish_pair_extremum(ratio_fn, xi_s[i], eta_s[i], maximize)
-    if np.isfinite(polished):
-        best = max(best, polished) if maximize else min(best, polished)
-    return best
-
-
-def _scalar_flux(law, t):
-    xi = np.column_stack([t, np.zeros_like(t)])
-    return law.flux(np.zeros_like(xi), xi)[:, 0]
-
-
-def _scalar_sample(rng, n):
-    mag = 10.0 ** rng.uniform(-2, 2, size=(n, 2))
-    sgn = rng.choice([-1.0, 1.0], size=(n, 2))
-    t = mag[:, 0] * sgn[:, 0]
-    r = mag[:, 1] * sgn[:, 1]
-    keep = np.abs(t - r) > 1e-10 * np.maximum(mag[:, 0], mag[:, 1])
-    return t[keep], r[keep]
-
-
-def _mon1d_sides(law, t, r, lt2: bool):
-    """|t - r|^p and the right-hand side of the 1-D inequality without its
-    constant, at every pair."""
-    a_t = _scalar_flux(law, t)
-    a_r = _scalar_flux(law, r)
-    mono = np.maximum((a_t - a_r) * (t - r), 0.0)
-    lhs = np.abs(t - r) ** law.p
+def _mon1d_sides(law, xi, eta, lt2: bool):
+    """|xi - eta|^p and the right-hand side of the 1-D inequality without its
+    constant, at every pair on the x axis."""
+    p = law.p
+    mono = _mono(law, xi, eta)
+    lhs = np.hypot(*(xi - eta).T) ** p
     if lt2:
-        rest = mono ** (law.p / 2.0) * (np.abs(t) ** law.p
-                                        + np.abs(r) ** law.p) ** ((2.0 - law.p) / 2.0)
+        rest = mono ** (p / 2.0) * (np.hypot(*xi.T) ** p
+                                    + np.hypot(*eta.T) ** p) ** ((2.0 - p) / 2.0)
     else:
         rest = mono
     return lhs, rest
 
 
-def _mon1d_ratio(law, t, r, lt2: bool):
-    lhs, rest = _mon1d_sides(law, t, r, lt2)
+def _mon1d_ratio(law, xi, eta, lt2: bool):
+    lhs, rest = _mon1d_sides(law, xi, eta, lt2)
     ok = rest > 0
     return lhs[ok] / rest[ok]
-
-
-def _calibrate_scalar_constant(law, rng, n, lt2) -> float:
-    from scipy.optimize import minimize_scalar
-
-    # scale invariance: fix t = 1, scan r in [-1, 1]; polish local maxima
-    qs = np.linspace(-1.0, 1.0, 20001)
-    lhs, rest = _mon1d_sides(law, np.ones_like(qs), qs, lt2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        full = np.where(rest > 0, lhs / np.where(rest > 0, rest, 1.0), 0.0)
-    best = float(np.max(full))
-
-    def neg_ratio(q):
-        r = _mon1d_ratio(law, np.array([1.0]), np.array([q]), lt2)
-        return -r[0] if len(r) and np.isfinite(r[0]) else 0.0
-
-    # polish around each local maximum of the scan
-    cand = np.nonzero((full[1:-1] >= full[:-2]) & (full[1:-1] >= full[2:]))[0] + 1
-    order = cand[np.argsort(full[cand])][::-1][:5]
-    for i in order:
-        lo, hi = qs[max(i - 2, 0)], qs[min(i + 2, len(qs) - 1)]
-        res = minimize_scalar(neg_ratio, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-14})
-        if np.isfinite(res.fun):
-            best = max(best, -float(res.fun))
-    ts, rs = _scalar_sample(rng, n)
-    sample = _mon1d_ratio(law, ts, rs, lt2)
-    if len(sample):
-        best = max(best, float(np.max(sample)))
-    return best
 
 
 def _rel_violation(lhs, rhs):
@@ -305,8 +248,8 @@ def check_inequality(law: LerayLionsLaw, ineq_id: str, n: int = 100_000,
     constants: dict = {}
 
     if ineq_id == "alip_p2":
-        gamma = _calibrate_pair_constant(law, lambda a, b: _gamma_ratio(law, a, b),
-                                         rng_cal, n, maximize=True)
+        gamma = _calibrate(lambda a, b: _gamma_ratio(law, a, b), rng_cal, n,
+                           maximize=True)
         beta = law.beta if law.beta is not None else 1.0
         C = 2.0 * gamma + 2.0 ** (p - 1.0) * beta + beta
         constants = {"gamma": gamma, "beta": beta, "C": C}
@@ -315,8 +258,8 @@ def check_inequality(law: LerayLionsLaw, ineq_id: str, n: int = 100_000,
         lhs = np.hypot(*(law.flux(x, xi) - law.flux(x, eta)).T)
         rhs = C * np.hypot(*(xi - eta).T) ** (p - 1.0)
     elif ineq_id in ("amon_p2m", "amon_p2p"):
-        zeta = _calibrate_pair_constant(law, lambda a, b: _zeta_ratio(law, a, b),
-                                        rng_cal, n, maximize=False)
+        zeta = _calibrate(lambda a, b: _zeta_ratio(law, a, b), rng_cal, n,
+                          maximize=False)
         constants = {"zeta": zeta}
         xi, eta = _pair_sample(rng_val, n)
         lhs = np.hypot(*(xi - eta).T) ** p
@@ -330,9 +273,10 @@ def check_inequality(law: LerayLionsLaw, ineq_id: str, n: int = 100_000,
                    * mono ** (p / 2.0) * (nxi ** p + neta ** p) ** ((2.0 - p) / 2.0))
     else:
         lt2 = ineq_id == "mon1d_lt2"
-        C = _calibrate_scalar_constant(law, rng_cal, n, lt2)
+        C = _calibrate(lambda a, b: _mon1d_ratio(law, a, b, lt2), rng_cal, n,
+                       maximize=True, line=True)
         constants = {"C": C}
-        lhs, rest = _mon1d_sides(law, *_scalar_sample(rng_val, n), lt2)
+        lhs, rest = _mon1d_sides(law, *_pair_sample(rng_val, n, line=True), lt2)
         rhs = C * rest
 
     viol = _rel_violation(lhs, rhs)

@@ -519,10 +519,6 @@ class SolveReport:
     wall_time: float
     ndofs: int
 
-    @property
-    def diverged(self) -> bool:
-        return not self.converged
-
 
 def continuation_path(p: float) -> tuple:
     """Exponent schedule from the linear problem to the target, steps <= 1."""
@@ -610,6 +606,8 @@ def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,
     path = cfg.continuation or continuation_path(law.p)
     if path[-1] != law.p:
         raise ValueError(f"continuation {path} does not end at p = {law.p}")
+    if law.family is None and any(q != law.p for q in path):
+        raise ValueError("continuation requires the law's family")
     if packs is None:
         packs = build_packs(mesh, k, cfg.boost)
     if dm is None:
@@ -623,12 +621,7 @@ def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,
     stages = []
     ok = True
     for pstage in path:
-        if pstage == law.p:
-            stage_law = law
-        elif law.family is None:
-            raise ValueError("continuation requires the law's family")
-        else:
-            stage_law = law.family(pstage)
+        stage_law = law if pstage == law.p else law.family(pstage)
         rep = _newton_stage(dm, packs, stage_law, U, loads, cfg)
         stages.append(rep)
         if not rep.converged:

@@ -339,8 +339,8 @@ def test_cli_pins_blas_to_one_thread_unless_set(user, pinned):
 
 
 def test_solve_path_leaves_the_optimizer_unloaded():
-    # in a fresh interpreter: the CLI and a whole study never load
-    # scipy.optimize; the inequality calibration loads it on first use
+    # in a fresh interpreter: neither the CLI and a whole study nor the
+    # inequality calibration loads scipy.optimize
     import hho
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
@@ -357,7 +357,7 @@ def test_solve_path_leaves_the_optimizer_unloaded():
         "print('scipy.optimize' in sys.modules)"])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False"]
 
 
 def test_cli_condensed_run_matches_full(tmp_path, capsys):

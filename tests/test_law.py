@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from hho import cli
+from hho import law as law_mod
 from hho.law import (INEQUALITY_IDS, REL_TOL, applicable_inequalities,
                      check_all_inequalities, check_inequality, jacobian_check,
                      p_laplacian, power_weight)
@@ -135,6 +137,33 @@ def test_inequality_suites_pass(p):
         assert r.passed, (r.ineq_id, r.max_violation)
         assert r.max_violation <= REL_TOL
         assert r.n_samples >= 10_000
+
+
+@pytest.mark.parametrize("p, seed, ineq_id, tighten", [
+    # the tight p < 2 constant is the limit eta -> xi: calibrated farther
+    # from it than the validation pairs come, it fails these seeds
+    (1.25, 12345, "mon1d_lt2", 0.0), (1.25, 1, "mon1d_lt2", 0.0),
+    (1.5, 23, "mon1d_lt2", 0.0), (1.75, 1, "mon1d_lt2", 0.0),
+    (1.9, 4, "mon1d_lt2", 0.0),
+    # a constant 1e-6 tighter than calibrated is caught
+    (1.25, 12345, "mon1d_lt2", 1e-6), (1.75, 12345, "mon1d_lt2", 1e-6),
+    (3.0, 12345, "mon1d_ge2", 1e-6)])
+def test_calibration_is_tight_and_clears_the_validation_floor(
+        monkeypatch, p, seed, ineq_id, tighten):
+    if tighten:
+        calibrate = law_mod._calibrate
+
+        def tightened(ratio, rng, n, maximize, line=False):
+            c = calibrate(ratio, rng, n, maximize, line)
+            return c * (1.0 - tighten if maximize else 1.0 + tighten)
+        monkeypatch.setattr(law_mod, "_calibrate", tightened)
+    rep = check_inequality(p_laplacian(p), ineq_id, seed=seed)
+    if tighten:
+        assert 0.9 * tighten < rep.max_violation <= tighten
+        assert not rep.passed
+    else:
+        assert rep.passed, rep.max_violation
+        assert cli.main(["check-laws", "--p", str(p), "--seed", str(seed)]) == 0
 
 
 def test_calibrated_constants_are_recorded():

@@ -308,15 +308,33 @@ def test_from_polygons_rejects_non_finite_vertex():
 @pytest.mark.parametrize("mutate, lineno", [
     (lambda t: t.replace("polymesh 2d v1", "polymesh 3d v1"), 1),
     (lambda t: t.replace("vertices 4", "vertices four"), 2),
+    (lambda t: t.replace("elements 2", "cells 2"), 7),
     (lambda t: t.replace("0 1 2\n", "0 1 9\n"), 8),
-    (lambda t: t.replace("0 1 0 -1", "0 1 1 -1"), 11),
+    (lambda t: t.replace("0 2 3\n", "0 2\n"), 9),
+    (lambda t: t.replace("faces 5", "faces -5"), 10),
+    (lambda t: t.replace("0 1 0 -1", "0 1 2 -1"), 11),
+    (lambda t: t.replace("1 2 0 -1", "1 2 0"), 12),
+    (lambda t: t.replace("0 2 0 1", "0 2 0 one"), 13),
+    (lambda t: t.replace("2 3 1 -1", "2 4 1 -1"), 14),
+    (lambda t: t.replace("0 3 1 -1", "0 3 1 2"), 15),
     (lambda t: t + "extra junk\n", 16),
 ])
 def test_read_malformed_reports_line(mutate, lineno):
-    with pytest.raises(MeshFormatError) as exc:
+    with pytest.raises(MeshFormatError, match=f"^line {lineno}: "):
         read_mesh(mutate(TWO_TRIANGLES))
-    if lineno is not None and "line" in str(exc.value):
-        assert f"line {lineno}" in str(exc.value)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda t: t[:t.index("2 3 1 -1")], "unexpected end of input"),
+    (lambda t: t.replace("0 1 0 -1", "0 1 1 -1"),
+     r"face 0: owners \[1\] inconsistent with elements \[0\]"),
+    (lambda t: t.replace("0 1 2\n", "0 2 1\n").replace("0 2 3\n", "0 3 2\n"),
+     "element 0: cycle is not counter-clockwise"),
+])
+def test_read_malformed_without_a_line(mutate, message):
+    # the end of the input and the geometry checks have no line to name
+    with pytest.raises(MeshFormatError, match=f"^{message}$"):
+        read_mesh(mutate(TWO_TRIANGLES))
 
 
 def test_read_detects_missing_face():

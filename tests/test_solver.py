@@ -79,7 +79,7 @@ def test_linear_problem_single_newton_step():
     f = (2 * PI ** 2) * u
     mesh = generate("cartesian", 3)
     U, rep, dm, packs = newton_solve(mesh, 1, p_laplacian(2.0), source=f)
-    assert rep.converged and not rep.diverged
+    assert rep.converged
     assert rep.newton_iters == 1
     assert rep.stages[-1].residual_norm <= 1e-11
 
@@ -245,6 +245,13 @@ def _check_energy_gradient(family, level, k, p, h):
         assert dE == pytest.approx(r[j], rel=1e-6, abs=1e-6)
 
 
+def test_energy_needs_the_energy_density():
+    mesh, packs, dm = _linear_setup("cartesian", 2, 1)
+    law = replace(p_laplacian(3.0), energy_density=None)
+    with pytest.raises(ValueError, match="no energy density"):
+        energy(dm, packs, law, np.zeros(dm.ndofs), compute_loads(packs, None))
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_energy_gradient_is_residual(p):
     _check_energy_gradient("cartesian", 2, 0, p, h=1e-6)
@@ -323,6 +330,20 @@ def test_continuation_must_end_at_the_target_p(monkeypatch, path):
         newton_solve(generate("triangular", 3), 1, law,
                      source=manufactured_source(u, law), dirichlet=u,
                      config=NewtonConfig(continuation=path))
+
+
+def test_continuation_without_the_family_is_rejected_up_front(monkeypatch):
+    law = replace(p_laplacian(3.0), family=None)
+    with monkeypatch.context() as m:
+        def no_build(*args):
+            raise AssertionError("operators built before the path was checked")
+        m.setattr(solver, "build_packs", no_build)
+        with pytest.raises(ValueError, match="requires the law's family"):
+            newton_solve(generate("triangular", 3), 1, law)
+    # a path that stays at the law's p needs no family
+    _, rep, _, _ = newton_solve(generate("cartesian", 2), 1, law,
+                                config=NewtonConfig(continuation=(3.0,)))
+    assert rep.converged
 
 
 def test_p4_trigonometric_converges():
