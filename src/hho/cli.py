@@ -36,16 +36,30 @@ def _family_key(name: str) -> str:
     return name.replace("-", "_")
 
 
+def _out_dir(args) -> Path:
+    """The command's --out directory, made before any work; a path where
+    none can be made is a usage error."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        args.parser.error(f"--out {out}: {err.strerror}")
+    return out
+
+
 def _cmd_run(args) -> int:
     family = _family_key(args.family)
-    law = law_mod.p_laplacian(args.p)
     levels = range(args.start_level, args.start_level + args.levels)
+    try:        # the finest level's mesh, before any level is solved
+        mesh_mod.check_budget(family, levels[-1])
+    except mesh_mod.MeshResourceError as err:
+        args.parser.error(str(err))
+    out = _out_dir(args)
+    law = law_mod.p_laplacian(args.p)
     config = NewtonConfig(atol=args.newton_tol, condense=args.condense,
                           boost=args.quad_boost)
     study = harness.run_study(family, args.degree, law, args.case, levels,
                               config=config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_text = harness.study_to_csv(study)
     (out / "study.csv").write_text(csv_text)
     (out / "study.gp").write_text(harness.gnuplot_script("study.csv", study))
@@ -63,8 +77,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_projector_rates(args) -> int:
     field = exp_field(1.0, 1.0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     lines = ["projector,kind,m,p,slope,expected"]
     ok = True
     for name in ("l2", "elliptic"):

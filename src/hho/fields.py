@@ -15,9 +15,8 @@ import numpy as np
 
 
 class ScalarField:
-    def __init__(self, partial_factory, name=""):
+    def __init__(self, partial_factory):
         self._factory = partial_factory
-        self.name = name
 
     def partial(self, ax: int, ay: int):
         return self._factory(ax, ay)
@@ -41,15 +40,15 @@ class ScalarField:
         def factory(ax, ay):
             f = self.partial(ax, ay)
             return lambda pts: c * f(pts)
-        return ScalarField(factory, name=f"{c}*{self.name}")
+        return ScalarField(factory)
 
 
-def exp_field(a: float, b: float, scale: float = 1.0) -> ScalarField:
-    """scale * exp(a x + b y)"""
+def exp_field(a: float, b: float) -> ScalarField:
+    """exp(a x + b y)"""
     def factory(ax, ay):
-        c = scale * a ** ax * b ** ay
+        c = a ** ax * b ** ay
         return lambda pts: c * np.exp(a * pts[..., 0] + b * pts[..., 1])
-    return ScalarField(factory, name=f"exp({a}x+{b}y)")
+    return ScalarField(factory)
 
 
 def wave_field(amps, freqs, phases) -> ScalarField:
@@ -66,7 +65,7 @@ def wave_field(amps, freqs, phases) -> ScalarField:
             arg = pts @ freqs.T + shift[None, :]
             return np.sin(arg) @ coef
         return ev
-    return ScalarField(factory, name="wave")
+    return ScalarField(factory)
 
 
 def sine_product_field(fx: float = math.pi, fy: float = math.pi) -> ScalarField:
@@ -77,7 +76,7 @@ def sine_product_field(fx: float = math.pi, fy: float = math.pi) -> ScalarField:
         sy = ay * math.pi / 2.0
         return lambda pts: (c * np.sin(fx * pts[..., 0] + sx)
                             * np.sin(fy * pts[..., 1] + sy))
-    return ScalarField(factory, name=f"sin({fx}x)sin({fy}y)")
+    return ScalarField(factory)
 
 
 def constant_field(c: float) -> ScalarField:
@@ -85,7 +84,7 @@ def constant_field(c: float) -> ScalarField:
         if ax == 0 and ay == 0:
             return lambda pts: np.full(np.shape(pts)[:-1], float(c))
         return lambda pts: np.zeros(np.shape(pts)[:-1])
-    return ScalarField(factory, name=f"{c}")
+    return ScalarField(factory)
 
 
 def monomial_field(ex: int, ey: int) -> ScalarField:
@@ -96,7 +95,7 @@ def monomial_field(ex: int, ey: int) -> ScalarField:
         c = (math.factorial(ex) // math.factorial(ex - ax)) \
             * (math.factorial(ey) // math.factorial(ey - ay))
         return lambda pts: c * pts[..., 0] ** (ex - ax) * pts[..., 1] ** (ey - ay)
-    return ScalarField(factory, name=f"x^{ex}y^{ey}")
+    return ScalarField(factory)
 
 
 def affine_field(c: float, a: float, b: float) -> ScalarField:
@@ -109,7 +108,7 @@ def affine_field(c: float, a: float, b: float) -> ScalarField:
         if (ax, ay) == (0, 1):
             return lambda pts: np.full(np.shape(pts)[:-1], float(b))
         return lambda pts: np.zeros(np.shape(pts)[:-1])
-    return ScalarField(factory, name=f"{c}+{a}x+{b}y")
+    return ScalarField(factory)
 
 
 def random_wave_field(rng: np.random.Generator, nterms: int = 3,

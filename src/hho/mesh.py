@@ -2,9 +2,9 @@
 
 A mesh is a set of flat, read-only arrays: per cell its CCW vertex cycle
 and face ids (CSR rows), centroid, area and diameter; per face its
-endpoints, owners, signs, unit normal, midpoint and length.  Four structured
-families are provided; hanging nodes are represented by splitting the coarse
-edge, so the face skeleton always matches between neighbours.
+endpoints, owners, signs, unit normal and length.  Four structured families
+are provided; hanging nodes are represented by splitting the coarse edge, so
+the face skeleton always matches between neighbours.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class PolytopalMesh:
     face_owners: np.ndarray          # (nF, 2) element ids; -1 second on the boundary
     face_signs: np.ndarray           # (nF, 2) n_TF = sign * normal per owner; 0 for -1
     face_normals: np.ndarray         # (nF, 2) unit, the tangent rotated by -90 degrees
-    face_midpoints: np.ndarray       # (nF, 2)
     face_lengths: np.ndarray         # (nF,)
     h_max: float
     family: str | None = None
@@ -260,21 +259,20 @@ def from_polygons(vertices, cells, family=None, level=None,
     signs[cell_faces, (face_owners[cell_faces, 1] == cell).astype(int)] = \
         np.where(along, 1, -1)
 
-    pa, pb = vertices[face_vertices[:, 0]], vertices[face_vertices[:, 1]]
-    t = pb - pa
+    t = vertices[face_vertices[:, 1]] - vertices[face_vertices[:, 0]]
     length = np.hypot(t[:, 0], t[:, 1])
     _raise_first([(length < 1e-14, "face {}: zero length")])
 
     area, moment, diameter = _cycle_geometry(vertices, ptr, cyc)
-    _raise_first([(abs(area) < 1e-14, "degenerate polygon (area ~ 0)"),
+    _raise_first([(abs(area) < 1e-14, "element {}: degenerate polygon (area ~ 0)"),
                   (area <= 0, "element {}: cycle is not counter-clockwise")])
     return PolytopalMesh(
         vertices=vertices, cell_ptr=ptr, cell_vertices=cyc, cell_faces=cell_faces,
         centroids=moment / (6.0 * area)[:, None], areas=area, diameters=diameter,
         face_vertices=face_vertices, face_owners=face_owners, face_signs=signs,
         face_normals=np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None],
-        face_midpoints=0.5 * (pa + pb), face_lengths=length,
-        h_max=float(diameter.max()), family=family, level=level)
+        face_lengths=length, h_max=float(diameter.max()), family=family,
+        level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,16 @@ def shape_keys(mesh: PolytopalMesh) -> np.ndarray:
 # generators
 
 
-def _guard_budget(estimate: int, family: str, level: int):
+def check_budget(family: str, level: int):
+    """Raise MeshResourceError if `generate(family, level)` would make more
+    than _ELEMENT_BUDGET elements, by an estimate that makes none: n^2
+    squares of side 1/n, n = 2^level, twice as many triangles (a bound on
+    the locally refined cells too), or 8 n^2 / sqrt(27) hexagons of side
+    1 / (2 n) and a few clipped ones."""
+    n = 2 ** level
+    estimate = {"cartesian": n * n, "triangular": 2 * n * n,
+                "locally_refined": 2 * n * n,
+                "hexagonal": math.isqrt(64 * n ** 4 // 27) + 4}[family]
     if estimate > _ELEMENT_BUDGET:
         raise MeshResourceError(
             f"{family} level {level} would need ~{estimate} elements "
@@ -336,7 +343,6 @@ def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gen_cartesian(level: int) -> PolytopalMesh:
     n = 2 ** level
-    _guard_budget(n * n, "cartesian", level)
     vertices, c = _grid(n)
     cells = c[:, None] + [0, 1, n + 2, n + 1]
     return from_polygons(vertices, cells, family="cartesian", level=level)
@@ -344,7 +350,6 @@ def _gen_cartesian(level: int) -> PolytopalMesh:
 
 def _gen_triangular(level: int) -> PolytopalMesh:
     n = 2 ** level
-    _guard_budget(2 * n * n, "triangular", level)
     vertices, c = _grid(n)
     cells = (c[:, None, None] + [[0, 1, n + 2], [0, n + 2, n + 1]]).reshape(-1, 3)
     return from_polygons(vertices, cells, family="triangular", level=level)
@@ -354,7 +359,6 @@ def _gen_locally_refined(level: int) -> PolytopalMesh:
     # n x n base grid; every cell in the closed lower-left quadrant is split
     # into four, leaving hanging nodes along the refinement front.
     n = 2 ** level
-    _guard_budget(2 * n * n, "locally_refined", level)
     j, i = np.divmod(np.arange(n * n), n)
     split = lambda i, j: (0 <= i) & (i < n // 2) & (0 <= j) & (j < n // 2)
     # each base cell as four rows of up to eight fine lattice points: the four
@@ -405,7 +409,6 @@ def _gen_hexagonal(level: int) -> PolytopalMesh:
     # vertices close to a side are snapped onto it first, so clipping never
     # leaves thin slivers behind
     s = 0.25 / 2 ** (level - 1)
-    _guard_budget(int(1.0 / (1.5 * s) * 1.0 / (math.sqrt(3) * s)) + 4, "hexagonal", level)
     sq3 = math.sqrt(3.0)
     ox, oy = -0.31237 * s, -0.41731 * s
     i, j = (a.ravel() for a in np.meshgrid(
@@ -460,6 +463,7 @@ def generate(family: str, level: int) -> PolytopalMesh:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     if level < 1:
         raise ValueError("level must be >= 1")
+    check_budget(family, level)
     return _GENERATORS[family](level)
 
 

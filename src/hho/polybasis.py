@@ -119,7 +119,7 @@ class CellBasis:
 
         def factory(ax, ay):
             return lambda pts: self.partial(ax, ay, pts) @ coeffs
-        return ScalarField(factory, name=f"P{self.degree}")
+        return ScalarField(factory)
 
 
 def _orthonormalize(raw: np.ndarray, weights: np.ndarray, degree: int):
@@ -311,18 +311,17 @@ def rate_levels(degree: int) -> range:
 
 def projector_rate_study(field: ScalarField, degree: int, projector: str = "elliptic",
                          js=None, ms=(0, 1, 2), ps=(1.5, 2.0, 4.0, INF),
-                         trace_ms=(0, 1), exactness: int = 30, s: int | None = None) -> dict:
+                         trace_ms=(0, 1), exactness: int = 30) -> dict:
     """Project `field` on the squares of side h = 2^-j at one corner, all of
     them as one stack of cells on one rule exact to max(exactness, 2 degree),
     and record the W^{m,p} error seminorms against h, normalized by
-    |field|_{W^{s,p}} on the same square (the approximation bound's own
+    |field|_{W^{s,p}}, s = degree + 1, on the same square (the bound's own
     right-hand side, so the predicted slope is s - m for every p, finite or
     not), at the orders the bound covers: cell m <= s, trace m <= s - 1.
     The levels j default to `rate_levels(degree)`."""
     if projector not in ("elliptic", "l2"):
         raise ValueError("projector must be 'elliptic' or 'l2'")
-    if s is None:
-        s = degree + 1
+    s = degree + 1
     if js is None:
         js = rate_levels(degree)
     ms = [m for m in ms if m <= s]
@@ -340,7 +339,7 @@ def projector_rate_study(field: ScalarField, degree: int, projector: str = "elli
     def partial(ax, ay):
         f = field.partial(ax, ay)
         return lambda pts: f(pts) - (basis.partial(ax, ay, pts) @ coeffs)[..., 0]
-    defect = ScalarField(partial, name="defect")
+    defect = ScalarField(partial)
     source = {p: cell_seminorm(field, s, p, rule) for p in ps}
     cell = {(m, p): cell_seminorm(defect, m, p, rule) / source[p]
             for m in ms for p in ps}

@@ -3,8 +3,8 @@
 Unknowns are ordered cells first (one degree-k polynomial block per element)
 followed by one degree-k block per face, in mesh face order.  Homogeneous or
 inhomogeneous Dirichlet data is imposed strongly: boundary face blocks hold
-the face projection of the boundary datum and the corresponding residual rows
-are masked.
+the datum's interpolate I_h there (`interpolate_global`: its face L2
+projections) and the corresponding residual rows are masked.
 
 Local operators are shared: `build_packs` builds them once per element
 shape (`mesh.shape_keys`: translates with the same face orientations), and
@@ -23,8 +23,8 @@ are formed in the shape's polynomial coefficients: the flux Jacobian is
 contracted against the degree-k cell and face bases once per block, then
 the shape's G and D coefficients apply it; the Schur complements of static
 condensation are solves broadcast over the block.
-The interpolation, the Dirichlet data and `harness.compute_errors` run on
-the same blocks.
+The interpolation, which gives the Dirichlet data too, and
+`harness.compute_errors` run on the same blocks.
 
 The masked Newton matrix has one sparsity pattern per mode, full or
 condensed, which `DofMap.pattern` builds on first use (`matrix_pattern`);
@@ -106,7 +106,6 @@ class ElementBlock:
     run: slice              # their place among the shape's members
     dofs: np.ndarray        # (E, ndof) their global unknowns, in local order
     owned: np.ndarray       # (E, nf) is the element the face's first owner
-    boundary: np.ndarray    # (E, nf) is the face on the boundary
 
 
 class DofMap:
@@ -119,8 +118,6 @@ class DofMap:
         self.n_face = k + 1
         self.cell_span = mesh.n_elements * self.n_cell
         self.ndofs = self.cell_span + mesh.n_faces * self.n_face
-        owner = mesh.face_owners[:, 0]
-        on_bnd = mesh.face_owners[:, 1] < 0
         nf = np.diff(mesh.cell_ptr)
         self.blocks = []
         runs = [(ids[run], run) for ids in shape_groups(mesh.shape_labels)
@@ -133,8 +130,8 @@ class DofMap:
                     + np.arange(self.n_face))
             self.blocks.append(ElementBlock(
                 ids, run, np.hstack([cell, face.reshape(len(ids), -1)]),
-                owned=owner[faces] == ids[:, None], boundary=on_bnd[faces]))
-        bnd = np.flatnonzero(on_bnd)
+                owned=mesh.face_owners[faces, 0] == ids[:, None]))
+        bnd = np.flatnonzero(mesh.face_owners[:, 1] < 0)
         self.boundary_dofs = (self.cell_span + self.n_face * bnd[:, None]
                               + np.arange(self.n_face)).ravel()
         self._patterns = {}
@@ -155,10 +152,6 @@ class DofMap:
     def element_dofs(self, ei: int) -> np.ndarray:
         return np.concatenate([self.cell_dofs(ei), *map(
             self.face_dofs, self.mesh.elements[ei].faces)])
-
-    def block_face_dofs(self, blk: ElementBlock) -> np.ndarray:
-        """(E, nf, k+1) unknowns of a block's faces, in local order."""
-        return blk.dofs[:, self.n_cell:].reshape(*blk.owned.shape, -1)
 
 
 class MatrixPattern(NamedTuple):
@@ -282,51 +275,36 @@ def shared_operators(dm: DofMap, packs):
         yield blk, ops
 
 
-def _project_block(ops: LocalOperators, blk: ElementBlock, field,
-                   faces: np.ndarray, cells: bool = True):
-    """L2 projections of a field on a block, from one evaluation of it at
-    all their nodes: (E, n_cell) cell coefficients (none unless `cells`) and
-    the (n, k+1) coefficients of the n faces set in the (E, nf) mask `faces`,
-    in mask order.  The projectors are the shared basis values, weights and
-    mass matrices of the block's shape."""
-    w, wf = ops.rule.weights, ops.face_weights
-    x = ops.cell_nodes[blk.run].reshape(-1, 2)
-    e, f = np.nonzero(faces)
-    xf = ops.face_points[f] + ops.shifts[blk.run][e, None]
-    nc = len(x) if cells else 0
-    vals = np.asarray(field(np.concatenate([x[:nc], xf.reshape(-1, 2)])),
-                      dtype=float)
-    Pc = np.linalg.solve(ops.basis_k.mass, (ops.cellval_q * w[:, None]).T)
-    Pf = np.linalg.solve(ops.face_mass, (ops.faceval_q * wf[..., None])
-                         .transpose(0, 2, 1)).transpose(0, 2, 1)[f]
-    fv = vals[nc:].reshape(len(f), wf.shape[1])
-    # node by node with elementwise products: a face's coefficients do not
-    # depend on the other faces of the call, so dirichlet_values equals
-    # interpolate_global on the boundary to the last bit
-    face = sum(fv[:, q, None] * Pf[:, q] for q in range(fv.shape[1]))
-    return vals[:nc].reshape(-1, len(w)) @ Pc.T, face
-
-
 def interpolate_global(dm: DofMap, packs, field) -> np.ndarray:
-    """Cell and face projections of a field, block by block; each face is
-    projected once, at its first owner."""
+    """The interpolate I_h of a field: its cell and face L2 projections,
+    block by block from one evaluation of it at all their nodes.  Each face
+    is projected once, at its first owner, and a boundary face has no other.
+    The projectors are the shared basis values, weights and mass matrices of
+    the block's shape."""
     U = np.zeros(dm.ndofs)
     for blk, ops in shared_operators(dm, packs):
-        cell, face = _project_block(ops, blk, field, blk.owned)
-        U[blk.dofs[:, :dm.n_cell]] = cell
-        U[dm.block_face_dofs(blk)[blk.owned]] = face
+        w, wf = ops.rule.weights, ops.face_weights
+        x = ops.cell_nodes[blk.run].reshape(-1, 2)
+        e, f = np.nonzero(blk.owned)
+        xf = ops.face_points[f] + ops.shifts[blk.run][e, None]
+        vals = np.asarray(field(np.concatenate([x, xf.reshape(-1, 2)])),
+                          dtype=float)
+        Pc = np.linalg.solve(ops.basis_k.mass, (ops.cellval_q * w[:, None]).T)
+        Pf = np.linalg.solve(ops.face_mass, (ops.faceval_q * wf[..., None])
+                             .transpose(0, 2, 1)).transpose(0, 2, 1)[f]
+        fv = vals[len(x):].reshape(len(f), wf.shape[1])
+        U[blk.dofs[:, :dm.n_cell]] = vals[:len(x)].reshape(-1, len(w)) @ Pc.T
+        # node by node: a face's coefficients come from its own nodes alone
+        faces = blk.dofs[:, dm.n_cell:].reshape(*blk.owned.shape, -1)
+        U[faces[e, f]] = sum(fv[:, q, None] * Pf[:, q]
+                             for q in range(fv.shape[1]))
     return U
 
 
 def dirichlet_values(dm: DofMap, packs, g) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary dof indices and the face projections of the datum g."""
-    idx, vals = [np.empty(0, dtype=int)], [np.empty(0)]
-    for blk, ops in shared_operators(dm, packs):
-        if blk.boundary.any():
-            _, face = _project_block(ops, blk, g, blk.boundary, cells=False)
-            idx.append(dm.block_face_dofs(blk)[blk.boundary].ravel())
-            vals.append(face.ravel())
-    return np.concatenate(idx), np.concatenate(vals)
+    """Boundary dof indices and the face projections of the datum g there:
+    the boundary entries of its interpolate."""
+    return dm.boundary_dofs, interpolate_global(dm, packs, g)[dm.boundary_dofs]
 
 
 def compute_loads(packs, source) -> np.ndarray:

@@ -213,6 +213,46 @@ def test_cli_run_rejects_bad_arguments(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def _no_study(*args, **kwargs):
+    raise AssertionError("a study ran")
+
+
+@pytest.mark.parametrize("args", [
+    ["--start-level", "11", "--levels", "1"],
+    ["--start-level", "8", "--levels", "3"],
+    ["--family", "hexagonal", "--start-level", "9", "--levels", "3"]])
+def test_cli_run_checks_the_finest_mesh_before_any_work(
+        tmp_path, monkeypatch, capsys, args):
+    # a finest level over the element budget is a usage error before any
+    # level is solved, not a traceback after the coarser ones
+    from hho import harness
+    from hho.cli import main
+    monkeypatch.setattr(harness, "run_study", _no_study)
+    out = tmp_path / "study"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out", str(out)] + args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: hho run" in err and "elements (budget" in err
+    assert not out.exists()
+
+
+def test_cli_run_rejects_an_out_that_is_a_file(tmp_path, monkeypatch,
+                                               capsys):
+    # the output directory is made before the study, not after it
+    from hho import harness
+    from hho.cli import main
+    monkeypatch.setattr(harness, "run_study", _no_study)
+    out = tmp_path / "study"
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--levels", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: hho run" in err and f"--out {out}" in err
+    assert out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command, args", [
     ("projector-rates", ["--degree", "-1"]),
     ("projector-rates", ["--exactness", "-1"]),

@@ -205,8 +205,7 @@ def test_mesh_arrays_are_read_only():
     labels = m.shape_labels
     for name in ("vertices", "cell_ptr", "cell_vertices", "cell_faces",
                  "centroids", "areas", "diameters", "face_vertices",
-                 "face_owners", "face_signs", "face_normals", "face_midpoints",
-                 "face_lengths"):
+                 "face_owners", "face_signs", "face_normals", "face_lengths"):
         assert not getattr(m, name).flags.writeable, name
     with pytest.raises(ValueError):
         m.areas[2] *= 1.5
@@ -234,9 +233,10 @@ def test_from_polygons_rejects_clockwise():
 
 
 def test_from_polygons_rejects_degenerate():
-    verts = [(0, 0), (1, 0), (2, 0)]
-    with pytest.raises(MeshValidationError):
-        from_polygons(verts, [[0, 1, 2]])
+    verts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (3, 0)]
+    with pytest.raises(MeshValidationError,
+                       match=r"^element 1: degenerate polygon \(area ~ 0\)$"):
+        from_polygons(verts, [[0, 1, 2, 3], [1, 4, 5]])
 
 
 def _meshes_equal(a, b):

@@ -74,6 +74,22 @@ def test_dirichlet_values_match_interpolate_global():
     assert np.array_equal(vals, interpolate_global(dm, packs, g)[idx])
 
 
+@pytest.mark.parametrize("family", ["triangular", "hexagonal",
+                                    "locally_refined"])
+def test_dirichlet_values_need_the_datum_on_the_boundary_only(family):
+    # each boundary face is projected from its own nodes alone: a datum that
+    # is NaN away from the boundary gives the same data, to the last bit
+    mesh, packs, dm = _linear_setup(family, 3, 2)
+    g = exp_field(0.5, 1.0)
+    on_boundary = lambda x: ((np.abs(x) < 1e-12)
+                             | (np.abs(x - 1.0) < 1e-12)).any(axis=-1)
+    masked = lambda x: np.where(on_boundary(x), g(x), np.nan)
+    idx, vals = dirichlet_values(dm, packs, g)
+    idx_m, vals_m = dirichlet_values(dm, packs, masked)
+    assert np.array_equal(idx_m, idx)
+    assert np.all(np.isfinite(vals)) and np.array_equal(vals_m, vals)
+
+
 def test_linear_problem_single_newton_step():
     u = sine_product_field(PI, PI)
     f = (2 * PI ** 2) * u
