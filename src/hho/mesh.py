@@ -318,12 +318,17 @@ def shape_keys(mesh: PolytopalMesh) -> np.ndarray:
 
 
 def check_budget(family: str, level: int):
-    """Raise MeshResourceError if `generate(family, level)` would make more
-    than _ELEMENT_BUDGET elements, by an estimate that makes none: n^2
-    squares of side 1/n, n = 2^level, twice as many triangles (a bound on
-    the locally refined cells too), or 8 n^2 / sqrt(27) hexagons of side
+    """Raise ValueError for an unknown family or a level that is not an
+    integer >= 1, and MeshResourceError if `generate(family, level)` would
+    make more than _ELEMENT_BUDGET elements, by an estimate that makes none:
+    n^2 squares of side 1/n, n = 2^level, twice as many triangles (a bound
+    on the locally refined cells too), or 8 n^2 / sqrt(27) hexagons of side
     1 / (2 n) and a few clipped ones."""
-    n = 2 ** level
+    if family not in _GENERATORS:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if not isinstance(level, (int, np.integer)) or level < 1:
+        raise ValueError(f"level must be an integer >= 1, got {level!r}")
+    n = 2 ** int(level)
     estimate = {"cartesian": n * n, "triangular": 2 * n * n,
                 "locally_refined": 2 * n * n,
                 "hexagonal": math.isqrt(64 * n ** 4 // 27) + 4}[family]
@@ -459,10 +464,6 @@ _GENERATORS = {
 
 def generate(family: str, level: int) -> PolytopalMesh:
     """Generate a level-`level` mesh of the unit square from a named family."""
-    if family not in _GENERATORS:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    if level < 1:
-        raise ValueError("level must be >= 1")
     check_budget(family, level)
     return _GENERATORS[family](level)
 

@@ -17,29 +17,39 @@ shared matrix each.  Every sweep over the blocks goes through
 `shared_operators`, which checks that the `LocalOperators` of a block's first
 element fits the DofMap's mesh and k and holds the block's elements at
 `ElementBlock.run` among its members.  The kernels read that `LocalOperators`
-as it is, call the law once on all of the block's cell nodes, and form
-gradients and residuals as one matrix product over the block.  Jacobians
-are formed in the shape's polynomial coefficients: the flux Jacobian is
-contracted against the degree-k cell and face bases once per block, then
-the shape's G and D coefficients apply it; the Schur complements of static
-condensation are solves broadcast over the block.
-The interpolation, which gives the Dirichlet data too, and
+as it is and form gradients and residuals as one matrix product over the
+block.  The law runs on chunks (`DofMap.chunks`): runs of consecutive blocks
+whose element matrices hold at most JACOBIAN_ENTRIES entries together, or
+one block.  The residual and the Newton matrix call the flux, or its
+Jacobian, and the face weights once per chunk, on the nodes of all its
+blocks, which spares the fixed cost of a call on the many small blocks of a
+mesh of many shapes.  Jacobians are formed in the shape's polynomial
+coefficients: the flux Jacobian is contracted against the degree-k cell and
+face bases once per block, then the shape's G and D coefficients apply it;
+static condensation is one batched solve and one Schur product per chunk
+and local size.  The interpolation, which gives the Dirichlet data too, and
 `harness.compute_errors` run on the same blocks.
 
 The masked Newton matrix has one sparsity pattern per mode, full or
 condensed, which `DofMap.pattern` builds on first use (`matrix_pattern`);
 each assembly gathers the element (or Schur) matrices and sums them into
-the pattern's CSC `data` with one `bincount`.
+the pattern's CSC `data` with one `bincount`.  After the mode's first
+factorization the pattern is served in that factorization's column order
+(`ordered_pattern`, a remap of the natural one), so the later matrices come
+permuted and are factored as they stand.
 
 The Newton loop supports backtracking damping, regularization of the flux
 Jacobian near vanishing gradients, continuation in the exponent p starting
 from the linear problem, and optional static condensation of the cell blocks.
 
 Each Newton step factors its matrix, full or condensed, with SuperLU in
-symmetric mode (`spsolve`): a minimum degree ordering of A + A^T and the
-diagonal entries as pivots.  A monotone Leray-Lions flux gives a Jacobian
-whose symmetric part is positive definite once the boundary rows and columns
-are replaced by the identity; for the p-Laplacian it is the Hessian of the
+symmetric mode (`solve_newton_system`) with the diagonal entries as pivots.
+A mode's first matrix is ordered by minimum degree on A + A^T, as `spsolve`
+does; the pattern never changes, so that order is kept, and every later
+matrix, which comes in it, is factored in its own order ("NATURAL") with
+the same fill.  A monotone Leray-Lions flux gives a Jacobian whose
+symmetric part is positive definite once the boundary rows and columns are
+replaced by the identity; for the p-Laplacian it is the Hessian of the
 convex discrete energy, symmetric positive definite.  Every principal
 submatrix of such a matrix is nonsingular, so in any symmetric order no
 diagonal pivot vanishes and no row exchange is needed.  A singular factor
@@ -68,21 +78,51 @@ from .quadrature import fan_apices
 JACOBIAN_ENTRIES = 2 ** 15
 
 
-def spsolve(J, b: np.ndarray) -> np.ndarray:
-    """Solve J x = b for a CSC Newton matrix; all NaN if J is singular.
+def _factor(J, permc_spec: str):
+    """SuperLU factor of a CSC Newton matrix in symmetric mode, with the
+    column order `permc_spec`; None if J is singular or has NaN entries.
 
     J has a positive definite symmetric part (see the module docstring), so
-    SuperLU orders A + A^T by minimum degree and keeps the diagonal pivots.
-    Row exchanges on that ordering, SuperLU's default, make the fill
-    explode: 80 times the nonzeros of J on triangular level 4, k = 1.
-    Panels of one column give the same fill and factor 2-25% faster than
-    SuperLU's default of 10 on the benchmark's Newton matrices at level 4."""
+    the factor keeps the diagonal pivots.  Row exchanges on a minimum degree
+    ordering of A + A^T, SuperLU's default, make the fill explode: 80 times
+    the nonzeros of J on triangular level 4, k = 1.  Panels of one column
+    give the same fill and factor 2-25% faster than SuperLU's default of 10
+    on the benchmark's Newton matrices at level 4."""
     try:
-        lu = splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  panel_size=1, options={"SymmetricMode": True})
+        return splu(J, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                    panel_size=1, options={"SymmetricMode": True})
     except RuntimeError:        # "Factor is exactly singular", NaN entries
+        return None
+
+
+def spsolve(J, b: np.ndarray) -> np.ndarray:
+    """Solve J x = b for a CSC Newton matrix in the natural order, factored
+    on a minimum degree ordering of A + A^T; all NaN if J is singular."""
+    lu = _factor(J, "MMD_AT_PLUS_A")
+    return np.full(len(b), np.nan) if lu is None else lu.solve(b)
+
+
+def solve_newton_system(dm: DofMap, condense: bool, J,
+                        b: np.ndarray) -> np.ndarray:
+    """Solve J x = b for a Newton matrix filled into `dm.pattern(condense)`,
+    with b and x in the natural order; all NaN if J is singular.
+
+    The mode's first matrix is factored as by `spsolve`, and SuperLU's
+    column order is kept: from then on the mode's pattern comes in that
+    order, and each later matrix is factored in it as it stands.  The
+    pattern never changes, so neither does the minimum degree order, and
+    the fill stays that of the first factorization."""
+    order = dm.pattern(condense).order
+    lu = _factor(J, "MMD_AT_PLUS_A" if order is None else "NATURAL")
+    if lu is None:
         return np.full(len(b), np.nan)
-    return lu.solve(b)
+    if order is None:
+        # a copy: the array SuperLU hands out keeps its factor alive
+        dm._perm_c.setdefault(condense, lu.perm_c.copy())
+        return lu.solve(b)
+    x = np.empty_like(b)
+    x[order] = lu.solve(b[order])
+    return x
 
 
 def shape_groups(labels: np.ndarray) -> list[np.ndarray]:
@@ -134,13 +174,33 @@ class DofMap:
         bnd = np.flatnonzero(mesh.face_owners[:, 1] < 0)
         self.boundary_dofs = (self.cell_span + self.n_face * bnd[:, None]
                               + np.arange(self.n_face)).ravel()
+        # runs of consecutive blocks whose element matrices hold at most
+        # JACOBIAN_ENTRIES entries together, or one block
+        self.chunks, start, size = [], 0, 0
+        for i, blk in enumerate(self.blocks):
+            entries = blk.dofs.size * blk.dofs.shape[1]
+            if i > start and size + entries > JACOBIAN_ENTRIES:
+                self.chunks.append(slice(start, i))
+                start, size = i, 0
+            size += entries
+        self.chunks.append(slice(start, len(self.blocks)))
         self._patterns = {}
+        self._perm_c = {}       # SuperLU's column order of each mode
 
-    def pattern(self, condense: bool) -> MatrixPattern:
-        """The masked Newton matrix's pattern for one mode, built once."""
-        if condense not in self._patterns:
-            self._patterns[condense] = matrix_pattern(self, condense)
-        return self._patterns[condense]
+    def pattern(self, condense: bool, natural: bool = False) -> MatrixPattern:
+        """The masked Newton matrix's pattern for one mode, built on first
+        use.  Once the mode has been factored (`solve_newton_system`), it
+        comes in that factorization's column order, unless `natural`: the
+        natural pattern is remapped once and dropped, and built again only
+        if it is asked for."""
+        ordered = not natural and condense in self._perm_c
+        if ordered and (condense, True) not in self._patterns:
+            self._patterns[condense, True] = ordered_pattern(
+                self.pattern(condense, True), self._perm_c[condense])
+            del self._patterns[condense, False]
+        if (condense, ordered) not in self._patterns:
+            self._patterns[condense, ordered] = matrix_pattern(self, condense)
+        return self._patterns[condense, ordered]
 
     def cell_dofs(self, ei: int) -> np.ndarray:
         return np.arange(ei * self.n_cell, (ei + 1) * self.n_cell)
@@ -156,7 +216,10 @@ class DofMap:
 
 class MatrixPattern(NamedTuple):
     """CSC structure of a masked Newton matrix, and where the entries of the
-    blocks' element matrices go in its `data`."""
+    blocks' element matrices go in its `data`.  In the natural order row and
+    column i are the mode's unknown i (the face unknowns alone, condensed);
+    an ordered pattern holds P^T J P instead, the rows and columns of J
+    permuted by `order`."""
     indptr: np.ndarray      # (n + 1,)
     indices: np.ndarray     # (nnz,) rows, ascending within each column
     slots: np.ndarray       # 1 + data position of each entry of the blocks'
@@ -164,6 +227,8 @@ class MatrixPattern(NamedTuple):
                             # order; 0 where a boundary row or column masks it;
                             # int32, as nnz fits the int32 `indices`
     diagonal: np.ndarray    # data positions of the boundary diagonal
+    order: np.ndarray | None = None  # (n,) unknown at each row and column;
+                                     # None in the natural order
 
 
 def matrix_pattern(dm: DofMap, condense: bool) -> MatrixPattern:
@@ -230,10 +295,40 @@ def matrix_pattern(dm: DofMap, condense: bool) -> MatrixPattern:
         indices[out] = d[:, :, None]
         at_key += E * nh * nh
         at_slot += out.size
-    pattern = MatrixPattern(indptr.astype(np.intc), indices[1:], slots,
-                            indptr[bnd])
+    return _frozen(MatrixPattern(indptr.astype(np.intc), indices[1:], slots,
+                                 indptr[bnd]))
+
+
+def ordered_pattern(pat: MatrixPattern, perm_c: np.ndarray) -> MatrixPattern:
+    """The natural pattern `pat` with its rows and columns in SuperLU's
+    column order: unknown i moves to row and column perm_c[i].  Each column
+    keeps its entries, their rows renamed and sorted again, and every data
+    position is remapped, so a matrix filled into the result is P^T J P of
+    the one filled into `pat`, entry for entry."""
+    order = np.argsort(perm_c).astype(np.intc)
+    length = np.diff(pat.indptr)[order]
+    indptr = np.zeros(len(order) + 1, dtype=np.intc)
+    np.cumsum(length, out=indptr[1:])
+    # the old position of each entry, column by new column, rides along as
+    # the data while scipy sorts each column's renamed rows
+    at = np.repeat(pat.indptr[order] - indptr[:-1], length)
+    at += np.arange(len(at), dtype=np.intc)
+    moved = sp.csc_matrix((at, perm_c[pat.indices[at]], indptr),
+                          shape=(len(order),) * 2)
+    moved.sort_indices()
+    moved.data += 1
+    new = np.zeros(len(at) + 1, dtype=np.intc)   # [0] keeps masked slots 0
+    new[moved.data] = np.arange(1, len(at) + 1, dtype=np.intc)
+    return _frozen(MatrixPattern(indptr, moved.indices.astype(np.intc,
+                                                              copy=False),
+                                 new[pat.slots], new[1 + pat.diagonal] - 1,
+                                 order))
+
+
+def _frozen(pattern: MatrixPattern) -> MatrixPattern:
     for arr in pattern:
-        arr.flags.writeable = False
+        if arr is not None:
+            arr.flags.writeable = False
     return pattern
 
 
@@ -322,26 +417,53 @@ def compute_loads(packs, source) -> np.ndarray:
     return loads
 
 
-def _block_residual(ops: LocalOperators, blk: ElementBlock,
-                    law: LerayLionsLaw, Ue: np.ndarray,
-                    eps: float) -> np.ndarray:
-    """Element residuals (E, ndof) of a block, loads left out."""
-    w = ops.rule.weights
-    E, nq = len(Ue), len(w)
-    g, du = ops.values(Ue)
-    a = (law.flux(ops.cell_nodes[blk.run].reshape(-1, 2), g, eps)
-         .reshape(E, nq, 2) * w[:, None])
-    sw = power_weight(du * du + eps * eps, (law.p - 2.0) / 2.0)
-    c = ops.face_scale(law.p) * sw * du
-    return (a.reshape(E, -1) @ ops.grad_q.reshape(-1, ops.ndof)
-            + c @ ops.dval_q.reshape(-1, ops.ndof))
+def _chunks(dm: DofMap, packs) -> list[list]:
+    """The (block, operators) pairs of `shared_operators`, one list per
+    chunk of `dm.chunks`."""
+    pairs = list(shared_operators(dm, packs))
+    return [pairs[c] for c in dm.chunks]
 
 
-def _block_jacobian(ops: LocalOperators, blk: ElementBlock,
-                    law: LerayLionsLaw, Ue: np.ndarray,
-                    eps: float) -> np.ndarray:
-    """Element Jacobians (E, ndof, ndof) of a block's residuals, formed in
-    the shape's polynomial coefficients.
+def _pointwise(chunk, U, cell_law, face_law) -> list[tuple]:
+    """Each block of a chunk with its operators and two pointwise laws at
+    U: `cell_law(x, g)` of its cell nodes x and gradients g, (E nq, 2), and
+    `face_law(du)` of its (E, nf nfq) face residuals du, with du.  Each law
+    is called once, on the nodes of all the chunk's blocks side by side."""
+    vals = [ops.values(U[blk.dofs]) for blk, ops in chunk]
+    g = _joined([g for g, _ in vals])
+    du = [du for _, du in vals]
+    del vals                            # the blocks' own gradients
+    cells = cell_law(_joined([ops.cell_nodes[blk.run].reshape(-1, 2)
+                              for blk, ops in chunk]), g)
+    del g
+    faces = face_law(_joined([d.ravel() for d in du]))
+    out, q, f = [], 0, 0
+    for (blk, ops), d in zip(chunk, du):
+        nq = len(ops.rule.weights) * len(d)
+        out.append((blk, ops, cells[q:q + nq],
+                    faces[f:f + d.size].reshape(d.shape), d))
+        q, f = q + nq, f + d.size
+    return out
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays laid end to end; a lone one as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _face_slope(du: np.ndarray, eps: float, p: float) -> np.ndarray:
+    """d/du of the face flux power_weight(du^2 + eps^2, (p-2)/2) du, in the
+    form of the flux Jacobian."""
+    n2 = du * du + eps * eps
+    return (power_weight(n2, (p - 2.0) / 2.0)
+            + (p - 2.0) * power_weight(n2, (p - 4.0) / 2.0) * du * du)
+
+
+def _jacobian_products(ops: LocalOperators, Da: np.ndarray, jw: np.ndarray,
+                       p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Element Jacobians (E, ndof, ndof) of a block, into `out` if given,
+    from its flux Jacobian Da (E nq, 2, 2) at the cell nodes and its face
+    slopes jw (E, nf nfq), formed in the shape's polynomial coefficients.
 
     The cell term is Gc^T M Gc, with M = sum_q w_q Da(g_q) (x) phi_q phi_q^T
     of size 2 n_k: one product of the flux Jacobian with the weighted cell
@@ -352,35 +474,46 @@ def _block_jacobian(ops: LocalOperators, blk: ElementBlock,
     differ from the nodal formula by at most 2e-15 of the largest, and
     err_1ph of the benchmark studies moved by at most 3.1e-12 relative at
     levels 2-4 (cartesian, k = 3)."""
-    E, nq, p = len(Ue), len(ops.rule.weights), law.p
+    E = len(jw)
     nk = ops.n_cell
     nf, nb, ndof = ops.D.shape
-    g, du = ops.values(Ue)
-    Da = (law.flux_jacobian(ops.cell_nodes[blk.run].reshape(-1, 2), g, eps)
-          .reshape(E, nq, 4))
     # (E, (a, b), (i, j)) -> (E, (a, i), (b, j))
-    M = ((Da.transpose(0, 2, 1) @ ops.cell_pairs).reshape(E, 2, 2, nk, nk)
-         .transpose(0, 1, 3, 2, 4).reshape(E, 2 * nk, 2 * nk))
-    n2 = du * du + eps * eps
-    # d/du of sw * du, in the form of the flux Jacobian
-    jw = (power_weight(n2, (p - 2.0) / 2.0)
-          + (p - 2.0) * power_weight(n2, (p - 4.0) / 2.0) * du * du)
+    M = ((Da.reshape(E, -1, 4).transpose(0, 2, 1) @ ops.cell_pairs)
+         .reshape(E, 2, 2, nk, nk).transpose(0, 1, 3, 2, 4)
+         .reshape(E, 2 * nk, 2 * nk))
     # face by face over the block: M_F of each element, then M_F D
     c = (ops.face_scale(p) * jw).reshape(E, nf, -1).transpose(1, 0, 2)
     MF = (c @ ops.face_pairs).reshape(nf, E * nb, nb)
     MD = (MF @ ops.D).reshape(nf, E, nb, ndof).transpose(1, 0, 2, 3)
-    Je = ops.Gc.T @ (M @ ops.Gc)
+    Je = np.matmul(ops.Gc.T, M @ ops.Gc, out=out)
     Je += ops.D.reshape(-1, ndof).T @ MD.reshape(E, nf * nb, ndof)
     return Je
 
 
+def _block_jacobian(ops: LocalOperators, blk: ElementBlock,
+                    law: LerayLionsLaw, Ue: np.ndarray,
+                    eps: float) -> np.ndarray:
+    """Element Jacobians (E, ndof, ndof) of a block's residuals at its
+    local vectors Ue: the law at its nodes, then `_jacobian_products`."""
+    g, du = ops.values(Ue)
+    Da = law.flux_jacobian(ops.cell_nodes[blk.run].reshape(-1, 2), g, eps)
+    return _jacobian_products(ops, Da, _face_slope(du, eps, law.p), law.p)
+
+
 def assemble_residual(dm: DofMap, packs, law, U, loads,
                       eps: float = 0.0) -> np.ndarray:
+    p = law.p
     idx, vals = [], []
-    for blk, ops in shared_operators(dm, packs):
-        re = _block_residual(ops, blk, law, U[blk.dofs], eps)
-        idx.append(blk.dofs.ravel())
-        vals.append(re.ravel())
+    for chunk in _chunks(dm, packs):
+        for blk, ops, a, sw, du in _pointwise(
+                chunk, U, lambda x, g: law.flux(x, g, eps),
+                lambda du: power_weight(du * du + eps * eps, (p - 2.0) / 2.0)):
+            E = len(du)
+            a = a.reshape(E, -1, 2) * ops.rule.weights[:, None]
+            c = ops.face_scale(p) * sw * du
+            idx.append(blk.dofs.ravel())
+            vals.append((a.reshape(E, -1) @ ops.grad_q.reshape(-1, ops.ndof)
+                         + c @ ops.dval_q.reshape(-1, ops.ndof)).ravel())
     r = np.bincount(np.concatenate(idx), np.concatenate(vals),
                     minlength=dm.ndofs)
     r[:dm.cell_span] -= np.ravel(loads)
@@ -388,45 +521,79 @@ def assemble_residual(dm: DofMap, packs, law, U, loads,
     return r
 
 
-def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
-    """Masked Newton matrix (identity rows/cols on boundary dofs), in the
-    CSC format `spsolve` factors, and its right-hand side, given the masked
-    residual r at the same U and eps.
+def _condensed(Je: np.ndarray, rc: np.ndarray, nk: int):
+    """Static condensation of element matrices Je (E, nl, nl) whose first
+    nk rows and columns are the cell unknowns, at the cell residuals rc
+    (E, nk): the Schur complements on the face unknowns, the (X, y) that
+    recover the cell update as -y - X @ (face update), and the face rows'
+    right-hand side share Je_fc @ y."""
+    rhs_c = np.concatenate([Je[:, :nk, nk:], rc[..., None]], axis=2)
+    try:
+        Xy = np.linalg.solve(Je[:, :nk, :nk], rhs_c)
+    except np.linalg.LinAlgError:
+        # a singular cell block gives a NaN Schur complement, which SuperLU
+        # cannot factor: a NaN step, as from a singular full system, and
+        # the Newton stage ends on it
+        Xy = np.full_like(rhs_c, np.nan)
+    X, y = Xy[:, :, :-1], Xy[:, :, -1]
+    return (Je[:, nk:, nk:] - Je[:, nk:, :nk] @ X, X, y,
+            (Je[:, nk:, :nk] @ y[:, :, None])[:, :, 0])
 
-    With `condense`, each element's cell block is eliminated before the
-    scatter, so the system couples face unknowns only; the returned
-    per-block (X, y) recover the cell update as -y - X @ (face update).
-    The cell rows of r belong to one element each, so y is read from r.
+
+def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool,
+              natural: bool = False):
+    """Masked Newton matrix (identity rows/cols on boundary dofs), in the
+    CSC format `solve_newton_system` factors and in the order of
+    `dm.pattern(condense, natural)`, and its right-hand side in the natural
+    order, given the masked residual r at the same U and eps.
+
+    Each chunk of blocks calls the flux Jacobian once.  With `condense`,
+    the cell blocks of a chunk's elements of one local size are eliminated
+    together before the scatter, so the system couples face unknowns only;
+    the returned (dofs, X, y) of each such group recover the cell update as
+    -y - X @ (face update).  The cell rows of r belong to one element each,
+    so y is read from r.
     """
-    nk = dm.n_cell
+    nk, p = dm.n_cell, law.p
     off = dm.cell_span if condense else 0
     n = dm.ndofs - off
-    pat = dm.pattern(condense)
-    rhs = r[off:].copy()
+    pat = dm.pattern(condense, natural)
     # the blocks' element (or Schur) matrices, laid end to end
-    vals, at = np.empty(len(pat.slots)), 0
-    back = []
-    for blk, ops in shared_operators(dm, packs):
-        gd = blk.dofs
-        Je = _block_jacobian(ops, blk, law, U[gd], eps)
-        if condense:
-            rhs_c = np.concatenate([Je[:, :nk, nk:], r[gd[:, :nk], None]],
-                                   axis=2)
-            try:
-                Xy = np.linalg.solve(Je[:, :nk, :nk], rhs_c)
-            except np.linalg.LinAlgError:
-                # a singular cell block gives a NaN Schur complement, which
-                # spsolve cannot factor: a NaN step, as from a singular full
-                # system, and the Newton stage ends on it
-                Xy = np.full_like(rhs_c, np.nan)
-            X, y = Xy[:, :, :-1], Xy[:, :, -1]
-            back.append((X, y))
-            rhs -= np.bincount((gd[:, nk:] - off).ravel(),
-                               (Je[:, nk:, :nk] @ y[:, :, None]).ravel(),
-                               minlength=n)
-            Je = Je[:, nk:, nk:] - Je[:, nk:, :nk] @ X
-        vals[at:at + Je.size] = Je.ravel()
-        at += Je.size
+    vals = np.empty(len(pat.slots))
+    sizes = [(len(blk.elements), blk.dofs.shape[1] - (nk if condense else 0))
+             for blk in dm.blocks]
+    ends = np.cumsum([E * m * m for E, m in sizes]).tolist()
+    out = [vals[b - E * m * m:b].reshape(E, m, m)
+           for b, (E, m) in zip(ends, sizes)]
+    faces, lift, back = [], [], []
+    for c, chunk in zip(dm.chunks, _chunks(dm, packs)):
+        laws = _pointwise(chunk, U, lambda x, g: law.flux_jacobian(x, g, eps),
+                          lambda du: _face_slope(du, eps, p))
+        target, groups = out, []
+        if condense:    # a chunk's element matrices of one size side by side
+            by_size, target = {}, {}
+            for i in range(c.start, c.stop):
+                by_size.setdefault(dm.blocks[i].dofs.shape[1], []).append(i)
+            for nl, ids in by_size.items():
+                rows = np.cumsum([0] + [sizes[i][0] for i in ids]).tolist()
+                Je = np.empty((rows[-1], nl, nl))
+                target.update((i, Je[a:b]) for i, a, b in zip(ids, rows,
+                                                              rows[1:]))
+                groups.append((ids, rows, Je))
+        for i, (_, ops, Da, jw, _) in enumerate(laws, c.start):
+            _jacobian_products(ops, Da, jw, p, out=target[i])
+        for ids, rows, Je in groups:
+            gd = np.concatenate([dm.blocks[i].dofs for i in ids])
+            S, X, y, fy = _condensed(Je, r[gd[:, :nk]], nk)
+            back.append((gd, X, y))
+            faces.append(gd[:, nk:].ravel() - off)
+            lift.append(fy.ravel())
+            for i, a, b in zip(ids, rows, rows[1:]):
+                out[i][...] = S[a:b]
+    rhs = r[off:].copy()
+    if condense:
+        rhs -= np.bincount(np.concatenate(faces), np.concatenate(lift),
+                           minlength=n)
     rhs[dm.boundary_dofs - off] = 0.0
     # slot 0 collects the masked entries
     data = np.bincount(pat.slots, vals,
@@ -439,7 +606,7 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
 def assemble_system(dm: DofMap, packs, law, U, loads, eps: float = 0.0):
     """Masked residual and Jacobian (identity rows/cols on boundary dofs)."""
     r = assemble_residual(dm, packs, law, U, loads, eps)
-    _, J, _ = _assemble(dm, packs, law, U, r, eps, False)
+    _, J, _ = _assemble(dm, packs, law, U, r, eps, False, natural=True)
     return r, J
 
 
@@ -539,9 +706,9 @@ def _newton_stage(dm, packs, law, U, loads, cfg: NewtonConfig) -> StageReport:
         rs, J, back = _assemble(dm, packs, law, U, r, eps, cfg.condense)
         t1 = time.perf_counter()
         delta = np.zeros(dm.ndofs)
-        delta[dm.ndofs - len(rs):] = spsolve(J, -rs)
-        for blk, (X, y) in zip(dm.blocks, back):   # condensed cell unknowns
-            gd = blk.dofs
+        delta[dm.ndofs - len(rs):] = solve_newton_system(dm, cfg.condense, J,
+                                                         -rs)
+        for gd, X, y in back:                       # condensed cell unknowns
             delta[gd[:, :nk]] = -y - (X @ delta[gd[:, nk:], None])[:, :, 0]
         t2 = time.perf_counter()
         t_asm += t1 - t0
@@ -581,6 +748,10 @@ def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,
                  packs=None, dm: DofMap | None = None):
     """Solve the discrete problem; returns (U, report, dm, packs)."""
     cfg = config or NewtonConfig()
+    if dm is not None and dm.mesh is not mesh:
+        raise ValueError("dm was built on another mesh")
+    if dm is not None and dm.k != k:
+        raise ValueError(f"dm is for k = {dm.k}, not k = {k}")
     path = cfg.continuation or continuation_path(law.p)
     if path[-1] != law.p:
         raise ValueError(f"continuation {path} does not end at p = {law.p}")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hho.mesh import (FAMILIES, MeshFormatError, MeshResourceError,
-                      MeshValidationError, from_polygons, generate, read_mesh,
-                      shape_keys, validate, write_mesh)
+                      MeshValidationError, check_budget, from_polygons,
+                      generate, read_mesh, shape_keys, validate, write_mesh)
 from hho.quadrature import cell_rule, reference_triangle_rule
 
 # level-1 regularity ratios recorded at build time (regression baselines)
@@ -219,6 +219,19 @@ def test_generate_rejects_unknown_family_and_level():
         generate("voronoi", 1)
     with pytest.raises(ValueError):
         generate("cartesian", 0)
+
+
+@pytest.mark.parametrize("check", [generate, check_budget])
+@pytest.mark.parametrize("family,level,match", [
+    ("foo", 3, "unknown family 'foo'"),
+    ("triangular", 2.5, "level must be an integer >= 1, got 2.5"),
+    ("triangular", "3", "level must be an integer >= 1, got '3'"),
+    ("hexagonal", 0, "level must be an integer >= 1, got 0"),
+])
+def test_bad_family_or_level_is_named_in_a_value_error(check, family, level,
+                                                       match):
+    with pytest.raises(ValueError, match=match):
+        check(family, level)
 
 
 def test_generate_resource_guard():

@@ -66,14 +66,6 @@ def test_interpolate_global_matches_face_blocks():
             assert np.array_equal(U[gd][off:off + 2], U[dm.face_dofs(fid)])
 
 
-def test_dirichlet_values_match_interpolate_global():
-    mesh, packs, dm = _linear_setup("locally_refined", 2, 1)
-    g = exp_field(0.5, 1.0)
-    idx, vals = dirichlet_values(dm, packs, g)
-    assert np.array_equal(np.sort(idx), np.sort(dm.boundary_dofs))
-    assert np.array_equal(vals, interpolate_global(dm, packs, g)[idx])
-
-
 @pytest.mark.parametrize("family", ["triangular", "hexagonal",
                                     "locally_refined"])
 def test_dirichlet_values_need_the_datum_on_the_boundary_only(family):
@@ -86,6 +78,7 @@ def test_dirichlet_values_need_the_datum_on_the_boundary_only(family):
     masked = lambda x: np.where(on_boundary(x), g(x), np.nan)
     idx, vals = dirichlet_values(dm, packs, g)
     idx_m, vals_m = dirichlet_values(dm, packs, masked)
+    assert np.array_equal(idx, dm.boundary_dofs)
     assert np.array_equal(idx_m, idx)
     assert np.all(np.isfinite(vals)) and np.array_equal(vals_m, vals)
 
@@ -238,6 +231,24 @@ def test_blocks_fill_the_budget():
     assert all(len(b.elements) == 1 for b in big.blocks)
 
 
+def test_chunks_are_runs_of_blocks_within_the_budget():
+    # hexagonal level 4 at k = 1: 19 blocks in 4 chunks; at k = 15 every
+    # block is one element over the budget, and a chunk of its own
+    for k, n_chunks in [(1, 4), (15, None)]:
+        dm = DofMap(generate("hexagonal", 4), k)
+        assert [c.start for c in dm.chunks[1:]] == [c.stop for c in
+                                                   dm.chunks[:-1]]
+        assert dm.chunks[0].start == 0 and dm.chunks[-1].stop == len(
+            dm.blocks)
+        for c in dm.chunks:
+            entries = [b.dofs.size * b.dofs.shape[1] for b in dm.blocks[c]]
+            assert sum(entries) <= JACOBIAN_ENTRIES or len(entries) == 1
+        if n_chunks:
+            assert len(dm.chunks) == n_chunks < len(dm.blocks)
+        else:
+            assert len(dm.chunks) == len(dm.blocks)
+
+
 @pytest.mark.parametrize("family,level", MIXED_SHAPES)
 @pytest.mark.parametrize("p", [1.75, 3.0])
 def test_global_jacobian_matches_finite_differences_mixed_shapes(
@@ -360,6 +371,23 @@ def test_continuation_without_the_family_is_rejected_up_front(monkeypatch):
     _, rep, _, _ = newton_solve(generate("cartesian", 2), 1, law,
                                 config=NewtonConfig(continuation=(3.0,)))
     assert rep.converged
+
+
+@pytest.mark.parametrize("case", ["degree", "mesh"])
+def test_newton_solve_rejects_a_dofmap_of_another_problem(monkeypatch, case):
+    # with a k = 1 DofMap, k = 3 solved k = 1 and reported convergence with
+    # 208 dofs; with level-2 dm and packs a level-3 mesh solved level 2
+    mesh = generate("triangular", 2)
+    dm, packs = DofMap(mesh, 1), build_packs(mesh, 1)
+    target, k, match = {"degree": (mesh, 3, "dm is for k = 1, not k = 3"),
+                        "mesh": (generate("triangular", 3), 1,
+                                 "dm was built on another mesh")}[case]
+
+    def no_work(*args):
+        raise AssertionError("loads computed before dm was checked")
+    monkeypatch.setattr(solver, "compute_loads", no_work)
+    with pytest.raises(ValueError, match=match):
+        newton_solve(target, k, p_laplacian(2.0), packs=packs, dm=dm)
 
 
 def test_p4_trigonometric_converges():
@@ -509,10 +537,10 @@ def test_block_jacobian_matches_element_loop(family, level, k, p):
     assert max(np.abs(g - r).max() for g, r in zip(got, ref)) <= 1e-13 * scale
 
 
-def test_assemble_calls_the_law_once_per_block():
-    # the Newton matrix reuses the residual at the same iterate: no flux
-    # call, and at most one flux Jacobian call per block of elements
-    mesh, packs, dm = _linear_setup("triangular", 3, 1)
+def test_assemble_calls_the_law_once_per_chunk():
+    # one flux call per chunk of blocks; the Newton matrix reuses the
+    # residual at the same iterate: no flux call, and one flux Jacobian call
+    # per chunk (hexagonal level 4: 4 chunks of 19 blocks)
     base = p_laplacian(1.75)
     calls = Counter()
 
@@ -524,15 +552,18 @@ def test_assemble_calls_the_law_once_per_block():
 
     law = replace(base, flux=counted("flux", base.flux),
                   flux_jacobian=counted("flux_jacobian", base.flux_jacobian))
-    loads = compute_loads(packs, exp_field(1.0, -0.5))
-    U = 0.5 * np.random.default_rng(4).standard_normal(dm.ndofs)
-    r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
-    assert calls["flux"] == len(dm.blocks) < len(mesh.elements)
-    for condense in (False, True):
+    for family, level in [("triangular", 3), ("hexagonal", 4)]:
+        mesh, packs, dm = _linear_setup(family, level, 1)
+        loads = compute_loads(packs, exp_field(1.0, -0.5))
+        U = 0.5 * np.random.default_rng(4).standard_normal(dm.ndofs)
         calls.clear()
-        _assemble(dm, packs, law, U, r, 1e-8, condense)
-        assert calls["flux"] == 0
-        assert calls["flux_jacobian"] <= len(dm.blocks)
+        r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
+        assert calls["flux"] == len(dm.chunks) < len(dm.blocks)
+        for condense in (False, True):
+            calls.clear()
+            _assemble(dm, packs, law, U, r, 1e-8, condense)
+            assert calls["flux"] == 0
+            assert calls["flux_jacobian"] == len(dm.chunks)
 
 
 def _coo_newton_matrix(dm, packs, law, U, eps, condense):
@@ -627,6 +658,113 @@ def test_newton_pattern_is_built_once_per_mode(monkeypatch):
                   0.0, False)
 
 
+@pytest.mark.parametrize("family,level,k,condense", [
+    ("triangular", 3, 1, False), ("hexagonal", 3, 1, True),
+    ("locally_refined", 2, 2, False)])
+def test_ordered_pattern_holds_the_permuted_matrix(family, level, k,
+                                                   condense):
+    # after a mode's first factorization its matrix comes in SuperLU's
+    # column order: P^T J P of the natural one, value for value
+    mesh, packs, dm = _linear_setup(family, level, k)
+    law = p_laplacian(1.75)
+    loads = compute_loads(packs, exp_field(1.0, -0.5))
+    U = 0.5 * np.random.default_rng(9).standard_normal(dm.ndofs)
+    r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
+    rs, J, _ = _assemble(dm, packs, law, U, r, 1e-8, condense)
+    assert dm.pattern(condense).order is None
+    factors = []
+    splu = solver.splu
+
+    def captured(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "splu", captured)
+        x = solver.solve_newton_system(dm, condense, J, -rs)
+    order = dm.pattern(condense).order
+    assert np.array_equal(order, np.argsort(factors[0].perm_c))
+    rs_o, J_o, _ = _assemble(dm, packs, law, U, r, 1e-8, condense)
+    ref = J[order][:, order].tocsc()
+    ref.sort_indices()
+    assert J_o.has_canonical_format
+    assert np.array_equal(J_o.indptr, ref.indptr)
+    assert np.array_equal(J_o.indices, ref.indices)
+    assert np.array_equal(J_o.data, ref.data)
+    assert np.array_equal(rs_o, rs)
+    # the boundary rows and columns, moved, hold the diagonal 1 alone
+    bnd = np.argsort(order)[dm.boundary_dofs - (dm.cell_span if condense
+                                                else 0)]
+    assert np.all(J_o.diagonal()[bnd] == 1.0)
+    assert J_o[:, bnd].nnz == J_o.tocsr()[bnd].nnz == len(bnd)
+    # the same solution, to roundoff
+    x_o = solver.solve_newton_system(dm, condense, J_o, -rs_o)
+    assert np.max(np.abs(x_o - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_later_newton_factorizations_keep_the_first_order_and_fill(
+        monkeypatch):
+    u = sine_product_field(PI, PI)
+    law = p_laplacian(1.75)
+    mesh = generate("triangular", 4)
+    factors = []
+    splu = solver.splu
+
+    def captured(J, permc_spec, **kwargs):
+        lu = splu(J, permc_spec=permc_spec, **kwargs)
+        factors.append((J, permc_spec, lu.L.nnz + lu.U.nnz))
+        return lu
+    monkeypatch.setattr(solver, "splu", captured)
+    _, rep, dm, _ = newton_solve(mesh, 1, law, source=manufactured_source(
+        u, law), dirichlet=u)
+    assert rep.converged and len(factors) == rep.newton_iters > 4
+    (J0, first, _), *later = factors
+    assert first == "MMD_AT_PLUS_A"
+    assert [spec for _, spec, _ in later] == ["NATURAL"] * len(later)
+    # each has the fill of the minimum degree factorization of the same
+    # matrix in the natural order (exact zeros of the factors vary with the
+    # values, so the count is compared matrix by matrix)
+    back = np.argsort(dm.pattern(False).order)
+    for J, _, fill in later:
+        natural = J[back][:, back].tocsc()
+        assert natural.nnz == J0.nnz
+        lu = splu(natural, permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, panel_size=1,
+                  options={"SymmetricMode": True})
+        assert lu.L.nnz + lu.U.nnz == fill
+
+
+def test_linear_solve_builds_no_ordered_pattern(monkeypatch):
+    # one factorization per mode: its column order is never used
+    calls = Counter()
+    build = solver.ordered_pattern
+
+    def counted(*args):
+        calls["ordered"] += 1
+        return build(*args)
+    monkeypatch.setattr(solver, "ordered_pattern", counted)
+    u = sine_product_field(PI, PI)
+    _, rep, dm, _ = newton_solve(generate("cartesian", 3), 3,
+                                 p_laplacian(2.0), source=(2 * PI ** 2) * u)
+    assert rep.converged and rep.newton_iters == 1
+    assert calls["ordered"] == 0
+
+
+def test_assemble_system_keeps_the_natural_order_after_a_solve():
+    u = sine_product_field(PI, PI)
+    law = p_laplacian(1.75)
+    mesh = generate("triangular", 3)
+    f = manufactured_source(u, law)
+    U, rep, dm, packs = newton_solve(mesh, 1, law, source=f, dirichlet=u)
+    assert rep.converged and dm.pattern(False).order is not None
+    loads = compute_loads(packs, f)
+    r, J = assemble_system(dm, packs, law, U, loads)
+    r_ref, J_ref = assemble_system(DofMap(mesh, 1), packs, law, U, loads)
+    assert np.array_equal(r, r_ref)
+    assert np.array_equal(J.indptr, J_ref.indptr)
+    assert np.array_equal(J.indices, J_ref.indices)
+    assert np.array_equal(J.data, J_ref.data)
+
+
 def test_exhausted_line_search_ends_the_stage(monkeypatch):
     # along the negated Newton step of a linear problem the residual grows
     # by 1 + t: every damping down to MIN_STEP fails, 17 trials, and the
@@ -639,8 +777,9 @@ def test_exhausted_line_search_ends_the_stage(monkeypatch):
     U_star, rep, _, _ = newton_solve(mesh, 1, law, source=f, packs=packs,
                                      dm=dm)
     assert rep.converged
-    spsolve = solver.spsolve
-    monkeypatch.setattr(solver, "spsolve", lambda J, b: -spsolve(J, b))
+    solve = solver.solve_newton_system
+    monkeypatch.setattr(solver, "solve_newton_system",
+                        lambda *args: -solve(*args))
     U, rep, _, _ = newton_solve(mesh, 1, law, source=f, packs=packs, dm=dm)
     (stage,) = rep.stages
     assert stage.damping_events == 17 and stage.iterations == 0
@@ -731,8 +870,8 @@ def test_nan_step_ends_the_stage_at_once(monkeypatch):
     # a full step through a singular system is NaN: the stage stops on it,
     # with no line search along it
     mesh, packs, dm = _linear_setup("cartesian", 2, 1)
-    monkeypatch.setattr(solver, "spsolve",
-                        lambda J, b: np.full(len(b), np.nan))
+    monkeypatch.setattr(solver, "solve_newton_system",
+                        lambda dm, condense, J, b: np.full(len(b), np.nan))
     calls = Counter()
     residual = solver.assemble_residual
 
