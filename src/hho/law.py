@@ -55,8 +55,8 @@ def power_weight(n2: np.ndarray, expo: float) -> np.ndarray:
 
 def p_laplacian(p: float) -> LerayLionsLaw:
     """a(xi) = |xi|^{p-2} xi; eps > 0 replaces |xi|^2 by |xi|^2 + eps^2."""
-    if not p > 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < math.inf:
+        raise ValueError("p must be finite and exceed 1")
 
     def flux(x, xi, eps=0.0):
         xi = np.asarray(xi, dtype=float)

@@ -9,26 +9,27 @@ projections) and the corresponding residual rows are masked.
 Local operators are shared: `build_packs` builds them once per element
 shape (`mesh.shape_keys`: translates with the same face orientations), and
 every element of that shape holds the same frozen `LocalOperators`, which
-holds the cell quadrature nodes of each.  Element work runs in
-blocks: `DofMap` splits the elements of each shape key into even runs whose
-(E, ndof, ndof) element matrices hold at most JACOBIAN_ENTRIES entries (or
-one element), so a block's gradient and face-residual operators are one
-shared matrix each.  Every sweep over the blocks goes through
-`shared_operators`, which checks that the `LocalOperators` of a block's first
-element fits the DofMap's mesh and k and holds the block's elements at
-`ElementBlock.run` among its members.  The kernels read that `LocalOperators`
-as it is and form gradients and residuals as one matrix product over the
-block.  The law runs on chunks (`DofMap.chunks`): runs of consecutive blocks
-whose element matrices hold at most JACOBIAN_ENTRIES entries together, or
-one block.  The residual and the Newton matrix call the flux, or its
-Jacobian, and the face weights once per chunk, on the nodes of all its
-blocks, which spares the fixed cost of a call on the many small blocks of a
-mesh of many shapes.  Jacobians are formed in the shape's polynomial
-coefficients: the flux Jacobian is contracted against the degree-k cell and
-face bases once per block, then the shape's G and D coefficients apply it;
-static condensation is one batched solve and one Schur product per chunk
-and local size.  The interpolation, which gives the Dirichlet data too, and
-`harness.compute_errors` run on the same blocks.
+holds the cell quadrature nodes of each.  Element work runs in blocks:
+`DofMap` takes the shape keys by face count and splits the elements of each
+into even runs whose (E, ndof, ndof) element matrices hold at most
+JACOBIAN_ENTRIES entries (or one element), so a block's gradient and
+face-residual operators are one shared matrix each.  Every sweep over the
+blocks goes through `shared_operators`, which checks that the
+`LocalOperators` of a block's first element fits the DofMap's mesh and k and
+holds the block's elements at `ElementBlock.run` among its members.  The
+kernels read that `LocalOperators` as it is and form gradients and
+residuals as one matrix product over the block.  The law runs on chunks
+(`DofMap.chunks`): runs of consecutive blocks of one local size whose
+element matrices hold at most JACOBIAN_ENTRIES entries together, or one
+block.  The residual and the Newton matrix call the flux, or its Jacobian,
+and the face weights once per chunk, on the nodes of all its blocks, which
+spares the fixed cost of a call on the many small blocks of a mesh of many
+shapes.  Jacobians are formed in the shape's polynomial coefficients: the
+flux Jacobian is contracted against the degree-k cell and face bases once
+per block, then the shape's G and D coefficients apply it.  A chunk's
+element matrices fill one (E, nl, nl) array, and static condensation is one
+batched solve and one Schur product on it.  The interpolation, which gives
+the Dirichlet data too, and `harness.compute_errors` run on the same blocks.
 
 The masked Newton matrix has one sparsity pattern per mode, full or
 condensed, which `DofMap.pattern` builds on first use (`matrix_pattern`);
@@ -36,7 +37,8 @@ each assembly gathers the element (or Schur) matrices and sums them into
 the pattern's CSC `data` with one `bincount`.  After the mode's first
 factorization the pattern is served in that factorization's column order
 (`ordered_pattern`, a remap of the natural one), so the later matrices come
-permuted and are factored as they stand.
+permuted and are factored as they stand; `assemble_system` permutes its
+matrix back to the natural order.
 
 The Newton loop supports backtracking damping, regularization of the flux
 Jacobian near vanishing gradients, continuation in the exponent p starting
@@ -160,7 +162,10 @@ class DofMap:
         self.ndofs = self.cell_span + mesh.n_faces * self.n_face
         nf = np.diff(mesh.cell_ptr)
         self.blocks = []
-        runs = [(ids[run], run) for ids in shape_groups(mesh.shape_labels)
+        # the shapes by face count, so that the local size ascends
+        groups = sorted(shape_groups(mesh.shape_labels),
+                        key=lambda ids: nf[ids[0]])
+        runs = [(ids[run], run) for ids in groups
                 for run in budget_runs(len(ids), self.n_cell
                                        + self.n_face * nf[ids[0]])]
         for ids, run in runs:
@@ -174,12 +179,14 @@ class DofMap:
         bnd = np.flatnonzero(mesh.face_owners[:, 1] < 0)
         self.boundary_dofs = (self.cell_span + self.n_face * bnd[:, None]
                               + np.arange(self.n_face)).ravel()
-        # runs of consecutive blocks whose element matrices hold at most
-        # JACOBIAN_ENTRIES entries together, or one block
+        # runs of consecutive blocks of one local size whose element matrices
+        # hold at most JACOBIAN_ENTRIES entries together, or one block
         self.chunks, start, size = [], 0, 0
         for i, blk in enumerate(self.blocks):
-            entries = blk.dofs.size * blk.dofs.shape[1]
-            if i > start and size + entries > JACOBIAN_ENTRIES:
+            nl = blk.dofs.shape[1]
+            entries = blk.dofs.size * nl
+            if i > start and (size + entries > JACOBIAN_ENTRIES
+                              or nl != self.blocks[start].dofs.shape[1]):
                 self.chunks.append(slice(start, i))
                 start, size = i, 0
             size += entries
@@ -187,20 +194,15 @@ class DofMap:
         self._patterns = {}
         self._perm_c = {}       # SuperLU's column order of each mode
 
-    def pattern(self, condense: bool, natural: bool = False) -> MatrixPattern:
+    def pattern(self, condense: bool) -> MatrixPattern:
         """The masked Newton matrix's pattern for one mode, built on first
         use.  Once the mode has been factored (`solve_newton_system`), it
-        comes in that factorization's column order, unless `natural`: the
-        natural pattern is remapped once and dropped, and built again only
-        if it is asked for."""
-        ordered = not natural and condense in self._perm_c
-        if ordered and (condense, True) not in self._patterns:
-            self._patterns[condense, True] = ordered_pattern(
-                self.pattern(condense, True), self._perm_c[condense])
-            del self._patterns[condense, False]
-        if (condense, ordered) not in self._patterns:
-            self._patterns[condense, ordered] = matrix_pattern(self, condense)
-        return self._patterns[condense, ordered]
+        is remapped, once, to that factorization's column order."""
+        pat = self._patterns.get(condense) or matrix_pattern(self, condense)
+        if pat.order is None and condense in self._perm_c:
+            pat = ordered_pattern(pat, self._perm_c[condense])
+        self._patterns[condense] = pat
+        return pat
 
     def cell_dofs(self, ei: int) -> np.ndarray:
         return np.arange(ei * self.n_cell, (ei + 1) * self.n_cell)
@@ -428,21 +430,22 @@ def _pointwise(chunk, U, cell_law, face_law) -> list[tuple]:
     """Each block of a chunk with its operators and two pointwise laws at
     U: `cell_law(x, g)` of its cell nodes x and gradients g, (E nq, 2), and
     `face_law(du)` of its (E, nf nfq) face residuals du, with du.  Each law
-    is called once, on the nodes of all the chunk's blocks side by side."""
+    is called once, on the nodes of all the chunk's blocks side by side;
+    the blocks of a chunk share one local size, so du stacks by rows."""
     vals = [ops.values(U[blk.dofs]) for blk, ops in chunk]
     g = _joined([g for g, _ in vals])
-    du = [du for _, du in vals]
+    du = _joined([du for _, du in vals])
     del vals                            # the blocks' own gradients
     cells = cell_law(_joined([ops.cell_nodes[blk.run].reshape(-1, 2)
                               for blk, ops in chunk]), g)
     del g
-    faces = face_law(_joined([d.ravel() for d in du]))
-    out, q, f = [], 0, 0
-    for (blk, ops), d in zip(chunk, du):
-        nq = len(ops.rule.weights) * len(d)
-        out.append((blk, ops, cells[q:q + nq],
-                    faces[f:f + d.size].reshape(d.shape), d))
-        q, f = q + nq, f + d.size
+    faces = face_law(du)
+    out, q, e = [], 0, 0
+    for blk, ops in chunk:
+        E = len(blk.elements)
+        nq = len(ops.rule.weights) * E
+        out.append((blk, ops, cells[q:q + nq], faces[e:e + E], du[e:e + E]))
+        q, e = q + nq, e + E
     return out
 
 
@@ -521,12 +524,12 @@ def assemble_residual(dm: DofMap, packs, law, U, loads,
     return r
 
 
-def _condensed(Je: np.ndarray, rc: np.ndarray, nk: int):
+def _condensed(Je: np.ndarray, rc: np.ndarray, nk: int, out: np.ndarray):
     """Static condensation of element matrices Je (E, nl, nl) whose first
     nk rows and columns are the cell unknowns, at the cell residuals rc
-    (E, nk): the Schur complements on the face unknowns, the (X, y) that
-    recover the cell update as -y - X @ (face update), and the face rows'
-    right-hand side share Je_fc @ y."""
+    (E, nk): the Schur complements on the face unknowns, written into out,
+    the (X, y) that recover the cell update as -y - X @ (face update), and
+    the face rows' right-hand side share Je_fc @ y."""
     rhs_c = np.concatenate([Je[:, :nk, nk:], rc[..., None]], axis=2)
     try:
         Xy = np.linalg.solve(Je[:, :nk, :nk], rhs_c)
@@ -536,60 +539,49 @@ def _condensed(Je: np.ndarray, rc: np.ndarray, nk: int):
         # the Newton stage ends on it
         Xy = np.full_like(rhs_c, np.nan)
     X, y = Xy[:, :, :-1], Xy[:, :, -1]
-    return (Je[:, nk:, nk:] - Je[:, nk:, :nk] @ X, X, y,
-            (Je[:, nk:, :nk] @ y[:, :, None])[:, :, 0])
+    np.subtract(Je[:, nk:, nk:], Je[:, nk:, :nk] @ X, out=out)
+    return X, y, (Je[:, nk:, :nk] @ y[:, :, None])[:, :, 0]
 
 
-def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool,
-              natural: bool = False):
+def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
     """Masked Newton matrix (identity rows/cols on boundary dofs), in the
     CSC format `solve_newton_system` factors and in the order of
-    `dm.pattern(condense, natural)`, and its right-hand side in the natural
-    order, given the masked residual r at the same U and eps.
+    `dm.pattern(condense)`, and its right-hand side in the natural order,
+    given the masked residual r at the same U and eps.
 
-    Each chunk of blocks calls the flux Jacobian once.  With `condense`,
-    the cell blocks of a chunk's elements of one local size are eliminated
-    together before the scatter, so the system couples face unknowns only;
-    the returned (dofs, X, y) of each such group recover the cell update as
-    -y - X @ (face update).  The cell rows of r belong to one element each,
-    so y is read from r.
+    Each chunk of blocks calls the flux Jacobian once and fills its
+    (E, nl, nl) element matrices into one array: its own span of the
+    pattern's values, or, with `condense`, a scratch array whose cell blocks
+    are eliminated together and whose Schur complements go to that span, so
+    the system couples face unknowns only.  The returned (dofs, X, y) of
+    each chunk recover its cell update as -y - X @ (face update).  The cell
+    rows of r belong to one element each, so y is read from r.
     """
     nk, p = dm.n_cell, law.p
     off = dm.cell_span if condense else 0
     n = dm.ndofs - off
-    pat = dm.pattern(condense, natural)
-    # the blocks' element (or Schur) matrices, laid end to end
-    vals = np.empty(len(pat.slots))
-    sizes = [(len(blk.elements), blk.dofs.shape[1] - (nk if condense else 0))
-             for blk in dm.blocks]
-    ends = np.cumsum([E * m * m for E, m in sizes]).tolist()
-    out = [vals[b - E * m * m:b].reshape(E, m, m)
-           for b, (E, m) in zip(ends, sizes)]
+    pat = dm.pattern(condense)
+    # the chunks' element (or Schur) matrices, laid end to end
+    vals, at = np.empty(len(pat.slots)), 0
     faces, lift, back = [], [], []
-    for c, chunk in zip(dm.chunks, _chunks(dm, packs)):
-        laws = _pointwise(chunk, U, lambda x, g: law.flux_jacobian(x, g, eps),
-                          lambda du: _face_slope(du, eps, p))
-        target, groups = out, []
-        if condense:    # a chunk's element matrices of one size side by side
-            by_size, target = {}, {}
-            for i in range(c.start, c.stop):
-                by_size.setdefault(dm.blocks[i].dofs.shape[1], []).append(i)
-            for nl, ids in by_size.items():
-                rows = np.cumsum([0] + [sizes[i][0] for i in ids]).tolist()
-                Je = np.empty((rows[-1], nl, nl))
-                target.update((i, Je[a:b]) for i, a, b in zip(ids, rows,
-                                                              rows[1:]))
-                groups.append((ids, rows, Je))
-        for i, (_, ops, Da, jw, _) in enumerate(laws, c.start):
-            _jacobian_products(ops, Da, jw, p, out=target[i])
-        for ids, rows, Je in groups:
-            gd = np.concatenate([dm.blocks[i].dofs for i in ids])
-            S, X, y, fy = _condensed(Je, r[gd[:, :nk]], nk)
+    for chunk in _chunks(dm, packs):
+        gd = _joined([blk.dofs for blk, _ in chunk])
+        E, nl = gd.shape
+        m = nl - nk if condense else nl
+        span = vals[at:at + E * m * m].reshape(E, m, m)
+        at += span.size
+        Je = np.empty((E, nl, nl)) if condense else span
+        e = 0
+        for _, ops, Da, jw, _ in _pointwise(
+                chunk, U, lambda x, g: law.flux_jacobian(x, g, eps),
+                lambda du: _face_slope(du, eps, p)):
+            _jacobian_products(ops, Da, jw, p, out=Je[e:e + len(jw)])
+            e += len(jw)
+        if condense:
+            X, y, fy = _condensed(Je, r[gd[:, :nk]], nk, out=span)
             back.append((gd, X, y))
             faces.append(gd[:, nk:].ravel() - off)
             lift.append(fy.ravel())
-            for i, a, b in zip(ids, rows, rows[1:]):
-                out[i][...] = S[a:b]
     rhs = r[off:].copy()
     if condense:
         rhs -= np.bincount(np.concatenate(faces), np.concatenate(lift),
@@ -604,9 +596,15 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool,
 
 
 def assemble_system(dm: DofMap, packs, law, U, loads, eps: float = 0.0):
-    """Masked residual and Jacobian (identity rows/cols on boundary dofs)."""
+    """Masked residual and Jacobian (identity rows/cols on boundary dofs),
+    in the natural order."""
     r = assemble_residual(dm, packs, law, U, loads, eps)
-    _, J, _ = _assemble(dm, packs, law, U, r, eps, False, natural=True)
+    _, J, _ = _assemble(dm, packs, law, U, r, eps, False)
+    order = dm.pattern(False).order
+    if order is not None:
+        back = np.argsort(order)
+        J = J[back][:, back].tocsc()
+        J.sort_indices()
     return r, J
 
 
@@ -667,6 +665,8 @@ class SolveReport:
 
 def continuation_path(p: float) -> tuple:
     """Exponent schedule from the linear problem to the target, steps <= 1."""
+    if not np.isfinite(p):
+        raise ValueError(f"continuation to a non-finite p = {p}")
     if p == 2.0:
         return (2.0,)
     path = [2.0]

@@ -104,6 +104,9 @@ def test_rejects_degenerate_exponent():
         p_laplacian(1.0)
     with pytest.raises(ValueError):
         p_laplacian(0.5)
+    for p in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            p_laplacian(p)
 
 
 def test_conjugate_exponent():

@@ -232,21 +232,28 @@ def test_blocks_fill_the_budget():
 
 
 def test_chunks_are_runs_of_blocks_within_the_budget():
-    # hexagonal level 4 at k = 1: 19 blocks in 4 chunks; at k = 15 every
-    # block is one element over the budget, and a chunk of its own
-    for k, n_chunks in [(1, 4), (15, None)]:
+    # hexagonal level 4 at k = 1: 19 blocks in 6 chunks of one local size
+    # each; at k = 15 every block is one element over the budget, and a
+    # chunk of its own
+    for k, n_chunks in [(1, 6), (15, None)]:
         dm = DofMap(generate("hexagonal", 4), k)
         assert [c.start for c in dm.chunks[1:]] == [c.stop for c in
                                                    dm.chunks[:-1]]
         assert dm.chunks[0].start == 0 and dm.chunks[-1].stop == len(
             dm.blocks)
+        sizes = [b.dofs.shape[1] for b in dm.blocks]
+        assert sizes == sorted(sizes)
         for c in dm.chunks:
             entries = [b.dofs.size * b.dofs.shape[1] for b in dm.blocks[c]]
             assert sum(entries) <= JACOBIAN_ENTRIES or len(entries) == 1
+            assert len(set(sizes[c])) == 1
         if n_chunks:
             assert len(dm.chunks) == n_chunks < len(dm.blocks)
         else:
             assert len(dm.chunks) == len(dm.blocks)
+    # hexagonal level 2: 14 blocks of local sizes 9, 11 and 15, one chunk each
+    dm = DofMap(generate("hexagonal", 2), 1)
+    assert [dm.blocks[c][0].dofs.shape[1] for c in dm.chunks] == [9, 11, 15]
 
 
 @pytest.mark.parametrize("family,level", MIXED_SHAPES)
@@ -342,6 +349,9 @@ def test_continuation_paths():
     assert continuation_path(4.0) == (2.0, 3.0, 4.0)
     assert continuation_path(4.5) == (2.0, 3.0, 4.0, 4.5)
     assert continuation_path(1.1) == (2.0, 1.1)
+    for p in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            continuation_path(p)
 
 
 @pytest.mark.parametrize("path", [(2.0,), (2.0, 2.5)])
@@ -540,7 +550,8 @@ def test_block_jacobian_matches_element_loop(family, level, k, p):
 def test_assemble_calls_the_law_once_per_chunk():
     # one flux call per chunk of blocks; the Newton matrix reuses the
     # residual at the same iterate: no flux call, and one flux Jacobian call
-    # per chunk (hexagonal level 4: 4 chunks of 19 blocks)
+    # per chunk (hexagonal level 4: 6 chunks of 19 blocks), and condensed,
+    # one condensation per chunk
     base = p_laplacian(1.75)
     calls = Counter()
 
@@ -561,9 +572,13 @@ def test_assemble_calls_the_law_once_per_chunk():
         assert calls["flux"] == len(dm.chunks) < len(dm.blocks)
         for condense in (False, True):
             calls.clear()
-            _assemble(dm, packs, law, U, r, 1e-8, condense)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(solver, "_condensed",
+                          counted("condensed", solver._condensed))
+                _assemble(dm, packs, law, U, r, 1e-8, condense)
             assert calls["flux"] == 0
             assert calls["flux_jacobian"] == len(dm.chunks)
+            assert calls["condensed"] == (len(dm.chunks) if condense else 0)
 
 
 def _coo_newton_matrix(dm, packs, law, U, eps, condense):
