@@ -27,7 +27,7 @@ from .hho_local import cell_quad_exactness
 from .polybasis import INF, MAX_RATE_DEGREE, projector_rate_study
 from .fields import exp_field
 from .quadrature import MAX_EXACTNESS
-from .solver import NewtonConfig
+from .solver import NewtonConfig, continuation_path
 
 FAMILY_CHOICES = ("triangular", "cartesian", "locally-refined", "hexagonal")
 
@@ -53,6 +53,10 @@ def _cmd_run(args) -> int:
     try:        # the finest level's mesh, before any level is solved
         mesh_mod.check_budget(family, levels[-1])
     except mesh_mod.MeshResourceError as err:
+        args.parser.error(str(err))
+    try:        # the length of the p path, likewise
+        continuation_path(args.p)
+    except ValueError as err:
         args.parser.error(str(err))
     out = _out_dir(args)
     law = law_mod.p_laplacian(args.p)

@@ -47,10 +47,7 @@ def power_weight(n2: np.ndarray, expo: float) -> np.ndarray:
     p-power weight of both the flux and the face stabilization."""
     if expo >= 0:
         return n2 ** expo
-    out = np.zeros_like(n2)
-    nz = n2 > 0
-    out[nz] = n2[nz] ** expo
-    return out
+    return np.power(n2, expo, out=np.zeros_like(n2), where=n2 > 0)
 
 
 def p_laplacian(p: float) -> LerayLionsLaw:

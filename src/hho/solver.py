@@ -17,19 +17,26 @@ face-residual operators are one shared matrix each.  Every sweep over the
 blocks goes through `shared_operators`, which checks that the
 `LocalOperators` of a block's first element fits the DofMap's mesh and k and
 holds the block's elements at `ElementBlock.run` among its members.  The
-kernels read that `LocalOperators` as it is and form gradients and
-residuals as one matrix product over the block.  The law runs on chunks
-(`DofMap.chunks`): runs of consecutive blocks of one local size whose
-element matrices hold at most JACOBIAN_ENTRIES entries together, or one
-block.  The residual and the Newton matrix call the flux, or its Jacobian,
+check runs once per operator set: the DofMap keeps a `Sweep` of the
+operators it last swept with, and a later sweep only tests that each
+block's first element still holds the checked object.  The kernels read
+that `LocalOperators` as it is and form gradients and residuals as one
+matrix product over the block.  The law runs on chunks (`DofMap.chunks`):
+runs of consecutive blocks of one local size whose element matrices hold at
+most JACOBIAN_ENTRIES entries together, or one block.  The residual and the
+Newton matrix gather U once per chunk and call the flux, or its Jacobian,
 and the face weights once per chunk, on the nodes of all its blocks, which
 spares the fixed cost of a call on the many small blocks of a mesh of many
-shapes.  Jacobians are formed in the shape's polynomial coefficients: the
-flux Jacobian is contracted against the degree-k cell and face bases once
-per block, then the shape's G and D coefficients apply it.  A chunk's
-element matrices fill one (E, nl, nl) array, and static condensation is one
-batched solve and one Schur product on it.  The interpolation, which gives
-the Dirichlet data too, and `harness.compute_errors` run on the same blocks.
+shapes.  The `Sweep` holds what does not change with U: each chunk's joined
+unknowns and cell nodes, the residual's scatter index and the face scales
+h_F^{1-p} w of the last p.  Jacobians are formed in the shape's polynomial
+coefficients: the flux Jacobian is contracted against the degree-k cell and
+face bases once per block, then the shape's G and D coefficients apply it.
+A chunk's element matrices fill one (E, nl, nl) array.  Static
+condensation inverts its cell blocks in one batched solve against the
+identity and forms the Schur complements by products with the inverses.
+The interpolation, which gives the Dirichlet data too, and
+`harness.compute_errors` run on the same blocks.
 
 The masked Newton matrix has one sparsity pattern per mode, full or
 condensed, which `DofMap.pattern` builds on first use (`matrix_pattern`);
@@ -60,6 +67,7 @@ gives a NaN step, which ends the stage.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -193,6 +201,7 @@ class DofMap:
         self.chunks.append(slice(start, len(self.blocks)))
         self._patterns = {}
         self._perm_c = {}       # SuperLU's column order of each mode
+        self._sweep = None      # `Sweep` of the operators last swept with
 
     def pattern(self, condense: bool) -> MatrixPattern:
         """The masked Newton matrix's pattern for one mode, built on first
@@ -356,20 +365,72 @@ def build_packs(mesh, k: int, boost: int = 0) -> list[LocalOperators]:
     return [shapes[s] for s in mesh.shape_labels]
 
 
-def shared_operators(dm: DofMap, packs):
-    """Each block of `dm` with the `LocalOperators` of its first element,
-    checked to be the operators of all of the block's elements: built on the
-    DofMap's mesh, of the block's local size, and holding the block's
-    elements at `blk.run` among its members."""
+class Chunk(NamedTuple):
+    """A chunk of `DofMap.chunks` with what its sweeps read that U does not
+    change."""
+    pairs: tuple            # (block, operators) of each of its blocks
+    dofs: np.ndarray        # (E, nl) the blocks' unknowns, laid end to end
+    nodes: np.ndarray       # (E nq, 2) their cell nodes, laid end to end
+
+
+class Sweep:
+    """What a sweep over the blocks of a DofMap reads that U does not
+    change, for the operators `shared_operators` checked it with: the
+    (block, operators) pairs, the chunks with their joined unknowns and cell
+    nodes, the residual's scatter index and the face scales of the last p."""
+
+    def __init__(self, dm: DofMap, ops: list):
+        self.pairs = tuple(zip(dm.blocks, ops))
+        self.chunks = [Chunk(self.pairs[c],
+                             _joined([blk.dofs for blk in dm.blocks[c]]),
+                             _joined([o.cell_nodes[blk.run].reshape(-1, 2)
+                                      for blk, o in self.pairs[c]]))
+                       for c in dm.chunks]
+        # every block's unknowns in block order, where the residual's
+        # entries go
+        self.scatter = np.concatenate([blk.dofs.ravel() for blk in dm.blocks])
+        self._scales = (None, None)
+
+    def fits(self, packs) -> bool:
+        """Whether each block's first element holds the checked operators."""
+        return all(packs[blk.elements[0]] is o for blk, o in self.pairs)
+
+    def face_scales(self, p: float) -> list[list]:
+        """The face weights h_F^{1-p} w of each block, chunk by chunk."""
+        if self._scales[0] != p:
+            self._scales = p, [[o.face_scale(p) for _, o in ch.pairs]
+                               for ch in self.chunks]
+        return self._scales[1]
+
+
+def _sweep(dm: DofMap, packs) -> Sweep:
+    """The DofMap's `Sweep` for `packs`, kept while every block's first
+    element holds the operators it was built with.  Any other operator set
+    is checked block by block: the `LocalOperators` of a block's first
+    element must be built on the DofMap's mesh, of the block's local size,
+    and hold the block's elements at `blk.run` among its members."""
+    if dm._sweep is not None and dm._sweep.fits(packs):
+        return dm._sweep
+    ops = []
     for blk in dm.blocks:
-        ops = packs[blk.elements[0]]
-        if (ops.mesh is not dm.mesh or ops.ndof != blk.dofs.shape[1]
-                or not np.array_equal(ops.elements[blk.run], blk.elements)):
+        o = packs[blk.elements[0]]
+        if (o.mesh is not dm.mesh or o.ndof != blk.dofs.shape[1]
+                or not np.array_equal(o.elements[blk.run], blk.elements)):
             raise ValueError(
                 f"elements {blk.elements.tolist()} do not share one operator "
                 "set that fits their block: build the packs with build_packs "
                 "on the mesh of the DofMap")
-        yield blk, ops
+        ops.append(o)
+    dm._sweep = Sweep(dm, ops)
+    return dm._sweep
+
+
+def shared_operators(dm: DofMap, packs) -> tuple:
+    """Each block of `dm` with the `LocalOperators` of its first element,
+    checked to be the operators of all of the block's elements (`_sweep`):
+    once per operator set, after which a sweep only tests that each block's
+    first element still holds the checked object."""
+    return _sweep(dm, packs).pairs
 
 
 def interpolate_global(dm: DofMap, packs, field) -> np.ndarray:
@@ -419,29 +480,27 @@ def compute_loads(packs, source) -> np.ndarray:
     return loads
 
 
-def _chunks(dm: DofMap, packs) -> list[list]:
-    """The (block, operators) pairs of `shared_operators`, one list per
-    chunk of `dm.chunks`."""
-    pairs = list(shared_operators(dm, packs))
-    return [pairs[c] for c in dm.chunks]
-
-
-def _pointwise(chunk, U, cell_law, face_law) -> list[tuple]:
+def _pointwise(chunk: Chunk, U, cell_law, face_law) -> list[tuple]:
     """Each block of a chunk with its operators and two pointwise laws at
     U: `cell_law(x, g)` of its cell nodes x and gradients g, (E nq, 2), and
-    `face_law(du)` of its (E, nf nfq) face residuals du, with du.  Each law
-    is called once, on the nodes of all the chunk's blocks side by side;
-    the blocks of a chunk share one local size, so du stacks by rows."""
-    vals = [ops.values(U[blk.dofs]) for blk, ops in chunk]
+    `face_law(du)` of its (E, nf nfq) face residuals du, with du.  U is
+    gathered once for the chunk, and each law is called once, on the nodes
+    of all its blocks side by side; the blocks of a chunk share one local
+    size, so du stacks by rows."""
+    Uc = U[chunk.dofs]
+    vals, e = [], 0
+    for blk, ops in chunk.pairs:
+        E = len(blk.elements)
+        vals.append(ops.values(Uc[e:e + E]))
+        e += E
     g = _joined([g for g, _ in vals])
     du = _joined([du for _, du in vals])
     del vals                            # the blocks' own gradients
-    cells = cell_law(_joined([ops.cell_nodes[blk.run].reshape(-1, 2)
-                              for blk, ops in chunk]), g)
+    cells = cell_law(chunk.nodes, g)
     del g
     faces = face_law(du)
     out, q, e = [], 0, 0
-    for blk, ops in chunk:
+    for blk, ops in chunk.pairs:
         E = len(blk.elements)
         nq = len(ops.rule.weights) * E
         out.append((blk, ops, cells[q:q + nq], faces[e:e + E], du[e:e + E]))
@@ -463,10 +522,12 @@ def _face_slope(du: np.ndarray, eps: float, p: float) -> np.ndarray:
 
 
 def _jacobian_products(ops: LocalOperators, Da: np.ndarray, jw: np.ndarray,
-                       p: float, out: np.ndarray | None = None) -> np.ndarray:
+                       scale: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Element Jacobians (E, ndof, ndof) of a block, into `out` if given,
-    from its flux Jacobian Da (E nq, 2, 2) at the cell nodes and its face
-    slopes jw (E, nf nfq), formed in the shape's polynomial coefficients.
+    from its flux Jacobian Da (E nq, 2, 2) at the cell nodes, its face
+    slopes jw (E, nf nfq) and the face weights h_F^{1-p} w of the shape
+    (`face_scale`), formed in the shape's polynomial coefficients.
 
     The cell term is Gc^T M Gc, with M = sum_q w_q Da(g_q) (x) phi_q phi_q^T
     of size 2 n_k: one product of the flux Jacobian with the weighted cell
@@ -485,7 +546,7 @@ def _jacobian_products(ops: LocalOperators, Da: np.ndarray, jw: np.ndarray,
          .reshape(E, 2, 2, nk, nk).transpose(0, 1, 3, 2, 4)
          .reshape(E, 2 * nk, 2 * nk))
     # face by face over the block: M_F of each element, then M_F D
-    c = (ops.face_scale(p) * jw).reshape(E, nf, -1).transpose(1, 0, 2)
+    c = (scale * jw).reshape(E, nf, -1).transpose(1, 0, 2)
     MF = (c @ ops.face_pairs).reshape(nf, E * nb, nb)
     MD = (MF @ ops.D).reshape(nf, E, nb, ndof).transpose(1, 0, 2, 3)
     Je = np.matmul(ops.Gc.T, M @ ops.Gc, out=out)
@@ -500,25 +561,26 @@ def _block_jacobian(ops: LocalOperators, blk: ElementBlock,
     local vectors Ue: the law at its nodes, then `_jacobian_products`."""
     g, du = ops.values(Ue)
     Da = law.flux_jacobian(ops.cell_nodes[blk.run].reshape(-1, 2), g, eps)
-    return _jacobian_products(ops, Da, _face_slope(du, eps, law.p), law.p)
+    return _jacobian_products(ops, Da, _face_slope(du, eps, law.p),
+                              ops.face_scale(law.p))
 
 
 def assemble_residual(dm: DofMap, packs, law, U, loads,
                       eps: float = 0.0) -> np.ndarray:
     p = law.p
-    idx, vals = [], []
-    for chunk in _chunks(dm, packs):
-        for blk, ops, a, sw, du in _pointwise(
-                chunk, U, lambda x, g: law.flux(x, g, eps),
-                lambda du: power_weight(du * du + eps * eps, (p - 2.0) / 2.0)):
+    sweep = _sweep(dm, packs)
+    vals = []
+    for chunk, scales in zip(sweep.chunks, sweep.face_scales(p)):
+        blocks = _pointwise(
+            chunk, U, lambda x, g: law.flux(x, g, eps),
+            lambda du: power_weight(du * du + eps * eps, (p - 2.0) / 2.0))
+        for (_, ops, a, sw, du), scale in zip(blocks, scales):
             E = len(du)
             a = a.reshape(E, -1, 2) * ops.rule.weights[:, None]
-            c = ops.face_scale(p) * sw * du
-            idx.append(blk.dofs.ravel())
+            c = scale * sw * du
             vals.append((a.reshape(E, -1) @ ops.grad_q.reshape(-1, ops.ndof)
                          + c @ ops.dval_q.reshape(-1, ops.ndof)).ravel())
-    r = np.bincount(np.concatenate(idx), np.concatenate(vals),
-                    minlength=dm.ndofs)
+    r = np.bincount(sweep.scatter, np.concatenate(vals), minlength=dm.ndofs)
     r[:dm.cell_span] -= np.ravel(loads)
     r[dm.boundary_dofs] = 0.0
     return r
@@ -529,16 +591,19 @@ def _condensed(Je: np.ndarray, rc: np.ndarray, nk: int, out: np.ndarray):
     nk rows and columns are the cell unknowns, at the cell residuals rc
     (E, nk): the Schur complements on the face unknowns, written into out,
     the (X, y) that recover the cell update as -y - X @ (face update), and
-    the face rows' right-hand side share Je_fc @ y."""
-    rhs_c = np.concatenate([Je[:, :nk, nk:], rc[..., None]], axis=2)
+    the face rows' right-hand side share Je_fc @ y.  The cell blocks are
+    inverted in one batched solve against the identity, nk right-hand sides
+    each rather than one per face unknown and one for rc, and X and y are
+    products with the inverses."""
     try:
-        Xy = np.linalg.solve(Je[:, :nk, :nk], rhs_c)
+        inv = np.linalg.solve(Je[:, :nk, :nk], np.eye(nk))
     except np.linalg.LinAlgError:
         # a singular cell block gives a NaN Schur complement, which SuperLU
         # cannot factor: a NaN step, as from a singular full system, and
         # the Newton stage ends on it
-        Xy = np.full_like(rhs_c, np.nan)
-    X, y = Xy[:, :, :-1], Xy[:, :, -1]
+        inv = np.full((len(Je), nk, nk), np.nan)
+    X = inv @ Je[:, :nk, nk:]
+    y = (inv @ rc[..., None])[..., 0]
     np.subtract(Je[:, nk:, nk:], Je[:, nk:, :nk] @ X, out=out)
     return X, y, (Je[:, nk:, :nk] @ y[:, :, None])[:, :, 0]
 
@@ -564,18 +629,20 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
     # the chunks' element (or Schur) matrices, laid end to end
     vals, at = np.empty(len(pat.slots)), 0
     faces, lift, back = [], [], []
-    for chunk in _chunks(dm, packs):
-        gd = _joined([blk.dofs for blk, _ in chunk])
+    sweep = _sweep(dm, packs)
+    for chunk, scales in zip(sweep.chunks, sweep.face_scales(p)):
+        gd = chunk.dofs
         E, nl = gd.shape
         m = nl - nk if condense else nl
         span = vals[at:at + E * m * m].reshape(E, m, m)
         at += span.size
         Je = np.empty((E, nl, nl)) if condense else span
+        blocks = _pointwise(chunk, U,
+                            lambda x, g: law.flux_jacobian(x, g, eps),
+                            lambda du: _face_slope(du, eps, p))
         e = 0
-        for _, ops, Da, jw, _ in _pointwise(
-                chunk, U, lambda x, g: law.flux_jacobian(x, g, eps),
-                lambda du: _face_slope(du, eps, p)):
-            _jacobian_products(ops, Da, jw, p, out=Je[e:e + len(jw)])
+        for (_, ops, Da, jw, _), scale in zip(blocks, scales):
+            _jacobian_products(ops, Da, jw, scale, out=Je[e:e + len(jw)])
             e += len(jw)
         if condense:
             X, y, fy = _condensed(Je, r[gd[:, :nk]], nk, out=span)
@@ -629,6 +696,7 @@ STALL_TOL = 1e-6        # accept a roundoff-floor stall below this
 ARMIJO = 1e-4
 MIN_STEP = 2.0 ** -16
 EPS_SCALE = 1e-10
+MAX_STAGES = 64         # of the default continuation path
 
 
 @dataclass
@@ -664,11 +732,17 @@ class SolveReport:
 
 
 def continuation_path(p: float) -> tuple:
-    """Exponent schedule from the linear problem to the target, steps <= 1."""
+    """Exponent schedule from the linear problem to the target, steps <= 1:
+    at most MAX_STAGES stages, so p <= MAX_STAGES + 1."""
     if not np.isfinite(p):
         raise ValueError(f"continuation to a non-finite p = {p}")
     if p == 2.0:
         return (2.0,)
+    # 2, the unit steps that stay more than 1 from p, and p
+    stages = 2 + max(0, math.ceil(abs(p - 2.0) - 1.0))
+    if stages > MAX_STAGES:
+        raise ValueError(f"continuation to p = {p} takes more than "
+                         f"{MAX_STAGES} stages (p <= {MAX_STAGES + 1})")
     path = [2.0]
     cur = 2.0
     step = 1.0 if p > 2.0 else -1.0

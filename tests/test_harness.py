@@ -200,7 +200,7 @@ def test_cli_run_and_outputs(tmp_path, capsys):
     ["--p", "1"], ["--newton-tol", "inf"], ["--newton-tol", "nan"],
     ["--newton-tol", "0"], ["--newton-tol", "-1"], ["--quad-boost", "-5"],
     ["--quad-boost", "-20"], ["--degree", "29"],
-    ["--degree", "1", "--quad-boost", "55"]])
+    ["--degree", "1", "--quad-boost", "55"], ["--p", "65.5"], ["--p", "1e9"]])
 def test_cli_run_rejects_bad_arguments(tmp_path, capsys, args):
     # a usage error before any work: no empty study reported as converged,
     # no traceback
@@ -235,6 +235,23 @@ def test_cli_run_checks_the_finest_mesh_before_any_work(
     err = capsys.readouterr().err
     assert "usage: hho run" in err and "elements (budget" in err
     assert not out.exists()
+
+
+def test_cli_run_takes_a_p_up_to_the_continuation_cap(tmp_path, monkeypatch):
+    # p = 65 is 64 continuation stages, the cap, and reaches the study;
+    # check-laws takes any finite p > 1
+    from hho import harness
+    from hho.cli import build_parser, main
+    class Reached(Exception):
+        pass
+
+    def study(family, k, law, *args, **kwargs):
+        raise Reached(law.p)
+    monkeypatch.setattr(harness, "run_study", study)
+    with pytest.raises(Reached) as exc:
+        main(["run", "--p", "65", "--out", str(tmp_path / "study")])
+    assert exc.value.args == (65.0,)
+    assert build_parser().parse_args(["check-laws", "--p", "1e9"]).p == 1e9
 
 
 def test_cli_run_rejects_an_out_that_is_a_file(tmp_path, monkeypatch,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,3 +207,21 @@ def test_flux_jacobian_equals_outer_product_form(p, eps):
         J = law.flux_jacobian(np.zeros_like(pts), pts, eps)
         assert J.shape == pts.shape + (2,)
         assert np.array_equal(J, _flux_jacobian_by_outer_product(p, pts, eps))
+
+
+@pytest.mark.parametrize("expo", [-0.125, -0.5, -1.125])
+def test_power_weight_matches_the_masked_formula(expo):
+    # the weights at p = 1.75 (flux), p = 3 (flux Jacobian) and p = 1.75
+    # (flux Jacobian): 0 where n2 vanishes, n2 ** expo elsewhere, bit for
+    # bit, and no division by zero on the way
+    rng = np.random.default_rng(5)
+    n2 = 10.0 ** rng.uniform(-12, 12, 1000)
+    n2[::3] = 0.0
+    n2[rng.random(1000) < 0.2] = 0.0
+    for a in (n2, n2.reshape(40, 25), n2[:7], np.zeros(5)):
+        want = np.zeros_like(a)
+        want[a > 0] = a[a > 0] ** expo
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = power_weight(a, expo)
+        assert got.shape == a.shape and np.array_equal(got, want)

@@ -354,6 +354,19 @@ def test_continuation_paths():
             continuation_path(p)
 
 
+def test_continuation_paths_are_capped():
+    # p = 65 takes MAX_STAGES = 64 unit-step stages; a larger p is refused
+    # from the length alone, before a path is built: 1e300 + 1 == 1e300, so
+    # building that path would never end
+    assert solver.MAX_STAGES == 64
+    path = continuation_path(65.0)
+    assert len(path) == 64 and path[-2:] == (64.0, 65.0)
+    assert len(continuation_path(64.5)) == 64
+    for p in (65.5, 66.0, 1e9, 1e300):
+        with pytest.raises(ValueError, match="more than 64 stages"):
+            continuation_path(p)
+
+
 @pytest.mark.parametrize("path", [(2.0,), (2.0, 2.5)])
 def test_continuation_must_end_at_the_target_p(monkeypatch, path):
     # a path that stops short of p reported its last stage's convergence as
@@ -844,6 +857,30 @@ def test_singular_cell_block_ends_in_a_clean_failure(monkeypatch):
     assert not rep.converged and rep.newton_iters == 0
 
 
+def test_condensed_matches_per_element_schur_complements():
+    # the batched inverse of a real chunk's cell blocks (hexagonal level 3,
+    # k = 1, p = 3) against one solve per element
+    mesh, packs, dm = _linear_setup("hexagonal", 3, 1)
+    law = p_laplacian(3.0)
+    U = np.random.default_rng(9).standard_normal(dm.ndofs)
+    chunk = max(solver._sweep(dm, packs).chunks, key=lambda c: len(c.dofs))
+    assert len(chunk.pairs) > 1
+    Je = np.concatenate([solver._block_jacobian(ops, blk, law, U[blk.dofs],
+                                                1e-8)
+                         for blk, ops in chunk.pairs])
+    nk = dm.n_cell
+    rc = np.random.default_rng(10).standard_normal((len(Je), nk))
+    S = np.empty((len(Je), Je.shape[1] - nk, Je.shape[1] - nk))
+    X, y, fy = solver._condensed(Je, rc, nk, out=S)
+    for e, A in enumerate(Je):
+        Xe = np.linalg.solve(A[:nk, :nk], A[:nk, nk:])
+        ye = np.linalg.solve(A[:nk, :nk], rc[e])
+        Se = A[nk:, nk:] - A[nk:, :nk] @ Xe
+        for got, want in ((X[e], Xe), (y[e], ye), (S[e], Se),
+                          (fy[e], A[nk:, :nk] @ ye)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("J", [
     sp.diags([1.0, 0.0, 1.0], format="csc"),
     sp.csc_matrix(np.array([[1.0, np.nan, 0.0], [np.nan, 2.0, 0.0],
@@ -1048,6 +1085,92 @@ def test_blocks_reject_operators_that_are_not_shared():
             _assemble(d, pk, law, U[:d.ndofs], U[:d.ndofs], 0.0, False)
         with pytest.raises(ValueError, match="do not share one operator set"):
             compute_errors(d, pk, law, U[:d.ndofs], u)
+
+
+def _counted_array_equal(monkeypatch):
+    """Counter of np.array_equal calls, the block check of shared_operators."""
+    calls = Counter()
+    array_equal = np.array_equal
+
+    def counted(*args, **kwargs):
+        calls["array_equal"] += 1
+        return array_equal(*args, **kwargs)
+    monkeypatch.setattr(np, "array_equal", counted)
+    return calls
+
+
+def test_sweeps_check_each_block_once(monkeypatch):
+    # the first sweep with an operator set checks each block; later sweeps
+    # test only that each block's first element holds the checked object,
+    # and neither check nor join anything again
+    mesh, packs, dm = _linear_setup("hexagonal", 3, 1)
+    law = p_laplacian(3.0)
+    loads = compute_loads(packs, exp_field(1.0, -0.5))
+    U = np.random.default_rng(2).standard_normal(dm.ndofs)
+    calls = _counted_array_equal(monkeypatch)
+    r = assemble_residual(dm, packs, law, U, loads, 1e-8)
+    assert calls["array_equal"] == len(dm.blocks) > len(dm.chunks) > 1
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep checked or joined the blocks again")
+    with monkeypatch.context() as m:
+        m.setattr(solver, "Sweep", no_sweep)
+        assemble_residual(dm, list(packs), p_laplacian(1.75), U, loads)
+        _assemble(dm, packs, law, U, r, 1e-8, False)
+        _assemble(dm, packs, law, U, r, 1e-8, True)
+        interpolate_global(dm, packs, exp_field(1.0, -0.5))
+        energy(dm, packs, law, U, loads)
+        compute_errors(dm, packs, law, U, sine_product_field(PI, PI))
+    assert calls["array_equal"] == len(dm.blocks)
+
+
+def test_sweep_state_rejects_other_operators_after_a_good_sweep(monkeypatch):
+    # operators of another mesh object (the same elements, built again), of
+    # another k, or built element by element for one block, each fail the
+    # full check; the checked packs then need none
+    mesh, packs, dm = _linear_setup("hexagonal", 3, 1)
+    law = p_laplacian(3.0)
+    loads = compute_loads(packs, None)
+    U = np.random.default_rng(6).standard_normal(dm.ndofs)
+    r = assemble_residual(dm, packs, law, U, loads)
+    blk = max(dm.blocks, key=lambda b: len(b.elements))
+    one_by_one = list(packs)
+    one_by_one[blk.elements[0]] = build_local_operators(mesh, blk.elements[0],
+                                                        1)
+    calls = _counted_array_equal(monkeypatch)
+    for pk in (build_packs(generate("hexagonal", 3), 1), build_packs(mesh, 2),
+               one_by_one):
+        with pytest.raises(ValueError, match="do not share one operator set"):
+            assemble_residual(dm, pk, law, U, loads)
+        with pytest.raises(ValueError, match="do not share one operator set"):
+            _assemble(dm, pk, law, U, r, 0.0, False)
+    assert calls["array_equal"] > 0
+    calls.clear()
+    again = assemble_residual(dm, packs, law, U, loads)
+    assert calls["array_equal"] == 0
+    assert np.array_equal(again, r)
+
+
+@pytest.mark.parametrize("family,level", [*MIXED_SHAPES, ("triangular", 3)])
+def test_reused_dofmap_sweeps_match_a_fresh_one_bitwise(family, level):
+    # a DofMap that has swept at other iterates and another p gives the
+    # residual and full Newton matrix of a fresh one, bit for bit
+    mesh, packs, dm = _linear_setup(family, level, 1)
+    loads = compute_loads(packs, exp_field(1.0, -0.5))
+    rng = np.random.default_rng(8)
+    for p in (3.0, 1.75):
+        U = rng.standard_normal(dm.ndofs)
+        r = assemble_residual(dm, packs, p_laplacian(p), U, loads, 1e-8)
+        _assemble(dm, packs, p_laplacian(p), U, r, 1e-8, False)
+    law = p_laplacian(1.5)
+    U = rng.standard_normal(dm.ndofs)
+    got = [assemble_residual(d, packs, law, U, loads, 1e-8)
+           for d in (dm, DofMap(mesh, 1))]
+    assert np.array_equal(got[0], got[1])
+    J = [_assemble(d, packs, law, U, got[0], 1e-8, False)[1]
+         for d in (dm, DofMap(mesh, 1))]
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(J[0], name), getattr(J[1], name))
 
 
 def _count_builds(monkeypatch):
