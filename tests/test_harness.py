@@ -417,6 +417,24 @@ def test_solve_path_leaves_the_optimizer_unloaded():
     assert out.split() == ["False", "False"]
 
 
+def test_cli_run_writes_the_same_csv_in_fresh_processes(tmp_path):
+    # the condensed hexagonal study at levels 2-3, whose later Newton
+    # matrices LAPACK factors on a band, with the CLI's one BLAS thread
+    import hho
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(hho.__file__).parents[1]), env.get("PYTHONPATH")]))
+    csvs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        subprocess.run([sys.executable, "-m", "hho.cli", "run", "--family",
+                        "hexagonal", "--degree", "1", "--p", "3", "--condense",
+                        "--levels", "2", "--out", str(out)], env=env,
+                       check=True, capture_output=True, timeout=300)
+        csvs.append((out / "study.csv").read_bytes())
+    assert csvs[0] == csvs[1] and len(csvs[0].splitlines()) == 4
+
+
 def test_cli_condensed_run_matches_full(tmp_path, capsys):
     from hho.cli import main
     a = tmp_path / "a"

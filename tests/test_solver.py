@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from hho import mesh as mesh_module
 from hho import hho_local, polybasis, quadrature, solver
@@ -690,9 +691,12 @@ def test_newton_pattern_is_built_once_per_mode(monkeypatch):
     ("triangular", 3, 1, False), ("hexagonal", 3, 1, True),
     ("locally_refined", 2, 2, False)])
 def test_ordered_pattern_holds_the_permuted_matrix(family, level, k,
-                                                   condense):
+                                                   condense, monkeypatch):
     # after a mode's first factorization its matrix comes in SuperLU's
-    # column order: P^T J P of the natural one, value for value
+    # column order: P^T J P of the natural one, value for value.  These
+    # matrices are small enough for the band; BAND_FILL = 0 keeps every
+    # mode on SuperLU
+    monkeypatch.setattr(solver, "BAND_FILL", 0)
     mesh, packs, dm = _linear_setup(family, level, k)
     law = p_laplacian(1.75)
     loads = compute_loads(packs, exp_field(1.0, -0.5))
@@ -770,14 +774,168 @@ def test_linear_solve_builds_no_ordered_pattern(monkeypatch):
         calls["ordered"] += 1
         return build(*args)
     monkeypatch.setattr(solver, "ordered_pattern", counted)
+    rcm = solver.reverse_cuthill_mckee
+
+    def counted_rcm(*args, **kwargs):
+        calls["band"] += 1
+        return rcm(*args, **kwargs)
+    monkeypatch.setattr(solver, "reverse_cuthill_mckee", counted_rcm)
     u = sine_product_field(PI, PI)
     _, rep, dm, _ = newton_solve(generate("cartesian", 3), 3,
                                  p_laplacian(2.0), source=(2 * PI ** 2) * u)
     assert rep.converged and rep.newton_iters == 1
-    assert calls["ordered"] == 0
+    assert calls["ordered"] == calls["band"] == 0
 
 
-def test_assemble_system_keeps_the_natural_order_after_a_solve():
+def _first_factor(family, level, k, condense, law, seed=9):
+    """A DofMap whose mode has had its first factorization, with the packs,
+    loads, U and residual at which its Newton matrix was assembled, and the
+    SuperLU factor."""
+    mesh, packs, dm = _linear_setup(family, level, k)
+    loads = compute_loads(packs, exp_field(1.0, -0.5))
+    U = 0.5 * np.random.default_rng(seed).standard_normal(dm.ndofs)
+    r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
+    rs, J, _ = _assemble(dm, packs, law, U, r, 1e-8, condense)
+    factors = []
+    splu = solver.splu
+
+    def captured(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "splu", captured)
+        solver.solve_newton_system(dm, condense, J, -rs)
+    (lu,) = factors
+    return dm, packs, loads, U, J, lu
+
+
+@pytest.mark.parametrize("family,level,k,condense,banded", [
+    ("hexagonal", 2, 1, True, True), ("hexagonal", 3, 1, True, True),
+    ("hexagonal", 4, 1, True, True), ("triangular", 4, 1, False, False),
+    ("cartesian", 3, 3, False, False), ("cartesian", 4, 3, False, False)])
+def test_later_factorizations_follow_the_band_rule(family, level, k,
+                                                   condense, banded):
+    # the later matrices go on the band where the Cholesky flops of the
+    # reverse Cuthill-McKee band, n (b+1)^2, are at most BAND_FILL times
+    # the nonzeros of the first SuperLU factor; else SuperLU's order is kept
+    dm, _, _, _, J, lu = _first_factor(family, level, k, condense,
+                                       p_laplacian(1.75))
+    pat = dm.pattern(condense)
+    n = J.shape[0]
+    at = np.argsort(reverse_cuthill_mckee(J, symmetric_mode=True))
+    coo = J.tocoo()
+    width = int(np.max(np.abs(at[coo.row] - at[coo.col])))
+    assert (n * (width + 1) ** 2 <= solver.BAND_FILL * lu.nnz) == banded
+    if banded:
+        assert pat.order is None and pat.band.width == width
+    else:
+        assert pat.band is None
+        assert np.array_equal(pat.order, np.argsort(lu.perm_c))
+
+
+def _counting(monkeypatch, calls, name):
+    original = getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(solver, name, counted)
+
+
+@pytest.mark.parametrize("family,condense,p", [
+    ("hexagonal", True, 3.0), ("triangular", False, 1.75)])
+def test_banded_step_matches_superlu(family, condense, p, monkeypatch):
+    law = p_laplacian(p)
+    dm, packs, loads, U, _, _ = _first_factor(family, 3, 1, condense, law)
+    assert dm.pattern(condense).band is not None
+    # a later matrix, at another U
+    U = U + 0.1 * np.random.default_rng(4).standard_normal(dm.ndofs)
+    r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
+    rs, J, _ = _assemble(dm, packs, law, U, r, 1e-8, condense)
+    calls = Counter()
+    dpbtrf = solver.dpbtrf
+
+    def in_place(ab, **kwargs):
+        calls["dpbtrf"] += 1
+        c, info = dpbtrf(ab, **kwargs)
+        assert ab.flags.f_contiguous and np.shares_memory(c, ab)
+        return c, info
+    monkeypatch.setattr(solver, "dpbtrf", in_place)
+    _counting(monkeypatch, calls, "splu")
+    x = solver.solve_newton_system(dm, condense, J, -rs)
+    assert calls == {"dpbtrf": 1}
+    x_ref = solver.spsolve(J, -rs)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
+
+
+def _rotated_p_laplacian(p: float) -> LerayLionsLaw:
+    """|xi|^{p-2} xi + R xi / 2, R the quarter turn: monotone, as
+    R xi . xi = 0, with a flux Jacobian that is not symmetric."""
+    base = p_laplacian(p)
+    R = np.array([[0.0, -0.5], [0.5, 0.0]])
+    return LerayLionsLaw(
+        p=p, name=f"rotated p-laplacian(p={p})",
+        flux=lambda x, xi, eps=0.0: base.flux(x, xi, eps) + xi @ R.T,
+        flux_jacobian=lambda x, xi, eps=0.0: (base.flux_jacobian(x, xi, eps)
+                                              + R),
+        family=_rotated_p_laplacian)
+
+
+def test_non_symmetric_newton_matrices_on_a_banded_mode_go_to_superlu(
+        monkeypatch):
+    calls = Counter()
+    _counting(monkeypatch, calls, "dpbtrf")
+    _counting(monkeypatch, calls, "splu")
+    steps = []
+    solve = solver.solve_newton_system
+
+    def recorded(dm, condense, J, b):
+        steps.append((J, b, solve(dm, condense, J, b)))
+        return steps[-1][2]
+    monkeypatch.setattr(solver, "solve_newton_system", recorded)
+    _, rep, dm, _ = newton_solve(generate("hexagonal", 3), 1,
+                                 _rotated_p_laplacian(3.0),
+                                 source=lambda x: np.ones(len(x)),
+                                 config=NewtonConfig(condense=True))
+    assert rep.converged and rep.newton_iters == len(steps) > 2
+    assert dm.pattern(True).band is not None
+    assert calls == {"splu": len(steps)}
+    for J, b, x in steps:
+        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("fault", ["singular", "nan-entries"])
+def test_banded_mode_gives_a_nan_step_on_a_matrix_it_cannot_factor(
+        fault, monkeypatch):
+    # a zero row and column, which Cholesky and then SuperLU reject, and a
+    # NaN entry with its transpose, as a singular condensed cell block
+    # leaves, which goes to SuperLU untried
+    law = p_laplacian(3.0)
+    dm, packs, loads, U, _, _ = _first_factor("hexagonal", 3, 1, True, law)
+    r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
+    rs, J, _ = _assemble(dm, packs, law, U, r, 1e-8, True)
+    assert dm.pattern(True).band is not None
+    free = np.setdiff1d(np.arange(J.shape[0]), dm.boundary_dofs - dm.cell_span)
+    col = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
+    i, j = free[:2]
+    if fault == "singular":
+        hit = (J.indices == i) | (col == i)
+    else:
+        hit = ((J.indices == i) & (col == j)) | ((J.indices == j) & (col == i))
+    assert hit.any()
+    J.data[hit] = 0.0 if fault == "singular" else np.nan
+    calls = Counter()
+    _counting(monkeypatch, calls, "dpbtrf")
+    _counting(monkeypatch, calls, "splu")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solver.solve_newton_system(dm, True, J, -rs)
+    assert np.all(np.isnan(x))
+    assert calls["dpbtrf"] == (fault == "singular") and calls["splu"] == 1
+
+
+def test_assemble_system_keeps_the_natural_order_after_a_solve(monkeypatch):
+    monkeypatch.setattr(solver, "BAND_FILL", 0)     # the kept SuperLU order
     u = sine_product_field(PI, PI)
     law = p_laplacian(1.75)
     mesh = generate("triangular", 3)
