@@ -99,8 +99,8 @@ JACOBIAN_ENTRIES = 2 ** 15
 # a mode's later Newton matrices are factored on a band of half-width b when
 # n (b+1)^2, the band's Cholesky flops, is at most this times the nonzeros
 # of its first SuperLU factor: on the generated families' Newton matrices
-# the band factors 2-4 times faster than SuperLU up to about 300 and up to
-# 3.7 times slower above 900
+# the band factored 2-4 times faster than SuperLU at ratios up to 350, as
+# fast at 490 and 1.3-2.3 times slower at 900-1450
 BAND_FILL = 400
 # largest |J - J^T| entry, against the largest |J| entry, that the banded
 # Cholesky takes as roundoff; the assembled p-Laplacian matrices show 1e-16
