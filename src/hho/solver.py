@@ -42,10 +42,9 @@ The masked Newton matrix has one sparsity pattern per mode, full or
 condensed, which `DofMap.pattern` builds on first use (`matrix_pattern`);
 each assembly gathers the element (or Schur) matrices and sums them into
 the pattern's CSC `data` with one `bincount`.  After the mode's first
-factorization the pattern is chosen once for the later matrices
-(`later_pattern`): the natural one with a map into a band (`Band`), or the
-one in that factorization's column order (`ordered_pattern`, a remap of the
-natural one), whose matrices come permuted and are factored as they stand;
+factorization the order of the later matrices is chosen once
+(`later_pattern`), and the pattern is remapped into it (`ordered_pattern`),
+so that they come permuted and are factored as they stand;
 `assemble_system` permutes such a matrix back to the natural order.
 
 The Newton loop supports backtracking damping, regularization of the flux
@@ -55,22 +54,22 @@ from the linear problem, and optional static condensation of the cell blocks.
 Each Newton step factors its matrix, full or condensed
 (`solve_newton_system`).  A mode's first matrix is factored by SuperLU in
 symmetric mode with the diagonal entries as pivots, on a minimum degree
-ordering of A + A^T, as `spsolve` does.  The pattern never changes, and its
-later matrices go one of two ways, chosen from its structure alone.  Where
+ordering of A + A^T, as `spsolve` does.  The pattern never changes, and
+its later matrices keep one order, chosen from its structure alone.  Where
 the reverse Cuthill-McKee order of the pattern has a half-bandwidth b with
-n (b+1)^2 <= BAND_FILL times the nonzeros of that first factor, they are
-factored by LAPACK's banded Cholesky in that order, which is 2-4 times
-faster than SuperLU on such matrices and slower on wider bands.  Elsewhere
-SuperLU's first order is kept, and every later matrix, which comes in it,
-is factored in its own order ("NATURAL") with the same fill.  A matrix that
-is not symmetric to roundoff, or that Cholesky rejects, goes to SuperLU as
-by `spsolve`.  A monotone Leray-Lions flux gives a Jacobian whose
-symmetric part is positive definite once the boundary rows and columns are
-replaced by the identity; for the p-Laplacian it is the Hessian of the
-convex discrete energy, symmetric positive definite.  Every principal
-submatrix of such a matrix is nonsingular, so in any symmetric order no
-diagonal pivot vanishes and no row exchange is needed.  A singular factor
-gives a NaN step, which ends the stage.
+n (b+1)^2 <= BAND_FILL times the nonzeros of that first factor, the order
+is that one, and they are factored by LAPACK's banded Cholesky, which is
+2-4 times faster than SuperLU on such matrices and slower on wider bands.
+Elsewhere it is SuperLU's first order.  A matrix that has no band, is not
+symmetric to roundoff, or that Cholesky rejects, is factored by SuperLU in
+the kept order ("NATURAL"), with no ordering run again.  A monotone
+Leray-Lions flux gives a Jacobian whose symmetric part is positive definite
+once the boundary rows and columns are replaced by the identity; for the
+p-Laplacian it is the Hessian of the convex discrete energy, symmetric
+positive definite.  Every principal submatrix of such a matrix is
+nonsingular, so in any symmetric order no diagonal pivot vanishes and no
+row exchange is needed.  A singular factor gives a NaN step, which ends
+the stage.
 """
 
 from __future__ import annotations
@@ -137,52 +136,47 @@ def solve_newton_system(dm: DofMap, condense: bool, J,
     with b and x in the natural order; all NaN if J is singular.
 
     The mode's first matrix is factored as by `spsolve`, and the DofMap
-    keeps SuperLU's column order and fill, from which it chooses the
-    pattern of the later matrices (`later_pattern`).  On a banded pattern
-    each later matrix is factored by LAPACK's banded Cholesky
-    (`_band_solve`), and by `spsolve` if it is not symmetric to roundoff or
-    not positive definite.  Otherwise the pattern comes in SuperLU's first
-    order, and each later matrix is factored in it as it stands: the
-    pattern never changes, so neither does the minimum degree order, and
-    the fill stays that of the first factorization."""
+    keeps SuperLU's column order and fill, from which it chooses the order
+    of the later matrices (`later_pattern`).  Those come in that order and
+    are factored in it as they stand: by LAPACK's banded Cholesky
+    (`_band_solve`) where the pattern has a band that takes the matrix, and
+    else by SuperLU in that order, with no ordering run again."""
     pat = dm.pattern(condense)
-    if pat.band is not None:
-        x = _band_solve(pat.band, J.data, b)
-        return spsolve(J, b) if x is None else x
-    lu = _factor(J, "MMD_AT_PLUS_A" if pat.order is None else "NATURAL")
-    if lu is None:
-        return np.full(len(b), np.nan)
     if pat.order is None:
+        lu = _factor(J, "MMD_AT_PLUS_A")
+        if lu is None:
+            return np.full(len(b), np.nan)
         # a copy: the array SuperLU hands out keeps its factor alive
         dm._first.setdefault(condense, (lu.perm_c.copy(), lu.nnz))
         return lu.solve(b)
+    bo = b[pat.order]
+    y = None if pat.band is None else _band_solve(pat.band, J.data, bo)
+    if y is None:
+        lu = _factor(J, "NATURAL")
+        y = np.full(len(b), np.nan) if lu is None else lu.solve(bo)
     x = np.empty_like(b)
-    x[pat.order] = lu.solve(b[pat.order])
+    x[pat.order] = y
     return x
 
 
 def _band_solve(band: Band, data: np.ndarray,
                 b: np.ndarray) -> np.ndarray | None:
-    """Solve J x = b, J with the CSC values `data` in the natural pattern,
-    by LAPACK's banded Cholesky of J in the band's order; None if J is not
-    symmetric to roundoff or Cholesky rejects it (singular or indefinite).
-    The band is filled from J's lower triangle in that order, in Fortran
-    order, and factored and solved in place."""
+    """Solve J x = b, J with the CSC values `data` in a banded pattern, by
+    LAPACK's banded Cholesky; None if J is not symmetric to roundoff or
+    Cholesky rejects it (singular or indefinite).  The band is filled from
+    J's lower triangle, in Fortran order, and factored and solved in place,
+    over b too."""
     low = data[band.lower]
     # NaN entries fail the test too: dpbtrf would take them
     if not (np.max(np.abs(low - data[band.mirror]))
             <= SYMMETRY_TOL * np.max(np.abs(low))):
         return None
-    n = len(b)
-    ab = np.zeros((n, band.width + 1))
+    ab = np.zeros((len(b), band.width + 1))
     ab.reshape(-1)[band.at] = low
     c, info = dpbtrf(ab.T, lower=1, overwrite_ab=1)
     if info:
         return None
-    y, _ = dpbtrs(c, b[band.order], lower=1, overwrite_b=1)
-    x = np.empty_like(b)
-    x[band.order] = y
-    return x
+    return dpbtrs(c, b, lower=1, overwrite_b=1)[0]
 
 
 def shape_groups(labels: np.ndarray) -> list[np.ndarray]:
@@ -257,10 +251,9 @@ class DofMap:
 
     def pattern(self, condense: bool) -> MatrixPattern:
         """The masked Newton matrix's pattern for one mode, built on first
-        use.  Once the mode has been factored (`solve_newton_system`), the
-        pattern of its later matrices is chosen, once (`later_pattern`):
-        the natural one with a band, or the one in that factorization's
-        column order."""
+        use.  Once the mode has been factored (`solve_newton_system`), it is
+        remapped, once, into the order of its later matrices
+        (`later_pattern`)."""
         pat = self._patterns.get(condense) or matrix_pattern(self, condense)
         if condense in self._first:
             pat = later_pattern(pat, *self._first.pop(condense))
@@ -280,11 +273,9 @@ class DofMap:
 
 
 class Band(NamedTuple):
-    """Where a natural pattern's lower triangle in reverse Cuthill-McKee
-    order goes in LAPACK's lower band storage: entry (i, j), i >= j, of the
-    reordered matrix at [i - j, j] of the Fortran-ordered (width + 1, n)
-    band, that is at position j (width + 1) + i - j."""
-    order: np.ndarray       # (n,) unknown at each row and column
+    """Where a pattern's lower triangle goes in LAPACK's lower band storage:
+    entry (i, j), i >= j, at [i - j, j] of the Fortran-ordered
+    (width + 1, n) band, that is at position j (width + 1) + i - j."""
     width: int              # half-bandwidth b
     lower: np.ndarray       # data positions of the entries in that triangle
     mirror: np.ndarray      # data positions of their transposes
@@ -296,8 +287,8 @@ class MatrixPattern(NamedTuple):
     blocks' element matrices go in its `data`.  In the natural order row and
     column i are the mode's unknown i (the face unknowns alone, condensed);
     an ordered pattern holds P^T J P instead, the rows and columns of J
-    permuted by `order`.  A banded pattern is a natural one whose matrices
-    are factored on `band`."""
+    permuted by `order`, and its matrices are factored on `band` if it has
+    one."""
     indptr: np.ndarray      # (n + 1,)
     indices: np.ndarray     # (nnz,) rows, ascending within each column
     slots: np.ndarray       # 1 + data position of each entry of the blocks'
@@ -383,9 +374,10 @@ def later_pattern(pat: MatrixPattern, perm_c: np.ndarray,
     """The pattern of a mode's later matrices, chosen from the natural
     pattern `pat` and the mode's first SuperLU factor, with column order
     perm_c and `fill` L + U nonzeros.  With b the half-bandwidth of the
-    pattern in reverse Cuthill-McKee order, it is `pat` with its `Band`
-    where n (b+1)^2 <= BAND_FILL fill, and else `ordered_pattern`.  The
-    choice takes O(nnz) time and int32 temporaries of nnz entries."""
+    pattern in reverse Cuthill-McKee order, it is `pat` in that order with
+    its `Band` where n (b+1)^2 <= BAND_FILL fill, and else `pat` in
+    SuperLU's order (`ordered_pattern`).  The choice takes O(nnz) time and
+    int32 temporaries of nnz entries."""
     n = len(pat.indptr) - 1
     graph = sp.csc_matrix((np.ones(len(pat.indices), dtype=bool),
                            pat.indices, pat.indptr), shape=(n, n))
@@ -398,24 +390,25 @@ def later_pattern(pat: MatrixPattern, perm_c: np.ndarray,
     width = int(np.max(np.maximum.reduceat(row, pat.indptr[:-1]) - at))
     if n * (width + 1) ** 2 > BAND_FILL * fill:
         return ordered_pattern(pat, perm_c)
-    col = np.repeat(at, np.diff(pat.indptr))
-    lower = np.flatnonzero(row >= col)
+    pat = ordered_pattern(pat, at)
+    col = np.repeat(np.arange(n), np.diff(pat.indptr))
+    lower = np.flatnonzero(pat.indices >= col)
     # on the symmetric pattern the transpose of the positions' matrix holds
     # at each entry the position of its transpose
-    mirror = sp.csc_matrix((np.arange(len(row), dtype=np.intc), pat.indices,
+    mirror = sp.csc_matrix((np.arange(len(col), dtype=np.intc), pat.indices,
                             pat.indptr), shape=(n, n)).T.tocsc().data[lower]
-    col, row = col[lower].astype(np.intp), row[lower]
-    return pat._replace(band=_frozen(Band(order, width, lower, mirror,
+    col, row = col[lower], pat.indices[lower]
+    return pat._replace(band=_frozen(Band(width, lower, mirror,
                                           col * (width + 1) + row - col)))
 
 
-def ordered_pattern(pat: MatrixPattern, perm_c: np.ndarray) -> MatrixPattern:
-    """The natural pattern `pat` with its rows and columns in SuperLU's
-    column order: unknown i moves to row and column perm_c[i].  Each column
-    keeps its entries, their rows renamed and sorted again, and every data
-    position is remapped, so a matrix filled into the result is P^T J P of
-    the one filled into `pat`, entry for entry."""
-    order = np.argsort(perm_c).astype(np.intc)
+def ordered_pattern(pat: MatrixPattern, perm: np.ndarray) -> MatrixPattern:
+    """The natural pattern `pat` with its rows and columns reordered:
+    unknown i moves to row and column perm[i] (SuperLU's `perm_c` is such an
+    order).  Each column keeps its entries, their rows renamed and sorted
+    again, and every data position is remapped, so a matrix filled into the
+    result is P^T J P of the one filled into `pat`, entry for entry."""
+    order = np.argsort(perm).astype(np.intc)
     length = np.diff(pat.indptr)[order]
     indptr = np.zeros(len(order) + 1, dtype=np.intc)
     np.cumsum(length, out=indptr[1:])
@@ -423,7 +416,7 @@ def ordered_pattern(pat: MatrixPattern, perm_c: np.ndarray) -> MatrixPattern:
     # the data while scipy sorts each column's renamed rows
     at = np.repeat(pat.indptr[order] - indptr[:-1], length)
     at += np.arange(len(at), dtype=np.intc)
-    moved = sp.csc_matrix((at, perm_c[pat.indices[at]], indptr),
+    moved = sp.csc_matrix((at, perm[pat.indices[at]], indptr),
                           shape=(len(order),) * 2)
     moved.sort_indices()
     moved.data += 1

@@ -692,45 +692,49 @@ def test_newton_pattern_is_built_once_per_mode(monkeypatch):
     ("locally_refined", 2, 2, False)])
 def test_ordered_pattern_holds_the_permuted_matrix(family, level, k,
                                                    condense, monkeypatch):
-    # after a mode's first factorization its matrix comes in SuperLU's
-    # column order: P^T J P of the natural one, value for value.  These
-    # matrices are small enough for the band; BAND_FILL = 0 keeps every
-    # mode on SuperLU
-    monkeypatch.setattr(solver, "BAND_FILL", 0)
-    mesh, packs, dm = _linear_setup(family, level, k)
-    law = p_laplacian(1.75)
-    loads = compute_loads(packs, exp_field(1.0, -0.5))
-    U = 0.5 * np.random.default_rng(9).standard_normal(dm.ndofs)
-    r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
-    rs, J, _ = _assemble(dm, packs, law, U, r, 1e-8, condense)
-    assert dm.pattern(condense).order is None
-    factors = []
-    splu = solver.splu
+    # after a mode's first factorization its matrix comes in the kept order:
+    # P^T J P of the natural one, value for value.  These matrices are
+    # small enough for the band, whose reverse Cuthill-McKee order they take
+    # at the default BAND_FILL; BAND_FILL = 0 keeps SuperLU's column order
+    for band_fill in (0, solver.BAND_FILL):
+        monkeypatch.setattr(solver, "BAND_FILL", band_fill)
+        mesh, packs, dm = _linear_setup(family, level, k)
+        law = p_laplacian(1.75)
+        loads = compute_loads(packs, exp_field(1.0, -0.5))
+        U = 0.5 * np.random.default_rng(9).standard_normal(dm.ndofs)
+        r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
+        rs, J, _ = _assemble(dm, packs, law, U, r, 1e-8, condense)
+        assert dm.pattern(condense).order is None
+        factors = []
+        splu = solver.splu
 
-    def captured(*args, **kwargs):
-        factors.append(splu(*args, **kwargs))
-        return factors[-1]
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(solver, "splu", captured)
-        x = solver.solve_newton_system(dm, condense, J, -rs)
-    order = dm.pattern(condense).order
-    assert np.array_equal(order, np.argsort(factors[0].perm_c))
-    rs_o, J_o, _ = _assemble(dm, packs, law, U, r, 1e-8, condense)
-    ref = J[order][:, order].tocsc()
-    ref.sort_indices()
-    assert J_o.has_canonical_format
-    assert np.array_equal(J_o.indptr, ref.indptr)
-    assert np.array_equal(J_o.indices, ref.indices)
-    assert np.array_equal(J_o.data, ref.data)
-    assert np.array_equal(rs_o, rs)
-    # the boundary rows and columns, moved, hold the diagonal 1 alone
-    bnd = np.argsort(order)[dm.boundary_dofs - (dm.cell_span if condense
-                                                else 0)]
-    assert np.all(J_o.diagonal()[bnd] == 1.0)
-    assert J_o[:, bnd].nnz == J_o.tocsr()[bnd].nnz == len(bnd)
-    # the same solution, to roundoff
-    x_o = solver.solve_newton_system(dm, condense, J_o, -rs_o)
-    assert np.max(np.abs(x_o - x)) <= 1e-12 * np.max(np.abs(x))
+        def captured(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver, "splu", captured)
+            x = solver.solve_newton_system(dm, condense, J, -rs)
+        pat = dm.pattern(condense)
+        order = pat.order
+        assert (pat.band is None) == (band_fill == 0)
+        if band_fill == 0:
+            assert np.array_equal(order, np.argsort(factors[0].perm_c))
+        rs_o, J_o, _ = _assemble(dm, packs, law, U, r, 1e-8, condense)
+        ref = J[order][:, order].tocsc()
+        ref.sort_indices()
+        assert J_o.has_canonical_format
+        assert np.array_equal(J_o.indptr, ref.indptr)
+        assert np.array_equal(J_o.indices, ref.indices)
+        assert np.array_equal(J_o.data, ref.data)
+        assert np.array_equal(rs_o, rs)
+        # the boundary rows and columns, moved, hold the diagonal 1 alone
+        bnd = np.argsort(order)[dm.boundary_dofs - (dm.cell_span if condense
+                                                    else 0)]
+        assert np.all(J_o.diagonal()[bnd] == 1.0)
+        assert J_o[:, bnd].nnz == J_o.tocsr()[bnd].nnz == len(bnd)
+        # the same solution, to roundoff
+        x_o = solver.solve_newton_system(dm, condense, J_o, -rs_o)
+        assert np.max(np.abs(x_o - x)) <= 1e-12 * np.max(np.abs(x))
 
 
 def test_later_newton_factorizations_keep_the_first_order_and_fill(
@@ -815,9 +819,10 @@ def _first_factor(family, level, k, condense, law, seed=9):
     ("cartesian", 3, 3, False, False), ("cartesian", 4, 3, False, False)])
 def test_later_factorizations_follow_the_band_rule(family, level, k,
                                                    condense, banded):
-    # the later matrices go on the band where the Cholesky flops of the
-    # reverse Cuthill-McKee band, n (b+1)^2, are at most BAND_FILL times
-    # the nonzeros of the first SuperLU factor; else SuperLU's order is kept
+    # the later matrices come in reverse Cuthill-McKee order and go on its
+    # band where the band's Cholesky flops, n (b+1)^2, are at most BAND_FILL
+    # times the nonzeros of the first SuperLU factor; else SuperLU's order
+    # is kept
     dm, _, _, _, J, lu = _first_factor(family, level, k, condense,
                                        p_laplacian(1.75))
     pat = dm.pattern(condense)
@@ -827,7 +832,9 @@ def test_later_factorizations_follow_the_band_rule(family, level, k,
     width = int(np.max(np.abs(at[coo.row] - at[coo.col])))
     assert (n * (width + 1) ** 2 <= solver.BAND_FILL * lu.nnz) == banded
     if banded:
-        assert pat.order is None and pat.band.width == width
+        assert np.array_equal(pat.order,
+                              reverse_cuthill_mckee(J, symmetric_mode=True))
+        assert pat.band.width == width
     else:
         assert pat.band is None
         assert np.array_equal(pat.order, np.argsort(lu.perm_c))
@@ -847,8 +854,9 @@ def _counting(monkeypatch, calls, name):
 def test_banded_step_matches_superlu(family, condense, p, monkeypatch):
     law = p_laplacian(p)
     dm, packs, loads, U, _, _ = _first_factor(family, 3, 1, condense, law)
+    order = dm.pattern(condense).order
     assert dm.pattern(condense).band is not None
-    # a later matrix, at another U
+    # a later matrix, at another U, in the band's order
     U = U + 0.1 * np.random.default_rng(4).standard_normal(dm.ndofs)
     r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
     rs, J, _ = _assemble(dm, packs, law, U, r, 1e-8, condense)
@@ -864,7 +872,8 @@ def test_banded_step_matches_superlu(family, condense, p, monkeypatch):
     _counting(monkeypatch, calls, "splu")
     x = solver.solve_newton_system(dm, condense, J, -rs)
     assert calls == {"dpbtrf": 1}
-    x_ref = solver.spsolve(J, -rs)
+    x_ref = np.empty_like(x)
+    x_ref[order] = solver.spsolve(J, -rs[order])
     assert np.max(np.abs(x - x_ref)) <= 1e-12 * np.max(np.abs(x_ref))
 
 
@@ -883,9 +892,17 @@ def _rotated_p_laplacian(p: float) -> LerayLionsLaw:
 
 def test_non_symmetric_newton_matrices_on_a_banded_mode_go_to_superlu(
         monkeypatch):
+    # each later matrix fails the symmetry test and is factored by SuperLU
+    # in the band's order, which is not ordered again
     calls = Counter()
     _counting(monkeypatch, calls, "dpbtrf")
-    _counting(monkeypatch, calls, "splu")
+    specs = []
+    splu = solver.splu
+
+    def recorded_splu(J, permc_spec, **kwargs):
+        specs.append(permc_spec)
+        return splu(J, permc_spec=permc_spec, **kwargs)
+    monkeypatch.setattr(solver, "splu", recorded_splu)
     steps = []
     solve = solver.solve_newton_system
 
@@ -899,9 +916,14 @@ def test_non_symmetric_newton_matrices_on_a_banded_mode_go_to_superlu(
                                  config=NewtonConfig(condense=True))
     assert rep.converged and rep.newton_iters == len(steps) > 2
     assert dm.pattern(True).band is not None
-    assert calls == {"splu": len(steps)}
-    for J, b, x in steps:
-        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert calls["dpbtrf"] == 0
+    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(steps) - 1)
+    (J, b, x), *later = steps
+    assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+    order = dm.pattern(True).order
+    for J, b, x in later:
+        assert (np.linalg.norm(J @ x[order] - b[order])
+                <= 1e-12 * np.linalg.norm(b))
 
 
 @pytest.mark.parametrize("fault", ["singular", "nan-entries"])
@@ -914,8 +936,11 @@ def test_banded_mode_gives_a_nan_step_on_a_matrix_it_cannot_factor(
     dm, packs, loads, U, _, _ = _first_factor("hexagonal", 3, 1, True, law)
     r = assemble_residual(dm, packs, law, U, loads, eps=1e-8)
     rs, J, _ = _assemble(dm, packs, law, U, r, 1e-8, True)
-    assert dm.pattern(True).band is not None
-    free = np.setdiff1d(np.arange(J.shape[0]), dm.boundary_dofs - dm.cell_span)
+    pat = dm.pattern(True)
+    assert pat.band is not None
+    # the free unknowns' rows in the band's order
+    free = np.setdiff1d(np.arange(J.shape[0]), np.argsort(pat.order)[
+        dm.boundary_dofs - dm.cell_span])
     col = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
     i, j = free[:2]
     if fault == "singular":
@@ -935,20 +960,25 @@ def test_banded_mode_gives_a_nan_step_on_a_matrix_it_cannot_factor(
 
 
 def test_assemble_system_keeps_the_natural_order_after_a_solve(monkeypatch):
-    monkeypatch.setattr(solver, "BAND_FILL", 0)     # the kept SuperLU order
+    # on the band's reverse Cuthill-McKee order (the default BAND_FILL) and
+    # on SuperLU's kept order (BAND_FILL = 0)
     u = sine_product_field(PI, PI)
     law = p_laplacian(1.75)
     mesh = generate("triangular", 3)
     f = manufactured_source(u, law)
-    U, rep, dm, packs = newton_solve(mesh, 1, law, source=f, dirichlet=u)
-    assert rep.converged and dm.pattern(False).order is not None
-    loads = compute_loads(packs, f)
-    r, J = assemble_system(dm, packs, law, U, loads)
-    r_ref, J_ref = assemble_system(DofMap(mesh, 1), packs, law, U, loads)
-    assert np.array_equal(r, r_ref)
-    assert np.array_equal(J.indptr, J_ref.indptr)
-    assert np.array_equal(J.indices, J_ref.indices)
-    assert np.array_equal(J.data, J_ref.data)
+    for band_fill in (0, solver.BAND_FILL):
+        monkeypatch.setattr(solver, "BAND_FILL", band_fill)
+        U, rep, dm, packs = newton_solve(mesh, 1, law, source=f, dirichlet=u)
+        pat = dm.pattern(False)
+        assert rep.converged and pat.order is not None
+        assert (pat.band is None) == (band_fill == 0)
+        loads = compute_loads(packs, f)
+        r, J = assemble_system(dm, packs, law, U, loads)
+        r_ref, J_ref = assemble_system(DofMap(mesh, 1), packs, law, U, loads)
+        assert np.array_equal(r, r_ref)
+        assert np.array_equal(J.indptr, J_ref.indptr)
+        assert np.array_equal(J.indices, J_ref.indices)
+        assert np.array_equal(J.data, J_ref.data)
 
 
 def test_exhausted_line_search_ends_the_stage(monkeypatch):
