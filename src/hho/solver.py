@@ -50,6 +50,11 @@ so that they come permuted and are factored as they stand;
 The Newton loop supports backtracking damping, regularization of the flux
 Jacobian near vanishing gradients, continuation in the exponent p starting
 from the linear problem, and optional static condensation of the cell blocks.
+A stage of the continuation (`_newton_stage`) converges when the residual
+norm reaches `atol`.  A non-finite or roundoff-scale step, or a line search
+that finds no decrease down to MIN_STEP, ends the stage, which counts as
+converged only below STALL_TOL = 1e-6.  Reaching `max_iterations` ends the
+stage unconverged, and an unconverged stage ends the solve.
 
 Each Newton step factors its matrix, full or condensed
 (`solve_newton_system`).  A mode's first matrix is factored by SuperLU in
@@ -835,14 +840,8 @@ def continuation_path(p: float) -> tuple:
     if stages > MAX_STAGES:
         raise ValueError(f"continuation to p = {p} takes more than "
                          f"{MAX_STAGES} stages (p <= {MAX_STAGES + 1})")
-    path = [2.0]
-    cur = 2.0
     step = 1.0 if p > 2.0 else -1.0
-    while abs(p - cur) > 1.0:
-        cur += step
-        path.append(cur)
-    path.append(p)
-    return tuple(path)
+    return (*(2.0 + step * i for i in range(stages - 1)), p)
 
 
 def _gradient_scale(dm, packs, U) -> float:
@@ -856,18 +855,12 @@ def _gradient_scale(dm, packs, U) -> float:
 def _newton_stage(dm, packs, law, U, loads, cfg: NewtonConfig) -> StageReport:
     eps = EPS_SCALE * _gradient_scale(dm, packs, U)
     nk = dm.n_cell
-    iters = 0
-    damping = 0
-    converged = False
-    t_asm = t_lin = t_ls = 0.0
+    rep = StageReport(p=law.p, iterations=0, residual_norm=math.nan,
+                      residual_raw=math.nan, converged=False)
     r = assemble_residual(dm, packs, law, U, loads, eps)
     rn = float(np.linalg.norm(r))
-    while True:
-        if rn <= cfg.atol:
-            converged = True
-            break
-        if iters >= cfg.max_iterations:
-            break
+    t = 1.0                 # below MIN_STEP once the stage cannot step
+    while rn > cfg.atol and rep.iterations < cfg.max_iterations:
         t0 = time.perf_counter()
         rs, J, back = _assemble(dm, packs, law, U, r, eps, cfg.condense)
         t1 = time.perf_counter()
@@ -877,36 +870,31 @@ def _newton_stage(dm, packs, law, U, loads, cfg: NewtonConfig) -> StageReport:
         for gd, X, y in back:                       # condensed cell unknowns
             delta[gd[:, :nk]] = -y - (X @ delta[gd[:, nk:], None])[:, :, 0]
         t2 = time.perf_counter()
-        t_asm += t1 - t0
-        t_lin += t2 - t1
-        if (not np.all(np.isfinite(delta))
-                or np.max(np.abs(delta)) <= 1e-13 * (1.0 + np.max(np.abs(U)))):
-            # a non-finite step comes from a singular system and leads
-            # nowhere; a step at roundoff scale has reached the residual floor
-            converged = rn <= STALL_TOL
-            break
-        t = 1.0
-        accepted = False
+        rep.assemble_s += t1 - t0
+        rep.linear_solve_s += t2 - t1
+        # a non-finite step comes from a singular system and leads nowhere; a
+        # step at roundoff scale has reached the residual floor
+        t = 0.0 if (not np.all(np.isfinite(delta)) or np.max(np.abs(delta))
+                    <= 1e-13 * (1.0 + np.max(np.abs(U)))) else 1.0
         while t >= MIN_STEP:
             r_try = assemble_residual(dm, packs, law, U + t * delta, loads, eps)
             rn_try = float(np.linalg.norm(r_try))
             if rn_try <= (1.0 - ARMIJO * t) * rn:
-                accepted = True
                 break
             t *= 0.5
-            damping += 1
-        t_ls += time.perf_counter() - t2
-        if not accepted:
-            converged = rn <= STALL_TOL
+            rep.damping_events += 1
+        rep.line_search_s += time.perf_counter() - t2
+        if t < MIN_STEP:    # no step, or no decrease down to MIN_STEP
             break
         U += t * delta
         r, rn = r_try, rn_try
-        iters += 1
-    raw = float(np.linalg.norm(assemble_residual(dm, packs, law, U, loads)))
-    return StageReport(p=law.p, iterations=iters, residual_norm=rn,
-                       residual_raw=raw, converged=converged,
-                       damping_events=damping, assemble_s=t_asm,
-                       linear_solve_s=t_lin, line_search_s=t_ls)
+        rep.iterations += 1
+    # a stage that cannot step has converged on the roundoff floor only
+    rep.converged = rn <= (STALL_TOL if t < MIN_STEP else cfg.atol)
+    rep.residual_norm = rn
+    rep.residual_raw = float(np.linalg.norm(
+        assemble_residual(dm, packs, law, U, loads)))
+    return rep
 
 
 def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,
@@ -918,8 +906,9 @@ def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,
         raise ValueError("dm was built on another mesh")
     if dm is not None and dm.k != k:
         raise ValueError(f"dm is for k = {dm.k}, not k = {k}")
-    path = cfg.continuation or continuation_path(law.p)
-    if path[-1] != law.p:
+    path = (continuation_path(law.p) if cfg.continuation is None
+            else cfg.continuation)
+    if not path or path[-1] != law.p:
         raise ValueError(f"continuation {path} does not end at p = {law.p}")
     if law.family is None and any(q != law.p for q in path):
         raise ValueError("continuation requires the law's family")
@@ -934,15 +923,13 @@ def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,
         U[idx] = vals
     t0 = time.perf_counter()
     stages = []
-    ok = True
     for pstage in path:
         stage_law = law if pstage == law.p else law.family(pstage)
-        rep = _newton_stage(dm, packs, stage_law, U, loads, cfg)
-        stages.append(rep)
-        if not rep.converged:
-            ok = False
+        stages.append(_newton_stage(dm, packs, stage_law, U, loads, cfg))
+        if not stages[-1].converged:
             break
-    report = SolveReport(stages=stages, converged=ok,
+    report = SolveReport(stages=stages,
+                         converged=all(s.converged for s in stages),
                          newton_iters=sum(s.iterations for s in stages),
                          wall_time=time.perf_counter() - t0, ndofs=dm.ndofs)
     return U, report, dm, packs

@@ -353,6 +353,17 @@ def test_continuation_paths():
     for p in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             continuation_path(p)
+    # across (1, 65]: from 2 to p, monotone, unit steps but a last one of
+    # at most 1, and 2 + max(0, ceil(|p - 2| - 1)) stages (1 at p = 2)
+    for p in (1.01, 1.5, 2.0, 2.5, 3.5, 10.0, 33.3, 64.5, 65.0):
+        path = continuation_path(p)
+        assert path[0] == 2.0 and path[-1] == p
+        steps = np.diff(path)
+        assert np.all(steps > 0) or np.all(steps < 0)
+        assert np.all(np.abs(steps[:-1]) == 1.0)
+        assert np.all(np.abs(steps[-1:]) <= 1.0)
+        assert len(path) == (1 if p == 2.0 else
+                             2 + max(0, math.ceil(abs(p - 2.0) - 1.0)))
 
 
 def test_continuation_paths_are_capped():
@@ -368,7 +379,7 @@ def test_continuation_paths_are_capped():
             continuation_path(p)
 
 
-@pytest.mark.parametrize("path", [(2.0,), (2.0, 2.5)])
+@pytest.mark.parametrize("path", [(2.0,), (2.0, 2.5), ()])
 def test_continuation_must_end_at_the_target_p(monkeypatch, path):
     # a path that stops short of p reported its last stage's convergence as
     # the solve's: at p = 3, (2,) gave "converged" with residual 14.9 at p = 3
@@ -1013,6 +1024,37 @@ def test_exhausted_line_search_ends_the_stage(monkeypatch):
     assert cfg.atol < stage.residual_norm <= solver.STALL_TOL
     assert stage.damping_events == 17 and stage.iterations == 0
     assert stage.converged
+
+
+def test_iteration_cap_ends_the_stage_unconverged():
+    # cartesian level 2, k = 1, p = 2 with an unreachable atol: one step
+    # lands on the roundoff floor, 8.8e-15.  A cap of one iteration stops
+    # the stage there unconverged, although the residual is under
+    # STALL_TOL: the cap is not a stall.  With a cap of 5 the second step is
+    # at roundoff scale, and the stage converges through the stall test.
+    mesh = generate("cartesian", 2)
+    u = sine_product_field(PI, PI)
+    for cap, converged in ((1, False), (5, True)):
+        _, rep, _, _ = newton_solve(mesh, 1, p_laplacian(2.0),
+                                    source=(2 * PI ** 2) * u,
+                                    config=NewtonConfig(atol=1e-30,
+                                                        max_iterations=cap))
+        (stage,) = rep.stages
+        assert stage.iterations == 1 and stage.damping_events == 0
+        assert stage.residual_norm < 1e-13
+        assert stage.converged == rep.converged == converged
+    # at p = 4 a cap of two iterations stops the p = 3 stage unconverged,
+    # and the p = 4 stage never runs
+    u = manufactured_solution("trigonometric")
+    law = p_laplacian(4.0)
+    _, rep, _, _ = newton_solve(generate("triangular", 3), 1, law,
+                                source=manufactured_source(u, law),
+                                dirichlet=u,
+                                config=NewtonConfig(max_iterations=2))
+    assert [s.p for s in rep.stages] == [2.0, 3.0]
+    assert [s.converged for s in rep.stages] == [True, False]
+    assert rep.stages[1].iterations == 2 and not rep.converged
+    assert rep.newton_iters == 3
 
 
 def test_stage_reports_time_the_newton_phases():
