@@ -102,8 +102,10 @@ def jacobian_check(law: LerayLionsLaw, n: int = 200, seed: int = 0,
         col = (law.flux(x, xi + d, eps) - law.flux(x, xi - d, eps)) / (2 * h[:, None])
         num = np.abs(col - J[:, :, j]).max(axis=1)
         den = np.maximum(np.abs(J).reshape(n, -1).max(axis=1), 1e-12)
-        worst = max(worst, float((num / den).max()))
-    return worst
+        # np.maximum keeps a NaN deviation (an overflowed Jacobian), which
+        # max() would drop
+        worst = np.maximum(worst, (num / den).max())
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,20 @@ block's first element still holds the checked object.  The kernels read
 that `LocalOperators` as it is and form gradients and residuals as one
 matrix product over the block.  The law runs on chunks (`DofMap.chunks`):
 runs of consecutive blocks of one local size whose element matrices hold at
-most JACOBIAN_ENTRIES entries together, or one block.  The residual and the
-Newton matrix gather U once per chunk and call the flux, or its Jacobian,
-and the face weights once per chunk, on the nodes of all its blocks, which
-spares the fixed cost of a call on the many small blocks of a mesh of many
-shapes.  The `Sweep` holds what does not change with U: each chunk's joined
-unknowns and cell nodes, the residual's scatter index and the face scales
-h_F^{1-p} w of the last p.  Jacobians are formed in the shape's polynomial
-coefficients: the flux Jacobian is contracted against the degree-k cell and
-face bases once per block, then the shape's G and D coefficients apply it.
+most JACOBIAN_ENTRIES entries together, or one block.  The residual, the
+Newton matrix and a stage's gradient scale read U through one gather per
+chunk (`_values`), which gives the gradients and face residuals of all its
+blocks laid end to end; the residual and the Newton matrix call the flux,
+or its Jacobian, and the face weights once per chunk on them, which spares
+the fixed cost of a call on the many small blocks of a mesh of many shapes.
+The `Sweep` holds what does not change with U: each chunk's joined unknowns
+and cell nodes, and each block's element and node rows in them, the
+residual's scatter index and the face scales h_F^{1-p} w of the last p.  A
+chunk's blocks may differ in nodes per element: cells of one vertex count
+are fanned from a vertex or from the centroid.  Jacobians are formed in the
+shape's polynomial coefficients: the flux Jacobian is contracted against
+the degree-k cell and face bases once per block, then the shape's G and D
+coefficients apply it.
 A chunk's element matrices fill one (E, nl, nl) array.  Static
 condensation inverts its cell blocks in one batched solve against the
 identity and forms the Schur complements by products with the inverses.
@@ -195,8 +200,7 @@ def budget_runs(n: int, ndof: int) -> list[slice]:
     JACOBIAN_ENTRIES entries of (ndof, ndof) element matrices, or one
     element."""
     m = -(-n // max(1, JACOBIAN_ENTRIES // ndof ** 2))
-    edges = np.arange(m + 1) * n // m
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    return _runs(np.diff(np.arange(m + 1) * n // m))
 
 
 @dataclass(frozen=True)
@@ -468,21 +472,28 @@ class Chunk(NamedTuple):
     pairs: tuple            # (block, operators) of each of its blocks
     dofs: np.ndarray        # (E, nl) the blocks' unknowns, laid end to end
     nodes: np.ndarray       # (E nq, 2) their cell nodes, laid end to end
+    rows: tuple             # (element rows, node rows) of each block: its
+                            # slices of dofs and of nodes; the blocks of a
+                            # chunk may differ in their nodes per element
 
 
 class Sweep:
     """What a sweep over the blocks of a DofMap reads that U does not
     change, for the operators `shared_operators` checked it with: the
     (block, operators) pairs, the chunks with their joined unknowns and cell
-    nodes, the residual's scatter index and the face scales of the last p."""
+    nodes and each block's rows in them, the residual's scatter index and
+    the face scales of the last p."""
 
     def __init__(self, dm: DofMap, ops: list):
         self.pairs = tuple(zip(dm.blocks, ops))
-        self.chunks = [Chunk(self.pairs[c],
-                             _joined([blk.dofs for blk in dm.blocks[c]]),
-                             _joined([o.cell_nodes[blk.run].reshape(-1, 2)
-                                      for blk, o in self.pairs[c]]))
-                       for c in dm.chunks]
+        self.chunks = []
+        for c in dm.chunks:
+            pairs = self.pairs[c]
+            nodes = [o.cell_nodes[blk.run].reshape(-1, 2) for blk, o in pairs]
+            self.chunks.append(Chunk(
+                pairs, _joined([blk.dofs for blk, _ in pairs]), _joined(nodes),
+                tuple(zip(_runs([len(blk.elements) for blk, _ in pairs]),
+                          _runs(map(len, nodes))))))
         # every block's unknowns in block order, where the residual's
         # entries go
         self.scatter = np.concatenate([blk.dofs.ravel() for blk in dm.blocks])
@@ -577,32 +588,21 @@ def compute_loads(packs, source) -> np.ndarray:
     return loads
 
 
-def _pointwise(chunk: Chunk, U, cell_law, face_law) -> list[tuple]:
-    """Each block of a chunk with its operators and two pointwise laws at
-    U: `cell_law(x, g)` of its cell nodes x and gradients g, (E nq, 2), and
-    `face_law(du)` of its (E, nf nfq) face residuals du, with du.  U is
-    gathered once for the chunk, and each law is called once, on the nodes
-    of all its blocks side by side; the blocks of a chunk share one local
-    size, so du stacks by rows."""
+def _values(chunk: Chunk, U) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients (E nq, 2) at the cell nodes and the face residuals
+    (E, nf nfq) of a chunk's blocks at U, each laid end to end in block
+    order, from one gather of U; the blocks of a chunk share one local
+    size, so the face residuals stack by rows."""
     Uc = U[chunk.dofs]
-    vals, e = [], 0
-    for blk, ops in chunk.pairs:
-        E = len(blk.elements)
-        vals.append(ops.values(Uc[e:e + E]))
-        e += E
-    g = _joined([g for g, _ in vals])
-    du = _joined([du for _, du in vals])
-    del vals                            # the blocks' own gradients
-    cells = cell_law(chunk.nodes, g)
-    del g
-    faces = face_law(du)
-    out, q, e = [], 0, 0
-    for blk, ops in chunk.pairs:
-        E = len(blk.elements)
-        nq = len(ops.rule.weights) * E
-        out.append((blk, ops, cells[q:q + nq], faces[e:e + E], du[e:e + E]))
-        q, e = q + nq, e + E
-    return out
+    vals = [ops.values(Uc[e])
+            for (_, ops), (e, _) in zip(chunk.pairs, chunk.rows)]
+    return _joined([g for g, _ in vals]), _joined([du for _, du in vals])
+
+
+def _runs(lengths) -> list[slice]:
+    """Consecutive slices of the given lengths, from 0."""
+    ends = np.cumsum([0, *lengths]).tolist()
+    return [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
 
 def _joined(arrays: list) -> np.ndarray:
@@ -668,14 +668,14 @@ def assemble_residual(dm: DofMap, packs, law, U, loads,
     sweep = _sweep(dm, packs)
     vals = []
     for chunk, scales in zip(sweep.chunks, sweep.face_scales(p)):
-        blocks = _pointwise(
-            chunk, U, lambda x, g: law.flux(x, g, eps),
-            lambda du: power_weight(du * du + eps * eps, (p - 2.0) / 2.0))
-        for (_, ops, a, sw, du), scale in zip(blocks, scales):
-            E = len(du)
-            a = a.reshape(E, -1, 2) * ops.rule.weights[:, None]
-            c = scale * sw * du
-            vals.append((a.reshape(E, -1) @ ops.grad_q.reshape(-1, ops.ndof)
+        g, du = _values(chunk, U)
+        a = law.flux(chunk.nodes, g, eps)
+        sw = power_weight(du * du + eps * eps, (p - 2.0) / 2.0)
+        for (blk, ops), (e, q), scale in zip(chunk.pairs, chunk.rows, scales):
+            E = len(blk.elements)
+            aw = a[q].reshape(E, -1, 2) * ops.rule.weights[:, None]
+            c = scale * sw[e] * du[e]
+            vals.append((aw.reshape(E, -1) @ ops.grad_q.reshape(-1, ops.ndof)
                          + c @ ops.dval_q.reshape(-1, ops.ndof)).ravel())
     r = np.bincount(sweep.scatter, np.concatenate(vals), minlength=dm.ndofs)
     r[:dm.cell_span] -= np.ravel(loads)
@@ -734,13 +734,11 @@ def _assemble(dm: DofMap, packs, law, U, r, eps: float, condense: bool):
         span = vals[at:at + E * m * m].reshape(E, m, m)
         at += span.size
         Je = np.empty((E, nl, nl)) if condense else span
-        blocks = _pointwise(chunk, U,
-                            lambda x, g: law.flux_jacobian(x, g, eps),
-                            lambda du: _face_slope(du, eps, p))
-        e = 0
-        for (_, ops, Da, jw, _), scale in zip(blocks, scales):
-            _jacobian_products(ops, Da, jw, scale, out=Je[e:e + len(jw)])
-            e += len(jw)
+        g, du = _values(chunk, U)
+        Da = law.flux_jacobian(chunk.nodes, g, eps)
+        jw = _face_slope(du, eps, p)
+        for (_, ops), (e, q), scale in zip(chunk.pairs, chunk.rows, scales):
+            _jacobian_products(ops, Da[q], jw[e], scale, out=Je[e])
         if condense:
             X, y, fy = _condensed(Je, r[gd[:, :nk]], nk, out=span)
             back.append((gd, X, y))
@@ -846,8 +844,8 @@ def continuation_path(p: float) -> tuple:
 
 def _gradient_scale(dm, packs, U) -> float:
     worst = 1.0
-    for blk, ops in shared_operators(dm, packs):
-        g, _ = ops.values(U[blk.dofs])
+    for chunk in _sweep(dm, packs).chunks:
+        g, _ = _values(chunk, U)
         worst = max(worst, float(np.max(np.hypot(g[:, 0], g[:, 1]))))
     return worst
 
@@ -912,6 +910,8 @@ def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,
         raise ValueError(f"continuation {path} does not end at p = {law.p}")
     if law.family is None and any(q != law.p for q in path):
         raise ValueError("continuation requires the law's family")
+    # each stage's law, before any work: the family rejects an invalid p
+    laws = [law if q == law.p else law.family(q) for q in path]
     if packs is None:
         packs = build_packs(mesh, k, cfg.boost)
     if dm is None:
@@ -923,8 +923,7 @@ def newton_solve(mesh, k: int, law: LerayLionsLaw, source=None, dirichlet=None,
         U[idx] = vals
     t0 = time.perf_counter()
     stages = []
-    for pstage in path:
-        stage_law = law if pstage == law.p else law.family(pstage)
+    for stage_law in laws:
         stages.append(_newton_stage(dm, packs, stage_law, U, loads, cfg))
         if not stages[-1].converged:
             break

@@ -100,6 +100,24 @@ def test_jacobian_matches_finite_differences(p, eps):
     assert jacobian_check(law, n=200, seed=0, eps=eps) <= 1e-5
 
 
+def test_an_overflowed_jacobian_fails_its_check(capsys):
+    # at p = 110 the flux Jacobian overflows at the sampled |xi| up to 1e3:
+    # the NaN deviation was dropped and the check read exactly 0, a pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = jacobian_check(p_laplacian(110.0))
+    assert not (math.isfinite(jac) and jac <= 1e-5)
+    # check-laws refuses such a p as a usage error, before any check, and
+    # takes p = 100
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            code = cli.main(["check-laws", "--p", "110", "--n", "2000"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2
+    assert "usage: hho check-laws" in capsys.readouterr().err
+    assert cli.main(["check-laws", "--p", "100", "--n", "2000"]) == 0
+
+
 def test_rejects_degenerate_exponent():
     with pytest.raises(ValueError):
         p_laplacian(1.0)

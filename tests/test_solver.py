@@ -394,6 +394,22 @@ def test_continuation_must_end_at_the_target_p(monkeypatch, path):
                      config=NewtonConfig(continuation=path))
 
 
+@pytest.mark.parametrize("path", [(2.0, 0.5, 3.0), (2.0, math.nan, 3.0)])
+def test_continuation_through_an_invalid_p_is_rejected_up_front(monkeypatch,
+                                                                path):
+    # the family raised on p = 0.5 only after the packs, the loads, the
+    # Dirichlet data and the whole p = 2 stage
+    def no_build(*args):
+        raise AssertionError("operators built before the path was checked")
+    monkeypatch.setattr(solver, "build_packs", no_build)
+    u = manufactured_solution("trigonometric")
+    law = p_laplacian(3.0)
+    with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+        newton_solve(generate("triangular", 3), 1, law,
+                     source=manufactured_source(u, law), dirichlet=u,
+                     config=NewtonConfig(continuation=path))
+
+
 def test_continuation_without_the_family_is_rejected_up_front(monkeypatch):
     law = replace(p_laplacian(3.0), family=None)
     with monkeypatch.context() as m:
@@ -1194,6 +1210,22 @@ def test_newton_converges_at_p_1_5_on_locally_refined_k3_exponential():
     assert report.converged
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="open defect: the stop tolerances are absolute; "
+                          "the p = 4 stage stops on a roundoff-scale step at "
+                          "residual 2.5e-6, above STALL_TOL = 1e-6, and the "
+                          "p = 2 and 3 stages pass only through STALL_TOL "
+                          "(ROADMAP items 1 and 8)")
+def test_newton_converges_at_p_4_5_on_hexagonal_k2_exponential_condensed():
+    u = manufactured_solution("exponential")
+    law = p_laplacian(4.5)
+    _, report, _, _ = newton_solve(generate("hexagonal", 3), 2, law,
+                                   source=manufactured_source(u, law),
+                                   dirichlet=u,
+                                   config=NewtonConfig(condense=True))
+    assert report.converged
+
+
 def _max_rel_gap(a, b) -> float:
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
@@ -1517,6 +1549,31 @@ def test_shared_operators_match_element_builds_on_a_non_convex_cell(k):
     # the two cells differ in their kind of fan, so they build in two stacks
     mesh = _u_mesh()
     _check_shared_match_element_builds(mesh, k, 1e-12)
+
+
+def test_a_chunk_of_two_node_counts_matches_the_element_loop():
+    # at k = 1 the two cells are one chunk of two blocks whose cell fans
+    # differ: 128 nodes from the centroid and 96 from a vertex, so the
+    # chunk's node rows cannot follow from one count per element
+    mesh = _u_mesh()
+    packs, dm = build_packs(mesh, 1), DofMap(mesh, 1)
+    (chunk,) = solver._sweep(dm, packs).chunks
+    assert [ops.rule.weights.size for _, ops in chunk.pairs] == [128, 96]
+    law = p_laplacian(1.75)
+    loads = compute_loads(packs, exp_field(1.0, -0.5))
+    U = 0.5 * np.random.default_rng(2).standard_normal(dm.ndofs)
+    r, J = assemble_system(dm, packs, law, U, loads, eps=1e-8)
+    r_ref = _residual_by_element(dm, packs, law, U, loads, 1e-8)
+    assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.abs(r_ref).max()
+    J_ref = np.zeros((dm.ndofs, dm.ndofs))
+    for ei, ops in enumerate(packs):
+        gd = dm.element_dofs(ei)
+        J_ref[np.ix_(gd, gd)] += _jacobian_of_element(mesh, ops, ei, law,
+                                                      U[gd], 1e-8)
+    bnd = dm.boundary_dofs
+    J_ref[bnd] = J_ref[:, bnd] = 0.0
+    J_ref[bnd, bnd] = 1.0
+    assert np.max(np.abs(J.toarray() - J_ref)) <= 1e-13 * np.abs(J_ref).max()
 
 
 def test_unique_shapes_build_every_element(monkeypatch):
